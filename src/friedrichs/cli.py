@@ -328,14 +328,16 @@ def _build_state(cfg: dict, grid, densities: bool):
     raise ValidationError(f"state.family: unknown family {family!r}")
 
 
+def _lo_hi_n(key: str, text: str) -> tuple:
+    """A ``lo, hi, n`` value: two numbers and an integer point count."""
+    lo, hi, _ = _float_list(key, text, count=3)
+    return lo, hi, _as_int(key, text.split(",")[2].strip())
+
+
 def _energy_grid(cfg: dict, phi):
     """(lo, hi), points: explicit key, else a widened state support."""
     if "experiment.energy-grid" in cfg:
-        parts = _float_list("experiment.energy-grid",
-                            cfg["experiment.energy-grid"], count=3)
-        lo, hi = parts[0], parts[1]
-        n = _as_int("experiment.energy-grid",
-                    cfg["experiment.energy-grid"].split(",")[2].strip())
+        lo, hi, n = _lo_hi_n("experiment.energy-grid", cfg["experiment.energy-grid"])
         if not lo < hi:
             raise ValidationError("experiment.energy-grid: needs lo < hi")
         if n < 4:
@@ -423,52 +425,47 @@ def _mean_momentum(state) -> float:
 # computation and writes artifacts.
 
 def _assemble_smatrix(cfg: dict, base: Path) -> dict:
+    """Context for the smatrix and spectral-shift experiments."""
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base)
     phi = _build_state(cfg, grid, densities=False) if "state.family" in cfg else None
     span, npts = _energy_grid(cfg, phi)
     excl = _exclusions(cfg, model, default="none")
-    return {"grid": grid, "model": model, "span": span, "npts": npts,
-            "excl": excl}
+    return {"model": model, "phi": phi, "span": span, "npts": npts, "excl": excl}
+
+
+def _curve_summary(ctx: dict, prec: int, head: list) -> tuple:
+    """The context's scattering curve and its summary lines after head."""
+    curve = compute_curve(ctx["model"], ctx["span"], ctx["npts"],
+                          exclusions=ctx["excl"])
+    lines = head + [
+        f"energy-points = {curve.energies.size}",
+        f"exclusions = {_describe_exclusions(curve.exclusions, prec)}",
+    ]
+    lines += [f"{k} = {_fmt(v, prec)}" for k, v in _curve_residuals(curve).items()]
+    return curve, lines
 
 
 def _execute_smatrix(ctx: dict, outdir: Path, prec: int):
-    curve = compute_curve(ctx["model"], ctx["span"], ctx["npts"],
-                          exclusions=ctx["excl"])
-    path = outdir / "smatrix.csv"
-    _write_csv(path, _CURVE_COLUMNS, _curve_rows(curve), prec)
-    lines = [
+    curve, lines = _curve_summary(ctx, prec, [
         "experiment = smatrix",
         f"model.N = {ctx['model'].rank}",
         f"energy-grid = {_fmt(ctx['span'][0], prec)}, "
         f"{_fmt(ctx['span'][1], prec)}, {ctx['npts']}",
-        f"energy-points = {curve.energies.size}",
-        f"exclusions = {_describe_exclusions(curve.exclusions, prec)}",
-    ]
-    lines += [f"{k} = {_fmt(v, prec)}" for k, v in _curve_residuals(curve).items()]
+    ])
+    path = outdir / "smatrix.csv"
+    _write_csv(path, _CURVE_COLUMNS, _curve_rows(curve), prec)
     return [path], lines
 
 
-def _assemble_spectral_shift(cfg: dict, base: Path) -> dict:
-    ctx = _assemble_smatrix(cfg, base)
-    ctx["phi"] = (_build_state(cfg, ctx["grid"], densities=False)
-                  if "state.family" in cfg else None)
-    return ctx
-
-
 def _execute_spectral_shift(ctx: dict, outdir: Path, prec: int):
-    curve = compute_curve(ctx["model"], ctx["span"], ctx["npts"],
-                          exclusions=ctx["excl"])
+    curve, lines = _curve_summary(ctx, prec, [
+        "experiment = spectral-shift",
+        f"model.N = {ctx['model'].rank}",
+    ])
     path = outdir / "spectral-shift.csv"
     rows = list(zip(curve.energies, curve.shift_density, curve.delay_density))
     _write_csv(path, ("x", "xi_prime", "delay_density"), rows, prec)
-    lines = [
-        "experiment = spectral-shift",
-        f"model.N = {ctx['model'].rank}",
-        f"energy-points = {curve.energies.size}",
-        f"exclusions = {_describe_exclusions(curve.exclusions, prec)}",
-    ]
-    lines += [f"{k} = {_fmt(v, prec)}" for k, v in _curve_residuals(curve).items()]
     phi = ctx["phi"]
     if phi is not None:
         # state-weighted consistency: the expected delay against the
@@ -531,8 +528,7 @@ def _assemble_point_spectrum(cfg: dict, base: Path) -> dict:
     model = _build_model(cfg, grid, base)
     scan = None
     if "experiment.scan" in cfg:
-        lo, hi, n = _float_list("experiment.scan", cfg["experiment.scan"], count=3)
-        n = _as_int("experiment.scan", cfg["experiment.scan"].split(",")[2].strip())
+        lo, hi, n = _lo_hi_n("experiment.scan", cfg["experiment.scan"])
         if not lo < hi or n < 8:
             raise ValidationError(
                 "experiment.scan: needs lo < hi and at least 8 points")
@@ -576,7 +572,7 @@ def _assemble_sweep(cfg: dict, base: Path) -> dict:
                 f"experiment.energy-grid: span [{span[0]:g}, {span[1]:g}] does "
                 f"not cover the state support [{a:g}, {b:g}]")
     excl = _exclusions(cfg, model, default="auto")
-    return {"grid": grid, "model": model, "f": f, "phi": phi, "rs": rs,
+    return {"model": model, "f": f, "phi": phi, "rs": rs,
             "tol": tol, "span": span, "npts": npts, "excl": excl}
 
 
@@ -629,7 +625,7 @@ def _execute_sweep(ctx: dict, outdir: Path, prec: int):
 
 _EXPERIMENTS = {
     "smatrix": (_assemble_smatrix, _execute_smatrix),
-    "spectral-shift": (_assemble_spectral_shift, _execute_spectral_shift),
+    "spectral-shift": (_assemble_smatrix, _execute_spectral_shift),
     "propagation": (_assemble_propagation, _execute_propagation),
     "point-spectrum": (_assemble_point_spectrum, _execute_point_spectrum),
     "timedelay-sweep": (_assemble_sweep, _execute_sweep),

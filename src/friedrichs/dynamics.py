@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -78,14 +79,13 @@ def _canon(value, allowed, what):
 
 @dataclass(frozen=True)
 class Propagator:
-    """Cached eigendecomposition of the discretized H = Q + V.
+    """Eigendecomposition of the discretized H = Q + V.
 
     For V = 0 the decomposition is trivial: eigenvalues are the grid nodes
     and `eigenvectors` is None, meaning the identity.
     """
 
     model: FiniteRankModel
-    hamiltonian: np.ndarray | None
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
 
@@ -97,17 +97,13 @@ class Propagator:
     def is_diagonal(self) -> bool:
         return self.eigenvectors is None
 
+    @cached_property
     def _momentum_basis(self) -> np.ndarray:
-        """Eigenvector columns in the momentum representation (cached)."""
-        key = "momentum_basis"
-        if key not in self.model._cache:
-            g = self.grid
-            scale = g.spacing / math.sqrt(2.0 * math.pi)
-            B = scale * np.fft.fftshift(
-                np.fft.fft(np.fft.ifftshift(self.eigenvectors, axes=0), axis=0),
-                axes=0)
-            self.model._cache[key] = B
-        return self.model._cache[key]
+        """Eigenvector columns in the momentum representation."""
+        scale = self.grid.spacing / math.sqrt(2.0 * math.pi)
+        return scale * np.fft.fftshift(
+            np.fft.fft(np.fft.ifftshift(self.eigenvectors, axes=0), axis=0),
+            axes=0)
 
     def coefficients(self, phi: GridFunction) -> np.ndarray:
         """Eigenbasis coefficients of a position-representation state."""
@@ -119,26 +115,9 @@ class Propagator:
 def build_propagator(model: FiniteRankModel, spec: GridSpec | None = None) -> Propagator:
     if spec is not None and spec != model.grid:
         raise ValidationError("model vectors do not live on the requested grid")
-    g = model.grid
-    x = g.position_nodes()
-    lam = model.coupling_array()
-    if model.rank == 0 or not np.any(lam):
-        return Propagator(model, None, x.copy(), None)
-    if "eigh" in model._cache:
-        H, E, U = model._cache["eigh"]
-        return Propagator(model, H, E, U)
-    vm = model.vector_matrix()
-    V = g.spacing * (vm.T * lam) @ vm.conj()
-    if np.isrealobj(V):
-        H = np.diag(x) + V
-    else:
-        H = np.diag(x).astype(complex) + V
-    res = np.max(np.abs(H - H.conj().T)) / max(1.0, np.max(np.abs(H)))
-    if res > 1e-12:
-        raise ValidationError(f"discretized Hamiltonian asymmetry {res:.2e}")
-    E, U = np.linalg.eigh(H)
-    model._cache["eigh"] = (H, E, U)
-    return Propagator(model, H, E, U)
+    if model.rank == 0 or not np.any(model.coupling_array()):
+        return Propagator(model, model.grid.position_nodes().copy(), None)
+    return Propagator(model, *model.eigendecomposition)
 
 
 def evolve(prop: Propagator, phi: GridFunction, t: float, which: str = "full") -> GridFunction:
@@ -182,6 +161,18 @@ def _effective_radius(f: LocalizationProfile, tol: float) -> float:
             return u
         u *= 1.5
     raise ValidationError("localization profile decays too slowly for a finite horizon")
+
+
+def _sojourn_horizon(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
+                     r: float, tol: float) -> tuple:
+    """(radius, K, T): window radius, momentum extent, time horizon.
+
+    T covers the state's momentum extent K plus the window f(./r) out to
+    its effective radius, with a fixed margin.
+    """
+    radius = _effective_radius(f, tol)
+    K = _momentum_extent(dens, grid, _MASS_EPS * max(dens.sum() * grid.momentum_spacing, 1e-30))
+    return radius, K, K + r * radius + _MARGIN
 
 
 def _tail_fit(tax: np.ndarray, gabs: np.ndarray) -> tuple:
@@ -257,7 +248,13 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     Dressing evolves out to the horizon and Richardson-extrapolates over
     {T, 2T}; Cook integrates e^{i tau H} V e^{-i tau H0} phi over the
     incoming (outgoing) half-line with Gauss-Legendre panels and a fitted
-    power-law tail estimate.
+    power-law tail estimate.  While the error estimate exceeds tol the
+    horizon grows by 1.5x, up to the method's cap.
+
+    With return_info the result comes with a dict: "horizon" (the longest
+    time evolved), "tail_estimate" (the error estimate held to tol),
+    "zeta" (the decay exponent of the integrand) and "attempts" (the
+    number of horizons tried, 0 when V = 0).
     """
     sign = _canon(sign, {"minus", "plus"}, "wave-operator sign")
     method = _canon(method, {"dressing", "cook"}, "wave-operator method")
@@ -266,100 +263,102 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     if phi.grid != prop.grid:
         raise ValidationError("state lives on a different grid than the propagator")
     if prop.is_diagonal:
-        info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf}
+        info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf, "attempts": 0}
         return (phi, info) if return_info else phi
 
     probe_T, C_amp, zeta_amp = _wave_horizon(prop, phi)
     s = -1.0 if sign == "minus" else 1.0
-    lam = prop.model.coupling_array()
+    g = prop.grid
 
     if method == "dressing":
         # The intermediate state e^{-iTH0}phi is the input translated by T
         # in momentum; content pushed past the box edge aliases.  Cap the
         # horizon so the mass that would alias stays below (tol/10)^2 in
         # norm-squared, and charge what still wraps to the estimate.
-        g = prop.grid
         dens = _momentum_density(phi)
         total = float(dens.sum() * g.momentum_spacing)
         K_safe = _momentum_extent(dens, g, (0.1 * tol) ** 2 * total)
-        T_alias = 0.5 * (g.momentum_cutoff - _MARGIN - K_safe)
+        cap = 0.5 * (g.momentum_cutoff - _MARGIN - K_safe)
         if horizon is None:
-            horizon = min(probe_T, T_alias) if T_alias > 0 else probe_T
+            horizon = min(probe_T, cap) if cap > 0 else probe_T
         if horizon <= 0 or 2.0 * horizon + K_safe > g.momentum_cutoff:
             raise ToleranceError(
                 "state bandwidth leaves no room for the dressing horizon on "
                 "this grid; use the Cook method or enlarge the grid")
-        zeta = min(prop.model.mu, 3.0)
-        p = max(zeta - 1.0, 1.0)
-        half = _dress(prop, phi, s * horizon)
-        full = _dress(prop, phi, s * 2.0 * horizon)
-        out = (2.0 ** p * full.samples - half.samples) / (2.0 ** p - 1.0)
-        kn = np.abs(g.momentum_nodes())
-        aliased = float(dens[kn > g.momentum_cutoff - 2.0 * horizon].sum()
-                        * g.momentum_spacing)
-        est = float(np.linalg.norm(full.samples - half.samples)) \
-            * math.sqrt(g.spacing) + math.sqrt(max(aliased, 0.0))
-        info = {"horizon": 2.0 * horizon, "tail_estimate": est, "zeta": zeta}
-        if est > max(tol, 1e-12):
-            if 1.5 * horizon <= T_alias:
-                return wave_operator(prop, phi, sign, method,
-                                     horizon=1.5 * horizon, tol=tol,
-                                     return_info=return_info)
-            raise ToleranceError(
-                f"dressing error estimate {est:.2e} exceeds tolerance {tol:g} "
-                "at the largest aliasing-safe horizon; use the Cook method or "
-                "enlarge the grid")
-        if info["zeta"] <= 2.0:
-            warnings.warn(
-                f"coupling decay exponent zeta = {info['zeta']:.2f} <= 2; "
-                "wave-operator convergence is outside the certified regime",
-                stacklevel=2)
-        result = GridFunction(g, Representation.POSITION, out)
-        return (result, info) if return_info else result
+        attempt = partial(_dressing_attempt, prop, phi, s, dens, min(prop.model.mu, 3.0))
+        refusal = ("dressing error estimate {est:.2e} exceeds tolerance {tol:g} "
+                   "at the largest aliasing-safe horizon; use the Cook method or "
+                   "enlarge the grid")
+        caution = "coupling decay exponent zeta = {zeta:.2f} <= 2"
     else:
+        cap = g.momentum_cutoff - _MARGIN
         if horizon is None:
             horizon = probe_T
-        t_cap = prop.grid.momentum_cutoff - _MARGIN
-        if not 0.0 < horizon <= t_cap:
+        if not 0.0 < horizon <= cap:
             raise ValidationError(
-                f"horizon must lie in (0, {t_cap:g}] on this grid: beyond "
+                f"horizon must lie in (0, {cap:g}] on this grid: beyond "
                 "that the discrete couplings recur and the tail estimate "
                 "is void")
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        n_panels = max(int(math.ceil(horizon / 0.2)), 1)
-        edges = np.linspace(0.0, horizon, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        hw = 0.5 * (edges[1] - edges[0])
-        taus = s * (mid[:, None] + hw * nodes[None, :]).ravel()
-        wts = np.tile(hw * weights, n_panels)
-        vm = prop.model.vector_matrix()
-        x = prop.grid.position_nodes()
-        E, U = prop.eigenvalues, prop.eigenvectors
-        W_eig = U.conj().T @ (lam[:, None] * vm).T      # (M, N) in eigenbasis
-        acc = np.zeros(x.size, dtype=complex)
-        for lo in range(0, taus.size, _T_BLOCK):
-            tb, wb = taus[lo:lo + _T_BLOCK], wts[lo:lo + _T_BLOCK]
-            phases = np.exp(-1j * np.outer(x, tb))
-            cc = prop.grid.spacing * (vm.conj() @ (phases * phi.samples[:, None]))
-            acc += (W_eig @ cc * np.exp(1j * np.outer(E, tb))) @ wb
-        out = phi.samples + 1j * s * (U @ acc)
-        est = float(np.sum(np.abs(lam))) * _tail_integral(C_amp, zeta_amp, horizon)
-        info = {"horizon": horizon, "tail_estimate": est, "zeta": zeta_amp}
+        attempt = partial(_cook_attempt, prop, phi, s, C_amp, zeta_amp)
+        refusal = ("wave-operator tail estimate {est:.2e} exceeds "
+                   "tolerance {tol:g}; increase horizon or enlarge the grid")
+        caution = "measured integrand decay zeta = {zeta:.2f} <= 2"
 
-    result = GridFunction(prop.grid, Representation.POSITION, out)
-    if info["tail_estimate"] > max(tol, 1e-12):
-        if 1.5 * horizon <= prop.grid.momentum_cutoff - _MARGIN:
-            return wave_operator(prop, phi, sign, method, horizon=1.5 * horizon,
-                                 tol=tol, return_info=return_info)
-        raise ToleranceError(
-            f"wave-operator tail estimate {info['tail_estimate']:.2e} exceeds "
-            f"tolerance {tol:g}; increase horizon or enlarge the grid")
+    out, info = attempt(horizon)
+    attempts = 1
+    while info["tail_estimate"] > max(tol, 1e-12):
+        if 1.5 * horizon > cap:
+            raise ToleranceError(refusal.format(est=info["tail_estimate"], tol=tol))
+        horizon = 1.5 * horizon
+        out, info = attempt(horizon)
+        attempts += 1
+    info["attempts"] = attempts
     if info["zeta"] <= 2.0:
         warnings.warn(
-            f"measured integrand decay zeta = {info['zeta']:.2f} <= 2; "
-            "wave-operator convergence is outside the certified regime",
+            caution.format(zeta=info["zeta"])
+            + "; wave-operator convergence is outside the certified regime",
             stacklevel=2)
+    result = GridFunction(g, Representation.POSITION, out)
     return (result, info) if return_info else result
+
+
+def _dressing_attempt(prop: Propagator, phi: GridFunction, s: float,
+                      dens: np.ndarray, zeta: float, horizon: float) -> tuple:
+    """Richardson-extrapolated dressing over {T, 2T}; (samples, info)."""
+    g = prop.grid
+    p = max(zeta - 1.0, 1.0)
+    half = _dress(prop, phi, s * horizon)
+    full = _dress(prop, phi, s * 2.0 * horizon)
+    out = (2.0 ** p * full.samples - half.samples) / (2.0 ** p - 1.0)
+    kn = np.abs(g.momentum_nodes())
+    aliased = float(dens[kn > g.momentum_cutoff - 2.0 * horizon].sum()
+                    * g.momentum_spacing)
+    est = float(np.linalg.norm(full.samples - half.samples)) \
+        * math.sqrt(g.spacing) + math.sqrt(max(aliased, 0.0))
+    return out, {"horizon": 2.0 * horizon, "tail_estimate": est, "zeta": zeta}
+
+
+def _cook_attempt(prop: Propagator, phi: GridFunction, s: float,
+                  C_amp: float, zeta_amp: float, horizon: float) -> tuple:
+    """Cook's integral over [0, horizon] plus its fitted tail; (samples, info)."""
+    lam = prop.model.coupling_array()
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    n_panels = max(int(math.ceil(horizon / 0.2)), 1)
+    edges = np.linspace(0.0, horizon, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * (edges[1] - edges[0])
+    taus = s * (mid[:, None] + hw * nodes[None, :]).ravel()
+    wts = np.tile(hw * weights, n_panels)
+    E, U = prop.eigenvalues, prop.eigenvectors
+    W_eig = U.conj().T @ (lam[:, None] * prop.model.vector_matrix()).T  # (M, N)
+    acc = np.zeros(E.size, dtype=complex)
+    for lo in range(0, taus.size, _T_BLOCK):
+        tb, wb = taus[lo:lo + _T_BLOCK], wts[lo:lo + _T_BLOCK]
+        cc = _cook_couplings(prop, phi, tb)
+        acc += (W_eig @ cc * np.exp(1j * np.outer(E, tb))) @ wb
+    out = phi.samples + 1j * s * (U @ acc)
+    est = float(np.sum(np.abs(lam))) * _tail_integral(C_amp, zeta_amp, horizon)
+    return out, {"horizon": horizon, "tail_estimate": est, "zeta": zeta_amp}
 
 
 def _dress(prop: Propagator, phi: GridFunction, T: float) -> GridFunction:
@@ -437,9 +436,7 @@ def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float,
                   tol: float, dt: float | None) -> tuple:
     g = phi.grid
     dens = _momentum_density(phi)
-    radius = _effective_radius(f, tol)
-    K = _momentum_extent(dens, g, _MASS_EPS * max(dens.sum() * g.momentum_spacing, 1e-30))
-    T = K + r * radius + _MARGIN
+    radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
     if dt is None:
         dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
     n = int(math.ceil(2.0 * T / dt))
@@ -455,9 +452,7 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     g = prop.grid
     dk = g.momentum_spacing
     dens_psi = _momentum_density(psi)
-    radius = _effective_radius(f, tol)
-    K = _momentum_extent(dens_psi, g, _MASS_EPS * max(dens_psi.sum() * dk, 1e-30))
-    T = K + r * radius + _MARGIN
+    radius, K, T = _sojourn_horizon(dens_psi, g, f, r, tol)
     if dt is None:
         spread = float(prop.eigenvalues[-1] - prop.eigenvalues[0])
         dt = min(0.04, 0.45 * math.pi / spread)
@@ -466,7 +461,7 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
 
     fbar = _f_cell_averages(f, g, r)
     win = np.nonzero(np.abs(fbar) > 1e-16 * max(np.abs(fbar).max(), 1e-300))[0]
-    Bw = prop._momentum_basis()[win, :]
+    Bw = prop._momentum_basis[win, :]
     c = prop.coefficients(psi)
     E = prop.eigenvalues
     gvals = np.zeros(tgrid.size)
@@ -531,8 +526,7 @@ def _closed_form_grid(phi: GridFunction, f: LocalizationProfile, r: float) -> fl
     if not math.isfinite(sobolev_norm(phi, 1.5, 0.0)):
         raise ValidationError("propagation functional needs a state with s > 1 smoothness")
     g = phi.grid
-    dens = np.abs(transform(phi).samples) ** 2 \
-        if phi.representation is Representation.POSITION else np.abs(phi.samples) ** 2
+    dens = _momentum_density(phi)
     k = g.momentum_nodes()
     A = np.real(f.antiderivative(k / r))
     return 2.0 * r * g.momentum_spacing * float(dens @ A)
@@ -560,11 +554,8 @@ def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float
 def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
                        tol: float, dt: float | None) -> float:
     g = phi.grid
-    dens = np.abs(transform(phi).samples) ** 2 \
-        if phi.representation is Representation.POSITION else np.abs(phi.samples) ** 2
-    radius = _effective_radius(f, tol)
-    K = _momentum_extent(dens, g, _MASS_EPS * max(dens.sum() * g.momentum_spacing, 1e-30))
-    T = K + r * radius + _MARGIN
+    dens = _momentum_density(phi)
+    radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
     if dt is None:
         dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
     n = int(math.ceil(T / dt))

@@ -57,10 +57,6 @@ class LocalizationProfile:
     def integral(self) -> float:
         raise NotImplementedError
 
-    def cumulative(self, u):
-        """integral_0^u f for u >= 0 (the proof-side inner integral)."""
-        return self.antiderivative(np.abs(u))
-
     def window_average(self, lo, hi, r: float = 1.0):
         """Average of f(./r) over [lo, hi], exact via the antiderivative."""
         lo = np.asarray(lo, dtype=float)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import exp1
@@ -80,14 +81,14 @@ class FiniteRankModel:
     """Rank-N perturbation V = sum_j lambda_j |v_j><v_j| of H0 = Q.
 
     mu is the declared regularity of the vectors; it gates warnings for
-    derivative orders, not evaluation.
+    derivative orders, not evaluation.  Arrays derived from the vectors are
+    computed on first use and kept for the model's lifetime.
     """
 
     grid: GridSpec
     couplings: tuple
     vectors: tuple
     mu: float = math.inf
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -98,20 +99,44 @@ class FiniteRankModel:
 
     def vector_matrix(self) -> np.ndarray:
         """(N, M) array of vector samples; empty (0, M) for V = 0."""
-        key = "vmat"
-        if key not in self._cache:
-            if self.rank:
-                vm = np.vstack([v.samples for v in self.vectors])
-            else:
-                vm = np.zeros((0, self.grid.points), dtype=complex)
-            vm.setflags(write=False)
-            self._cache[key] = vm
-        return self._cache[key]
+        return self._vector_samples
+
+    @cached_property
+    def _vector_samples(self) -> np.ndarray:
+        if self.rank:
+            vm = np.vstack([v.samples for v in self.vectors])
+        else:
+            vm = np.zeros((0, self.grid.points), dtype=complex)
+        vm.setflags(write=False)
+        return vm
+
+    @cached_property
+    def vectors_momentum(self) -> np.ndarray:
+        """(N, M) stacked momentum coefficients of the vectors."""
+        if not self.rank:
+            return np.zeros((0, self.grid.points), complex)
+        return np.stack([transform(v).samples for v in self.vectors])
+
+    @cached_property
+    def eigendecomposition(self) -> tuple:
+        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V."""
+        g = self.grid
+        vm = self.vector_matrix()
+        V = g.spacing * (vm.T * self.coupling_array()) @ vm.conj()
+        H = np.diag(g.position_nodes()) + V
+        res = np.max(np.abs(H - H.conj().T)) / max(1.0, np.max(np.abs(H)))
+        if res > 1e-12:
+            raise ValidationError(f"discretized Hamiltonian asymmetry {res:.2e}")
+        return np.linalg.eigh(H)
+
+    @cached_property
+    def _pair_store(self) -> dict:
+        return {}
 
     def pair_density(self, j: int, k: int, order: int = 0) -> np.ndarray:
         """Samples of the order-th spectral derivative of conj(v_j) v_k."""
-        key = ("pair", j, k, order)
-        if key not in self._cache:
+        key = (j, k, order)
+        if key not in self._pair_store:
             if order == 0:
                 g = np.conj(self.vectors[j].samples) * self.vectors[k].samples
             else:
@@ -120,8 +145,8 @@ class FiniteRankModel:
                 g = derivative(base, order).samples
             g = np.asarray(g)
             g.setflags(write=False)
-            self._cache[key] = g
-        return self._cache[key]
+            self._pair_store[key] = g
+        return self._pair_store[key]
 
 
 def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) -> FiniteRankModel:
@@ -383,18 +408,16 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
     candidates = merged
 
     # cross-validate against the discretized Hamiltonian
-    from .dynamics import build_propagator
-
-    prop = build_propagator(model)
+    E, U = model.eigendecomposition
     x_nodes = model.grid.position_nodes()
     lo, hi = _eigenvector_window(model)
     inside = (x_nodes >= lo) & (x_nodes <= hi)
     confirmed, radii = [], []
     for x0 in sorted(candidates):
-        m = int(np.argmin(np.abs(prop.eigenvalues - x0)))
-        vec = prop.eigenvectors[:, m]
+        m = int(np.argmin(np.abs(E - x0)))
+        vec = U[:, m]
         frac = float(np.sum(np.abs(vec[inside]) ** 2) / np.sum(np.abs(vec) ** 2))
-        if abs(prop.eigenvalues[m] - x0) < 1e-3 and frac >= localization:
+        if abs(E[m] - x0) < 1e-3 and frac >= localization:
             confirmed.append(x0)
             # exclusion ball: where |D| climbs back above 100x threshold
             step = scan[1] - scan[0]

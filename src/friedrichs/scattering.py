@@ -33,7 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
-from .grid import GridFunction, Representation, evaluation_matrix, transform
+from .grid import GridFunction, Representation, evaluation_matrix
 from .resolvent import (
     _DET_FLOOR,
     FiniteRankModel,
@@ -63,16 +63,6 @@ _SUPPORT_REL = 1e-14
 # ---------------------------------------------------------------------------
 # assembly
 
-def _vectors_momentum(model: FiniteRankModel) -> np.ndarray:
-    """Stacked momentum coefficients of the model vectors, cached."""
-    key = "vectors_momentum"
-    if key not in model._cache:
-        model._cache[key] = np.stack(
-            [transform(v).samples for v in model.vectors]) \
-            if model.rank else np.zeros((0, model.grid.points), complex)
-    return model._cache[key]
-
-
 def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
     """S, S', both density routes and the determinant at a batch of energies.
 
@@ -95,7 +85,7 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
     r2 = _boundary_batch(model, xs, Side.PLUS, 2)
 
     E = evaluation_matrix(model.grid, xs)
-    vm = _vectors_momentum(model)
+    vm = model.vectors_momentum
     k = model.grid.momentum_nodes()
     vals = E @ vm.T                                    # v_j(x_i), (K, N)
     d1 = E @ (1j * k * vm).T                           # v_j'(x_i)

@@ -155,6 +155,22 @@ def test_plus_and_minus_differ_by_scattering(gaussian_propagator, gaussian_curve
     assert diff < 1e-4
 
 
+def test_wave_operator_retries_in_one_loop(coarse_grid):
+    # from horizon 1.0 the dressing estimate needs six 1.5x extensions; the
+    # loop counts every try and ends where a direct call at 1.5^6 starts
+    model = fr.finite_rank_model(coarse_grid, [fr.gaussian_state(coarse_grid)], [1.0])
+    prop = fr.build_propagator(model)
+    psi = fr.gaussian_state(coarse_grid, 0.5, 0.4)
+    grown, info = fr.wave_operator(prop, psi, "minus", "dressing", horizon=1.0,
+                                   return_info=True)
+    direct, direct_info = fr.wave_operator(prop, psi, "minus", "dressing",
+                                           horizon=11.390625, return_info=True)
+    assert info["attempts"] == 7
+    assert direct_info["attempts"] == 1
+    assert info["horizon"] == direct_info["horizon"] == 22.78125
+    assert np.array_equal(grown.samples, direct.samples)
+
+
 def test_dressing_refuses_wideband_state(gaussian_propagator, grid):
     # the bump's bandwidth leaves no aliasing-safe dressing horizon at
     # the default tolerance; the failure must be loud, not approximate

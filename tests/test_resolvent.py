@@ -203,6 +203,22 @@ def test_point_spectrum_embedded_eigenvalue(grid):
     assert ps.radii[0] > 0.0
 
 
+def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(H):
+        calls.append(H.shape)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    model = _embedded_model(coarse_grid)
+    assert len(fr.point_spectrum(model).eigenvalues) == 1
+    first, second = fr.build_propagator(model), fr.build_propagator(model)
+    assert len(calls) == 1
+    assert first.eigenvectors is second.eigenvectors
+
+
 def test_embedded_determinant_vanishes_at_one(grid):
     model = _embedded_model(grid)
     d = fr.perturbation_determinant(model, 1.0, "plus")

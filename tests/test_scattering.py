@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import StateNotAdmissible, ValidationError
@@ -200,3 +202,45 @@ def test_curve_is_lipschitz_on_segments(gaussian_curve):
     dx = np.diff(gaussian_curve.energies)
     bound = 1.2 * np.max(np.abs(gaussian_curve.s_prime)) * np.max(dx)
     assert np.max(ds) < bound
+
+
+# ---------------------------------------------------------------------------
+# random models
+
+_couplings = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.3, 1.2)).map(
+    lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(rank=st.integers(1, 2), center=st.floats(-1.0, 1.0), width=st.floats(0.7, 1.3),
+       lams=st.lists(_couplings, min_size=2, max_size=2),
+       energies=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, center, width,
+                                                     lams, energies):
+    # every array the model and its propagator derive from the vectors
+    # enters one of these checks, so a stale or misfiled one shows here
+    vecs = [fr.hermite_state(coarse_grid, n, center=center, width=width)
+            for n in range(rank)]
+    model = fr.finite_rank_model(coarse_grid, vecs, lams[:rank])
+    for x in energies:
+        s = fr.s_matrix(model, x)
+        assert abs(abs(s) - 1.0) <= 1e-8                          # AC-2
+        assert abs(s - fr.s_matrix_chain(model, x)) <= 1e-8       # AC-3
+        plus = fr.boundary_matrix(model, x, "plus").matrix
+        minus = fr.boundary_matrix(model, x, "minus").matrix
+        vx = np.array([fr.evaluate_many(v, [x])[0] for v in model.vectors])
+        jump = 2j * math.pi * np.outer(np.conj(vx), vx)
+        assert np.max(np.abs(plus - minus - jump)) <= 1e-6        # AC-4
+        assert np.max(np.abs(minus - plus.conj().T)) <= 1e-6
+
+    # the dense decomposition diagonalizes H = Q + V, and its momentum
+    # basis is the unitary transform of the eigenvectors
+    g = coarse_grid
+    vm = np.array([v.samples for v in vecs])
+    H = np.diag(g.position_nodes()) + g.spacing * (vm.T * lams[:rank]) @ vm.conj()
+    prop = fr.build_propagator(model)
+    E, U = prop.eigenvalues, prop.eigenvectors
+    assert np.max(np.abs(H @ U - U * E)) <= 1e-10 * np.max(np.abs(H))
+    B = prop._momentum_basis
+    gram = g.momentum_spacing * (B.conj().T @ B)
+    assert np.max(np.abs(gram - g.spacing * np.eye(g.points))) <= 1e-10 * g.spacing
