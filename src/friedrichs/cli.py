@@ -44,8 +44,11 @@ error; lists are comma separated.  Recognized keys:
     output.precision                significant digits (default 12)
 
 Exit status: 0 on success, 2 when a named precondition fails, 3 when a
-tolerance cannot be met.  Rerunning the same config reproduces every
-output byte for byte; nothing here depends on wall-clock or ordering.
+tolerance cannot be met.  Rerunning the same config at the same BLAS
+thread count reproduces every output byte for byte; nothing here depends
+on wall-clock or ordering.  Across thread counts every experiment but
+timedelay-sweep stays byte-identical; the sweep's values differ from
+about the 11th significant digit, and its fit_residual from the 4th.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def _as_int(key: str, text: str) -> int:
 
 
 def _float_list(key: str, text: str, count: int | None = None) -> list:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
     if count is not None and len(parts) != count:
         raise ValidationError(f"{key}: expected {count} entries, got {len(parts)}")
     return [_as_float(key, p) for p in parts]

@@ -133,19 +133,20 @@ class FiniteRankModel:
     def _pair_store(self) -> dict:
         return {}
 
-    def pair_density(self, j: int, k: int, order: int = 0) -> np.ndarray:
-        """Samples of the order-th spectral derivative of conj(v_j) v_k."""
+    def pair_density(self, j: int, k: int, order: int = 0) -> tuple:
+        """(position samples, momentum coefficients) of the order-th spectral
+        derivative of conj(v_j) v_k; the coefficients are the transform of
+        those same samples, taken once per model."""
         key = (j, k, order)
         if key not in self._pair_store:
             if order == 0:
                 g = np.conj(self.vectors[j].samples) * self.vectors[k].samples
             else:
                 base = GridFunction(self.grid, Representation.POSITION,
-                                    self.pair_density(j, k, 0))
+                                    self.pair_density(j, k, 0)[0])
                 g = derivative(base, order).samples
-            g = np.asarray(g)
-            g.setflags(write=False)
-            self._pair_store[key] = g
+            phi = GridFunction(self.grid, Representation.POSITION, g)
+            self._pair_store[key] = (phi.samples, transform(phi).samples)
         return self._pair_store[key]
 
 
@@ -227,7 +228,7 @@ class _PVPrepared:
         self.w = np.minimum(1.0, (L - np.abs(xs)) / 6.0)
         self.damp = np.exp(-(self.K / self.w[:, None]) ** 2)
         self.near = np.abs(self.K) < 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.inv = np.where(self.near, 0.0, 1.0 / self.K)
         # exact box correction for the damped singular part
         a2 = ((L + xs) / self.w) ** 2
@@ -235,25 +236,15 @@ class _PVPrepared:
         self.correction = 0.5 * (exp1(a2) - exp1(b2))
         self.eval_mat = evaluation_matrix(grid, xs)    # (Nx, M) band-limited
 
-    def values(self, samples: np.ndarray) -> np.ndarray:
-        """Band-limited interpolation of position samples at the xs."""
-        coeff = transform(GridFunction(self.grid, Representation.POSITION,
-                                       samples)).samples
-        return self.eval_mat @ coeff
+    def pv(self, samples, vals, d1_vals, d2_vals) -> np.ndarray:
+        """P.V. integral of samples/(k - x) at every x, vectorized.
 
-    def pv(self, samples, vals=None, d1_vals=None, d2_vals=None) -> np.ndarray:
-        """P.V. integral of samples/(k - x) at every x, vectorized."""
-        if vals is None:
-            vals = self.values(samples)
+        vals, d1_vals and d2_vals are the density and its first two
+        derivatives at the xs; the derivatives enter only at near-node xs.
+        """
         num = samples[None, :] - vals[:, None] * self.damp
         integrand = num * self.inv
         if self.near.any():
-            if d1_vals is None or d2_vals is None:
-                phi = GridFunction(self.grid, Representation.POSITION, samples)
-                d1 = derivative(phi, 1).samples
-                d2 = derivative(phi, 2).samples
-                d1_vals = self.values(d1)
-                d2_vals = self.values(d2)
             # limit of the subtracted quotient across the singularity
             taylor = (d1_vals[:, None]
                       + self.K * (0.5 * d2_vals[:, None]
@@ -268,14 +259,15 @@ def pv_integral(g: GridFunction, x: float) -> complex:
     if g.representation is not Representation.POSITION:
         raise ValidationError("pv_integral expects a position-representation density")
     prep = _PVPrepared(g.grid, np.array([float(x)]))
-    return complex(prep.pv(np.asarray(g.samples))[0])
+    vals, d1, d2 = (evaluate_many(derivative(g, o), prep.xs) for o in range(3))
+    return complex(prep.pv(np.asarray(g.samples), vals, d1, d2)[0])
 
 
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
-def _boundary_batch(model: FiniteRankModel, xs, side: Side, n: int):
-    """r^(n)(x +- i0) for many x at once: (Nx, N, N) array."""
+def _boundary_batch(model: FiniteRankModel, prep: _PVPrepared, side: Side, n: int):
+    """r^(n)(x +- i0) at every energy of prep at once: (Nx, N, N) array."""
     side = _as_side(side)
     if n < 1:
         raise ValidationError("derivative order n must be >= 1")
@@ -284,17 +276,15 @@ def _boundary_batch(model: FiniteRankModel, xs, side: Side, n: int):
             f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
             "boundary values of this order are outside the vectors' certified class",
             stacklevel=3)
-    prep = _PVPrepared(model.grid, xs)
     N = model.rank
     out = np.zeros((prep.xs.size, N, N), dtype=complex)
     sign = 1.0 if side is Side.PLUS else -1.0
     fact = math.factorial(n - 1)
     for j in range(N):
         for k in range(N):
-            gsamp = model.pair_density(j, k, n - 1)
-            vals = prep.values(gsamp)
-            d1 = prep.values(model.pair_density(j, k, n))
-            d2 = prep.values(model.pair_density(j, k, n + 1))
+            gsamp = model.pair_density(j, k, n - 1)[0]
+            vals, d1, d2 = (prep.eval_mat @ model.pair_density(j, k, o)[1]
+                            for o in (n - 1, n, n + 1))
             pv = prep.pv(gsamp, vals, d1, d2)
             out[:, j, k] = (pv + sign * 1j * math.pi * vals) / fact
     return out
@@ -302,7 +292,7 @@ def _boundary_batch(model: FiniteRankModel, xs, side: Side, n: int):
 
 def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> BoundaryData:
     side = _as_side(side)
-    mat = _boundary_batch(model, np.array([float(x)]), side, n)[0]
+    mat = _boundary_batch(model, _PVPrepared(model.grid, float(x)), side, n)[0]
     det = None
     if n == 1:
         det = complex(np.linalg.det(np.eye(model.rank) + mat @ np.diag(model.coupling_array())))
@@ -338,7 +328,8 @@ def _det_on_scan(model: FiniteRankModel, xs: np.ndarray) -> np.ndarray:
     out = np.empty(xs.size, dtype=complex)
     block = 1024
     for lo in range(0, xs.size, block):
-        r1 = _boundary_batch(model, xs[lo:lo + block], Side.PLUS, 1)
+        r1 = _boundary_batch(model, _PVPrepared(model.grid, xs[lo:lo + block]),
+                             Side.PLUS, 1)
         out[lo:lo + block] = np.linalg.det(eye + r1 @ lam)
     return out
 

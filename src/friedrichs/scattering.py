@@ -33,13 +33,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
-from .grid import GridFunction, Representation, evaluation_matrix
+from .grid import GridFunction, Representation
 from .resolvent import (
-    _DET_FLOOR,
     FiniteRankModel,
     PointSpectrum,
     Side,
     _boundary_batch,
+    _PVPrepared,
     perturbation_determinant,
 )
 
@@ -81,10 +81,11 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
         }
     lam = model.coupling_array()
     N = model.rank
-    r1 = _boundary_batch(model, xs, Side.PLUS, 1)
-    r2 = _boundary_batch(model, xs, Side.PLUS, 2)
+    prep = _PVPrepared(model.grid, xs)
+    r1 = _boundary_batch(model, prep, Side.PLUS, 1)
+    r2 = _boundary_batch(model, prep, Side.PLUS, 2)
 
-    E = evaluation_matrix(model.grid, xs)
+    E = prep.eval_mat
     vm = model.vectors_momentum
     k = model.grid.momentum_nodes()
     vals = E @ vm.T                                    # v_j(x_i), (K, N)

@@ -1,8 +1,15 @@
 """Command-line contract: config parsing, exit codes, artifact layout."""
 
+import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import friedrichs
 from friedrichs.cli import main
 
 # frozen closed-form value for the rank-one unit-coupling Gaussian model,
@@ -64,6 +71,18 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
 
 
+def test_smatrix_is_byte_identical_across_blas_thread_counts(tmp_path):
+    cfg = write_cfg(tmp_path, GAUSSIAN_SMATRIX.replace("grid.M = 2048", "grid.M = 1024"))
+    src = str(Path(friedrichs.__file__).parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "friedrichs.cli", "smatrix", "--config", cfg,
+                        "--out", str(tmp_path / threads)], env=env, check=True, timeout=300)
+    for name in ("smatrix.csv", "summary.txt"):
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False)
+
+
 def test_twelve_significant_digits_by_default(tmp_path):
     cfg = write_cfg(tmp_path, GAUSSIAN_SMATRIX)
     out = tmp_path / "out"
@@ -102,6 +121,10 @@ experiment.energy-grid = -2, 2, 201
     ("grid.M = 2049", "grid"),
     ("model.mu = -1", "model"),
     ("experiment.energy-grid = 2, -2, 201", "experiment.energy-grid"),
+    ("experiment.energy-grid = -6, 6, , 1001",
+     "experiment.energy-grid: expected 3 entries, got 4"),
+    ("experiment.energy-grid = -6, 6, 1001,",
+     "experiment.energy-grid: expected 3 entries, got 4"),
     ("output.precision = 40", "output.precision"),
 ])
 def test_bad_values_exit_2_and_name_the_field(tmp_path, capsys, line, field):

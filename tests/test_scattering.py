@@ -13,6 +13,8 @@ the PV part vanishes, so S(0) = (1 - i sqrt(pi))/(1 + i sqrt(pi)).
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,16 +213,35 @@ _couplings = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.3, 1.2)).map(
     lambda sm: sm[0] * sm[1])
 
 
+def _orthonormal_gaussians(grid, shapes):
+    """Gaussians of the given (center, width), orthonormalised by Gram-Schmidt."""
+    out = []
+    for c, w in shapes:
+        v = fr.gaussian_state(grid, c, w)
+        for u in out:
+            v = fr.grid_function(grid, v.samples - fr.inner_product(u, v) * u.samples)
+        out.append(fr.grid_function(grid, v.samples / fr.norm(v)))
+    return out
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
-@given(rank=st.integers(1, 2), center=st.floats(-1.0, 1.0), width=st.floats(0.7, 1.3),
-       lams=st.lists(_couplings, min_size=2, max_size=2),
+@given(rank=st.integers(1, 3), hermite=st.booleans(),
+       center=st.floats(-1.0, 1.0), width=st.floats(0.7, 1.3),
+       shapes=st.lists(st.tuples(st.floats(-0.25, 0.25), st.floats(0.7, 1.3)),
+                       min_size=3, max_size=3),
+       lams=st.lists(_couplings, min_size=3, max_size=3),
        energies=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
-def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, center, width,
-                                                     lams, energies):
+def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, hermite, center,
+                                                     width, shapes, lams, energies):
     # every array the model and its propagator derive from the vectors
     # enters one of these checks, so a stale or misfiled one shows here
-    vecs = [fr.hermite_state(coarse_grid, n, center=center, width=width)
-            for n in range(rank)]
+    if hermite:
+        vecs = [fr.hermite_state(coarse_grid, n, center=center, width=width)
+                for n in range(rank)]
+    else:
+        # centres kept >= 0.25 apart so the Gaussians stay independent
+        vecs = _orthonormal_gaussians(coarse_grid, [
+            (0.75 * (j - 1) + dc, w) for j, (dc, w) in enumerate(shapes[:rank])])
     model = fr.finite_rank_model(coarse_grid, vecs, lams[:rank])
     for x in energies:
         s = fr.s_matrix(model, x)
@@ -232,6 +253,9 @@ def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, center, 
         jump = 2j * math.pi * np.outer(np.conj(vx), vx)
         assert np.max(np.abs(plus - minus - jump)) <= 1e-6        # AC-4
         assert np.max(np.abs(minus - plus.conj().T)) <= 1e-6
+        theta = _delay_from_pointwise(model, x)
+        xi = fr.spectral_shift_density_determinant(model, [x])[0]
+        assert abs(theta + 2.0 * math.pi * xi) <= 1e-6            # AC-9
 
     # the dense decomposition diagonalizes H = Q + V, and its momentum
     # basis is the unitary transform of the eigenvectors
@@ -244,3 +268,50 @@ def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, center, 
     B = prop._momentum_basis
     gram = g.momentum_spacing * (B.conj().T @ B)
     assert np.max(np.abs(gram - g.spacing * np.eye(g.points))) <= 1e-10 * g.spacing
+
+
+# ---------------------------------------------------------------------------
+# the boundary-value engine
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn in every friedrichs module that binds it; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "friedrichs" or name.startswith("friedrichs."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_chain_route_transforms_each_pair_density_once(coarse_grid, monkeypatch):
+    vecs = [fr.hermite_state(coarse_grid, n) for n in range(2)]
+    model = fr.finite_rank_model(coarse_grid, vecs, [0.8, -0.5])
+    calls = _count_calls(monkeypatch, fr.transform)
+    fr.s_matrix_chain(model, 0.3)
+    assert calls
+    calls.clear()
+    fr.s_matrix_chain(model, -1.1)
+    assert calls == []
+
+
+def test_curve_chunk_builds_one_evaluation_matrix(gaussian_model, monkeypatch):
+    from friedrichs.grid import evaluation_matrix
+
+    calls = _count_calls(monkeypatch, evaluation_matrix)
+    fr.compute_curve(gaussian_model, (-2.0, 2.0), 256)
+    assert len(calls) == 1
+
+
+def test_subnormal_distance_from_a_node_warns_nothing(gaussian_model):
+    # the near-node branch replaces the overflowing 1/(k - x) entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = fr.s_matrix(gaussian_model, 5e-324)
+        fr.s_matrix_chain(gaussian_model, 5e-324)
+    assert abs(s - fr.s_matrix(gaussian_model, 0.0)) <= 1e-12
