@@ -1,0 +1,62 @@
+"""Check the byte-identity contract of the five demo experiments.
+
+Runs every demos/configs/*.cfg through ``python -m friedrichs.cli`` on the
+tree of a git revision and on the working tree, at each BLAS thread count
+given, and compares every output file byte for byte:
+
+    python demos/compare_outputs.py HEAD~ --threads 1 2
+
+Prints ``same`` or ``DIFF`` per file and exits 1 on any difference.
+"""
+
+import argparse
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demos(tree: Path, out: Path, threads: int) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update({f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")})
+    for cfg in sorted((ROOT / "demos" / "configs").glob("*.cfg")):
+        subprocess.run([sys.executable, "-m", "friedrichs.cli", cfg.stem, "--config",
+                        str(cfg), "--out", str(out / cfg.stem)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1],
+                        help="BLAS thread counts to run at (default: 1)")
+    args = parser.parse_args()
+    archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    differ = False
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        for threads in args.threads:
+            outs = [Path(tmp) / f"{side}-{threads}" for side in ("base", "work")]
+            for tree, out in zip((base, ROOT), outs):
+                run_demos(tree, out, threads)
+            names = sorted({p.relative_to(o) for o in outs for p in o.rglob("*")
+                            if p.is_file()})
+            for rel in names:
+                a, b = (o / rel for o in outs)
+                same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
+                differ |= not same
+                print(f"{'same' if same else 'DIFF'}  threads={threads}  {rel}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -388,16 +388,6 @@ def _write_csv(path: Path, columns, rows, prec: int, footer=()) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _curve_residuals(curve) -> dict:
-    raw = -1j * np.conj(curve.s) * curve.s_prime
-    return {
-        "unitarity_residual": float(np.max(np.abs(np.abs(curve.s) - 1.0))),
-        "delay_reality_residual": float(np.max(np.abs(raw.imag))),
-        "birman_krein_residual": float(np.max(np.abs(
-            curve.delay_density + 2.0 * math.pi * curve.shift_density))),
-    }
-
-
 def _curve_rows(curve):
     return [(x, s.real, s.imag, sp.real, sp.imag, dd, xd)
             for x, s, sp, dd, xd in zip(curve.energies, curve.s, curve.s_prime,
@@ -445,7 +435,7 @@ def _curve_summary(ctx: dict, prec: int, head: list) -> tuple:
         f"energy-points = {curve.energies.size}",
         f"exclusions = {_describe_exclusions(curve.exclusions, prec)}",
     ]
-    lines += [f"{k} = {_fmt(v, prec)}" for k, v in _curve_residuals(curve).items()]
+    lines += [f"{k} = {_fmt(v, prec)}" for k, v in curve.residuals().items()]
     return curve, lines
 
 
@@ -607,7 +597,7 @@ def _execute_sweep(ctx: dict, outdir: Path, prec: int):
         f"tolerance = {_fmt(ctx['tol'], prec)}",
         f"exclusions = {_describe_exclusions(curve.exclusions, prec)}",
     ]
-    lines += [f"{k} = {_fmt(v, prec)}" for k, v in _curve_residuals(curve).items()]
+    lines += [f"{k} = {_fmt(v, prec)}" for k, v in curve.residuals().items()]
     lines += [
         f"tau_in_identity_residual = {_fmt(def_in, prec)}",
         f"tau_sym_identity_residual = {_fmt(def_sym, prec)}",

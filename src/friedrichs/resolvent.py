@@ -60,6 +60,7 @@ _ORTHO_TOL = 1e-10
 _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # pv_integral refuses x within 10 h of the box edge
+_DET_BLOCK = 1024  # energies per P.V. geometry in perturbation_determinant
 
 
 class Side(Enum):
@@ -266,33 +267,37 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
-def _boundary_batch(model: FiniteRankModel, prep: _PVPrepared, side: Side, n: int):
-    """r^(n)(x +- i0) at every energy of prep at once: (Nx, N, N) array."""
+def _boundary_batch(model: FiniteRankModel, prep: _PVPrepared, side: Side,
+                    orders=(1,)) -> list:
+    """r^(n)(x +- i0) at every energy of prep, one (Nx, N, N) array per n in
+    orders; each pair density's orders min-1 .. max+1 are interpolated once."""
     side = _as_side(side)
-    if n < 1:
+    if min(orders) < 1:
         raise ValidationError("derivative order n must be >= 1")
-    if model.mu < n + 1:
-        warnings.warn(
-            f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
-            "boundary values of this order are outside the vectors' certified class",
-            stacklevel=3)
+    for n in sorted(orders):
+        if model.mu < n + 1:
+            warnings.warn(
+                f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
+                "boundary values of this order are outside the vectors' certified class",
+                stacklevel=3)
     N = model.rank
-    out = np.zeros((prep.xs.size, N, N), dtype=complex)
+    lo = min(orders) - 1
+    outs = [np.zeros((prep.xs.size, N, N), dtype=complex) for _ in orders]
     sign = 1.0 if side is Side.PLUS else -1.0
-    fact = math.factorial(n - 1)
     for j in range(N):
         for k in range(N):
-            gsamp = model.pair_density(j, k, n - 1)[0]
-            vals, d1, d2 = (prep.eval_mat @ model.pair_density(j, k, o)[1]
-                            for o in (n - 1, n, n + 1))
-            pv = prep.pv(gsamp, vals, d1, d2)
-            out[:, j, k] = (pv + sign * 1j * math.pi * vals) / fact
-    return out
+            vals = [prep.eval_mat @ model.pair_density(j, k, o)[1]
+                    for o in range(lo, max(orders) + 2)]
+            for out, n in zip(outs, orders):
+                v, d1, d2 = vals[n - 1 - lo:n + 2 - lo]
+                pv = prep.pv(model.pair_density(j, k, n - 1)[0], v, d1, d2)
+                out[:, j, k] = (pv + sign * 1j * math.pi * v) / math.factorial(n - 1)
+    return outs
 
 
 def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> BoundaryData:
     side = _as_side(side)
-    mat = _boundary_batch(model, _PVPrepared(model.grid, float(x)), side, n)[0]
+    mat = _boundary_batch(model, _PVPrepared(model.grid, float(x)), side, (n,))[0][0]
     det = None
     if n == 1:
         det = complex(np.linalg.det(np.eye(model.rank) + mat @ np.diag(model.coupling_array())))
@@ -303,36 +308,36 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
     """X_jk = <v_j, R(x +- i0) v_k> from the rank-N linear system."""
     if bd.order != 1:
         raise ValidationError("resolvent_matrix needs order n = 1 boundary data")
-    lam = model.coupling_array()
-    A = np.eye(model.rank) + bd.matrix @ np.diag(lam)
-    if abs(np.linalg.det(A)) < _DET_FLOOR:
+    if abs(bd.determinant) < _DET_FLOOR:
         raise PointSpectrumProximity(
             f"energy {bd.energy:g} is at or near the point spectrum "
-            f"(|D| = {abs(np.linalg.det(A)):.2e})")
+            f"(|D| = {abs(bd.determinant):.2e})")
+    A = np.eye(model.rank) + bd.matrix @ np.diag(model.coupling_array())
     return np.linalg.solve(A, bd.matrix)
 
 
-def perturbation_determinant(model: FiniteRankModel, x: float, side) -> complex:
-    """D(x +- i0) = det(I + r(x +- i0) diag(lambda))."""
-    if model.rank == 0:
-        return 1.0 + 0.0j
-    return boundary_matrix(model, x, side, 1).determinant
+def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
+                             side) -> complex | np.ndarray:
+    """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
+
+    x is a number (returns complex) or a 1-D array of energies (returns a
+    complex array); one P.V. geometry serves each block of _DET_BLOCK energies.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValidationError("energies must be a number or a 1-D array")
+    flat = np.atleast_1d(xs)
+    out = np.ones(flat.size, dtype=complex)
+    lam = np.diag(model.coupling_array())
+    for lo in range(0, flat.size if model.rank else 0, _DET_BLOCK):
+        prep = _PVPrepared(model.grid, flat[lo:lo + _DET_BLOCK])
+        r1 = _boundary_batch(model, prep, side)[0]
+        out[lo:lo + _DET_BLOCK] = np.linalg.det(np.eye(model.rank) + r1 @ lam)
+    return complex(out[0]) if xs.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # point spectrum
-
-def _det_on_scan(model: FiniteRankModel, xs: np.ndarray) -> np.ndarray:
-    lam = np.diag(model.coupling_array())
-    eye = np.eye(model.rank)
-    out = np.empty(xs.size, dtype=complex)
-    block = 1024
-    for lo in range(0, xs.size, block):
-        r1 = _boundary_batch(model, _PVPrepared(model.grid, xs[lo:lo + block]),
-                             Side.PLUS, 1)
-        out[lo:lo + block] = np.linalg.det(eye + r1 @ lam)
-    return out
-
 
 def _eigenvector_window(model: FiniteRankModel) -> tuple:
     """Interval expected to carry an embedded eigenfunction's mass."""
@@ -355,11 +360,11 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
     """
     if model.rank == 0 or not np.any(model.coupling_array()):
         return PointSpectrum((), ())
-    L = model.grid.half_width
+    L, h = model.grid.half_width, model.grid.spacing
     if scan is None:
         scan = np.linspace(-0.8 * L, 0.8 * L, 4001)
     scan = np.asarray(scan, dtype=float)
-    dets = _det_on_scan(model, scan)
+    dets = perturbation_determinant(model, scan, Side.PLUS)
     dvals = np.abs(dets)
 
     # candidate brackets: |D| behaves like |x - x0| near a real zero, so a
@@ -410,14 +415,12 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
         frac = float(np.sum(np.abs(vec[inside]) ** 2) / np.sum(np.abs(vec) ** 2))
         if abs(E[m] - x0) < 1e-3 and frac >= localization:
             confirmed.append(x0)
-            # exclusion ball: where |D| climbs back above 100x threshold
-            step = scan[1] - scan[0]
-            width = step
-            dref = 100.0 * threshold
-            for grow in range(1, 200):
-                probe = x0 + grow * step
-                if abs(perturbation_determinant(model, probe, Side.PLUS)) > dref:
-                    width = grow * step
-                    break
-            radii.append(max(0.02, 2.0 * width))
+            # exclusion ball: where |D| climbs back above 100x threshold,
+            # probed on the scan step and kept clear of the box edge
+            probes = x0 + step * np.arange(1, 200)
+            probes = probes[L - np.abs(probes) >= _BOUNDARY_MARGIN * h]
+            hits = np.nonzero(np.abs(perturbation_determinant(
+                model, probes, Side.PLUS)) > 100.0 * threshold)[0]
+            width = step * (hits[0] + 1) if hits.size else step
+            radii.append(float(max(0.02, 2.0 * width)))
     return PointSpectrum(tuple(confirmed), tuple(radii))

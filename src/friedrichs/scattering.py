@@ -64,7 +64,7 @@ _SUPPORT_REL = 1e-14
 # assembly
 
 def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
-    """S, S', both density routes and the determinant at a batch of energies.
+    """S, S', the determinant-route shift density and D at a batch of energies.
 
     Raises PointSpectrumProximity (from the resolvent solve) when any
     energy sits too close to an eigenvalue.
@@ -75,15 +75,13 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
         return {
             "s": np.ones(K, complex),
             "s_prime": np.zeros(K, complex),
-            "delay_raw": np.zeros(K, complex),
             "xi_det": np.zeros(K),
             "determinant": np.ones(K, complex),
         }
     lam = model.coupling_array()
     N = model.rank
     prep = _PVPrepared(model.grid, xs)
-    r1 = _boundary_batch(model, prep, Side.PLUS, 1)
-    r2 = _boundary_batch(model, prep, Side.PLUS, 2)
+    r1, r2 = _boundary_batch(model, prep, Side.PLUS, (1, 2))
 
     E = prep.eval_mat
     vm = model.vectors_momentum
@@ -115,7 +113,6 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
     return {
         "s": s,
         "s_prime": s_prime,
-        "delay_raw": -1j * s.conj() * s_prime,
         "xi_det": xi_det,
         "determinant": D,
     }
@@ -193,6 +190,16 @@ class ScatteringCurve:
         stops = np.concatenate((breaks + 1, [x.size]))
         return [(int(i), int(j)) for i, j in zip(starts, stops)]
 
+    def residuals(self) -> dict:
+        """Largest unitarity, delay-reality and Birman-Krein residuals."""
+        raw = -1j * np.conj(self.s) * self.s_prime
+        return {
+            "unitarity_residual": float(np.max(np.abs(np.abs(self.s) - 1.0))),
+            "delay_reality_residual": float(np.max(np.abs(raw.imag))),
+            "birman_krein_residual": float(np.max(np.abs(
+                self.delay_density + 2.0 * math.pi * self.shift_density))),
+        }
+
 
 def _normalize_exclusions(exclusions) -> tuple:
     if exclusions is None:
@@ -233,7 +240,6 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
 
     s = np.empty(xs.size, complex)
     sp = np.empty(xs.size, complex)
-    raw = np.empty(xs.size, complex)
     xi = np.empty(xs.size)
     det = np.empty(xs.size, complex)
     for lo in range(0, xs.size, _CHUNK):
@@ -241,22 +247,22 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
         out = _stationary_batch(model, xs[sl])
         s[sl] = out["s"]
         sp[sl] = out["s_prime"]
-        raw[sl] = out["delay_raw"]
         xi[sl] = out["xi_det"]
         det[sl] = out["determinant"]
 
-    unit_res = float(np.max(np.abs(np.abs(s) - 1.0)))
-    if unit_res > 1e-8:
-        raise ToleranceError(f"unitarity residual {unit_res:.2e} above 1e-08")
-    real_res = float(np.max(np.abs(raw.imag)))
-    if real_res > 1e-8:
-        raise ToleranceError(f"delay-density imaginary part {real_res:.2e} above 1e-08")
-    theta = raw.real
-    bk_res = float(np.max(np.abs(theta + 2.0 * math.pi * xi)))
-    if bk_res > 1e-6:
+    theta = (-1j * s.conj() * sp).real
+    curve = ScatteringCurve(xs, s, sp, theta, xi, excl, det)
+    res = curve.residuals()
+    if res["unitarity_residual"] > 1e-8:
         raise ToleranceError(
-            f"delay and shift densities disagree by {bk_res:.2e} (above 1e-06)")
-    return ScatteringCurve(xs, s, sp, theta, xi, excl, det)
+            f"unitarity residual {res['unitarity_residual']:.2e} above 1e-08")
+    if res["delay_reality_residual"] > 1e-8:
+        raise ToleranceError(f"delay-density imaginary part "
+                             f"{res['delay_reality_residual']:.2e} above 1e-08")
+    if res["birman_krein_residual"] > 1e-6:
+        raise ToleranceError(f"delay and shift densities disagree by "
+                             f"{res['birman_krein_residual']:.2e} (above 1e-06)")
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -247,20 +247,28 @@ experiment.energy-grid = 2, 4, 101
     assert "energy-grid" in capsys.readouterr().err
 
 
-def test_low_mu_warning_lands_in_summary(tmp_path):
-    cfg = write_cfg(tmp_path, """
+@pytest.mark.parametrize("mu", [2.5, 1.5])
+def test_low_mu_warning_lands_in_summary(tmp_path, mu):
+    cfg = write_cfg(tmp_path, f"""
 grid.L = 16
 grid.M = 2048
 model.N = 1
 model.lambdas = 1.0
 model.vector.1 = gaussian(0, 1)
-model.mu = 2.5
+model.mu = {mu}
 experiment.energy-grid = -2, 2, 101
 """)
     out = tmp_path / "out"
     assert main(["smatrix", "--config", cfg, "--out", str(out)]) == 0
     summary = (out / "summary.txt").read_text()
     assert "warning:" in summary and "mu >= 5" in summary
+    # one line per boundary-value order the vectors do not certify, ascending
+    assert [ln for ln in summary.splitlines() if ln.startswith("warning:")] == [
+        f"warning: model.mu = {mu:g} is below the sweep hypothesis mu >= 5; "
+        "tail bounds may be optimistic",
+    ] + [f"warning: declared regularity mu = {mu:g} is below n + 1 = {m}; boundary "
+         "values of this order are outside the vectors' certified class"
+         for m in (2, 3) if mu < m]
 
 
 def test_file_tabulated_vector_matches_builtin(tmp_path):

@@ -11,6 +11,7 @@ doubled grid and Neville-extrapolates epsilon -> 0; it agrees with the
 PV route to ~1e-7, which is what the limiting-absorption invariant asks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,19 @@ def test_perturbation_determinant(gaussian_model, grid):
     assert fr.perturbation_determinant(empty, 0.3, "plus") == 1.0 + 0.0j
 
 
+def test_determinant_on_an_array_matches_scalar_calls(rank2_model, grid):
+    # not bitwise: a 1-row and a 6-row evaluation product differ near 1e-16
+    xs = np.array([-2.3, 0.0, 1e-7, float(grid.position_nodes()[1100]), 0.9, 3.1])
+    for side in ("plus", "minus"):
+        batch = fr.perturbation_determinant(rank2_model, xs, side)
+        scalar = np.array([fr.perturbation_determinant(rank2_model, float(x), side)
+                           for x in xs])
+        assert batch.shape == xs.shape and batch.dtype == complex
+        assert np.all(np.abs(batch - scalar) <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+    empty = fr.finite_rank_model(grid, [], [])
+    assert np.array_equal(fr.perturbation_determinant(empty, xs, "plus"), np.ones(xs.size))
+
+
 # ---------------------------------------------------------------------------
 # point spectrum
 
@@ -203,6 +217,14 @@ def test_point_spectrum_embedded_eigenvalue(grid):
     assert ps.radii[0] > 0.0
 
 
+def test_exclusion_probes_stay_inside_the_box(coarse_grid):
+    # probes run x0 + step * (1..199) = 1.1 .. 20.9, past the edge at 16
+    ps = fr.point_spectrum(_embedded_model(coarse_grid), scan=np.linspace(-10, 10, 201))
+    assert len(ps.eigenvalues) == 1 and abs(ps.eigenvalues[0] - 1.0) < 1e-4
+    assert ps.radii == (pytest.approx(0.2),)
+    assert type(ps.radii[0]) is float
+
+
 def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -225,6 +247,12 @@ def test_embedded_determinant_vanishes_at_one(grid):
     assert abs(d) < 1e-10
     with pytest.raises(PointSpectrumProximity):
         fr.resolvent_matrix(model, fr.boundary_matrix(model, 1.0, "plus"))
+
+
+def test_resolvent_matrix_reads_the_stored_determinant(rank2_model):
+    bd = fr.boundary_matrix(rank2_model, 0.9, "plus")
+    with pytest.raises(PointSpectrumProximity, match=r"\|D\| = 0\.00e\+00"):
+        fr.resolvent_matrix(rank2_model, dataclasses.replace(bd, determinant=0.0))
 
 
 # ---------------------------------------------------------------------------

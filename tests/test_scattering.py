@@ -308,6 +308,36 @@ def test_curve_chunk_builds_one_evaluation_matrix(gaussian_model, monkeypatch):
     assert len(calls) == 1
 
 
+def test_s_prime_interpolates_each_pair_density_order_once(coarse_grid, monkeypatch):
+    from friedrichs import resolvent
+
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(self) @ other
+
+    build = resolvent.evaluation_matrix
+    monkeypatch.setattr(resolvent, "evaluation_matrix",
+                        lambda grid, xs: build(grid, xs).view(Counting))
+    vecs = [fr.hermite_state(coarse_grid, n) for n in range(2)]
+    model = fr.finite_rank_model(coarse_grid, vecs, [0.8, -0.5])
+    fr.s_prime(model, 0.3)
+    products.clear()
+    fr.s_prime(model, -1.1)
+    # 4 pairs x orders 0..3, then v_j and v_j' at x
+    assert len(products) == 18
+
+
+def test_curve_residuals_name_the_summary_invariants(gaussian_curve):
+    res = gaussian_curve.residuals()
+    assert list(res) == ["unitarity_residual", "delay_reality_residual",
+                         "birman_krein_residual"]
+    assert all(type(v) is float for v in res.values())
+    assert res["unitarity_residual"] <= 1e-8 and res["birman_krein_residual"] <= 1e-6
+
+
 def test_subnormal_distance_from_a_node_warns_nothing(gaussian_model):
     # the near-node branch replaces the overflowing 1/(k - x) entry
     with warnings.catch_warnings():
