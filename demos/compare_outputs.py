@@ -6,10 +6,13 @@ given, and compares every output file byte for byte:
 
     python demos/compare_outputs.py HEAD~ --threads 1 2
 
-Prints ``same`` or ``DIFF`` per file and exits 1 on any difference.
+Prints ``same`` or ``DIFF`` per file and exits 1 on any difference.  Under
+a differing CSV file whose values are all numbers it also prints the
+largest absolute difference in each column.
 """
 
 import argparse
+import csv
 import filecmp
 import io
 import os
@@ -29,6 +32,28 @@ def run_demos(tree: Path, out: Path, threads: int) -> None:
         subprocess.run([sys.executable, "-m", "friedrichs.cli", cfg.stem, "--config",
                         str(cfg), "--out", str(out / cfg.stem)],
                        env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def column_diffs(a: Path, b: Path) -> str | None:
+    """Largest absolute difference per column of two numeric CSV files.
+
+    None when the files are not CSV, differ in shape or hold a non-number.
+    """
+    tables = []
+    for path in (a, b):
+        if path.suffix != ".csv" or not path.is_file():
+            return None
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(ln for ln in fh if not ln.startswith("#"))))
+    (head, *rows), (head_b, *rows_b) = tables
+    if head != head_b or [len(r) for r in rows] != [len(r) for r in rows_b]:
+        return None
+    try:
+        worst = [max((abs(float(x[j]) - float(y[j])) for x, y in zip(rows, rows_b)
+                      if x[j] != y[j]), default=0.0) for j in range(len(head))]
+    except ValueError:
+        return None
+    return "  ".join(f"{name} {diff:.3g}" for name, diff in zip(head, worst))
 
 
 def main() -> int:
@@ -55,6 +80,9 @@ def main() -> int:
                 same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
                 differ |= not same
                 print(f"{'same' if same else 'DIFF'}  threads={threads}  {rel}")
+                diffs = None if same else column_diffs(a, b)
+                if diffs:
+                    print(f"      max |diff|: {diffs}")
     return 1 if differ else 0
 
 

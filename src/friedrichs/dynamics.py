@@ -4,9 +4,10 @@ The free Hamiltonian is multiplication by x, so free evolution translates
 momentum content downward at unit speed; all sojourn integrands therefore
 live naturally in the momentum representation, where the localization
 f(P/r) is diagonal.  The full evolution uses a one-time dense Hermitian
-eigendecomposition of the discretized H = Q + V (M <= 4096), which makes
-every time sample exact up to the decomposition and leaves only window
-truncation in the time quadratures.
+eigendecomposition of the discretized H = Q + V (M <= 4096), taken as a
+real symmetric one when every vector is real.  That makes every time
+sample exact up to the decomposition and leaves only window truncation in
+the time quadratures.
 
 Discretization choices worth knowing about:
 
@@ -23,6 +24,13 @@ Discretization choices worth knowing about:
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
   and the wrapped tail mass is folded into the reported tail estimate.
+
+* A full sojourn runs on a spectral window.  By the intertwining relation
+  E_H(D) W- = W- E_H0(D), W- phi carries H-spectral mass only where phi
+  carries position mass (H0 = Q), so on the grid most eigenmodes hold
+  almost none of it.  The lightest modes are dropped while the most they
+  can move the integral by stays within 1e-3 tol, and that bound is
+  charged to the tail estimate.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ __all__ = [
     "propagation_functional",
 ]
 
-_T_BLOCK = 2048        # time columns per evolution batch (memory control)
+_T_BLOCK = 2048        # time columns (Cook: panels) per batch (memory control)
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
 _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
                        # (the neglected mass is charged to the tail estimate;
@@ -109,7 +117,19 @@ class Propagator:
         """Eigenbasis coefficients of a position-representation state."""
         if self.is_diagonal:
             return np.asarray(phi.samples)
-        return self.eigenvectors.conj().T @ phi.samples
+        return self._apply(phi.samples, adjoint=True)
+
+    def _apply(self, z: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """U z, or U^* z, for complex z.
+
+        A real U is applied to the real and imaginary parts of z in turn:
+        a mixed product would first copy U to complex.
+        """
+        U = self.eigenvectors
+        if np.isrealobj(U):
+            A = U.T if adjoint else U
+            return A @ z.real + 1j * (A @ z.imag)
+        return (U.conj().T if adjoint else U) @ z
 
 
 def build_propagator(model: FiniteRankModel, spec: GridSpec | None = None) -> Propagator:
@@ -130,7 +150,7 @@ def evolve(prop: Propagator, phi: GridFunction, t: float, which: str = "full") -
         out = np.exp(-1j * t * prop.grid.position_nodes()) * phi.samples
     else:
         c = prop.coefficients(phi)
-        out = prop.eigenvectors @ (np.exp(-1j * t * prop.eigenvalues) * c)
+        out = prop._apply(np.exp(-1j * t * prop.eigenvalues) * c)
     return GridFunction(prop.grid, Representation.POSITION, out)
 
 
@@ -214,12 +234,16 @@ def _require_sojourn_profile(f: LocalizationProfile):
 # wave operators
 
 def _cook_couplings(prop: Propagator, phi: GridFunction, taus: np.ndarray) -> np.ndarray:
-    """c_j(tau) = <v_j, e^{-i tau Q} phi> for all tau at once: (N, Ntau)."""
+    """c_j(tau) = <v_j, e^{-i tau Q} phi> for all tau at once: (N, Ntau).
+
+    Nodes where phi vanishes add exact zeros, so the phases are formed on
+    phi's support only.
+    """
     g = prop.grid
-    x = g.position_nodes()
-    vm = prop.model.vector_matrix()
-    phases = np.exp(-1j * np.outer(x, taus))
-    return g.spacing * (vm.conj() @ (phases * phi.samples[:, None]))
+    on = np.flatnonzero(phi.samples)
+    vm = prop.model.vector_matrix()[:, on]
+    phases = np.exp(-1j * np.outer(g.position_nodes()[on], taus))
+    return g.spacing * (vm.conj() @ (phases * phi.samples[on, None]))
 
 
 def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
@@ -347,16 +371,18 @@ def _cook_attempt(prop: Propagator, phi: GridFunction, s: float,
     edges = np.linspace(0.0, horizon, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1] - edges[0])
-    taus = s * (mid[:, None] + hw * nodes[None, :]).ravel()
-    wts = np.tile(hw * weights, n_panels)
-    E, U = prop.eigenvalues, prop.eigenvectors
-    W_eig = U.conj().T @ (lam[:, None] * prop.model.vector_matrix()).T  # (M, N)
-    acc = np.zeros(E.size, dtype=complex)
-    for lo in range(0, taus.size, _T_BLOCK):
-        tb, wb = taus[lo:lo + _T_BLOCK], wts[lo:lo + _T_BLOCK]
-        cc = _cook_couplings(prop, phi, tb)
-        acc += (W_eig @ cc * np.exp(1j * np.outer(E, tb))) @ wb
-    out = phi.samples + 1j * s * (U @ acc)
+    E = prop.eigenvalues
+    W_eig = prop._apply((lam[:, None] * prop.model.vector_matrix()).T, adjoint=True)  # (M, N)
+    # e^{iE tau} at tau = s (mid + hw node) factors into a panel phase and
+    # a node phase, so the exponentials number M per panel, not per node
+    acc = np.zeros((E.size, nodes.size), dtype=complex)
+    for lo in range(0, n_panels, _T_BLOCK):
+        mb = mid[lo:lo + _T_BLOCK]
+        cc = _cook_couplings(prop, phi, s * (mb[:, None] + hw * nodes).ravel())
+        summed = np.exp(1j * s * np.outer(E, mb)) @ cc.reshape(lam.size, mb.size, nodes.size)
+        acc += np.einsum("mj,jmq->mq", W_eig, summed)
+    node_phase = np.exp(1j * s * hw * np.outer(E, nodes))
+    out = phi.samples + 1j * s * prop._apply(node_phase * acc @ (hw * weights))
     est = float(np.sum(np.abs(lam))) * _tail_integral(C_amp, zeta_amp, horizon)
     return out, {"horizon": horizon, "tail_estimate": est, "zeta": zeta_amp}
 
@@ -364,8 +390,8 @@ def _cook_attempt(prop: Propagator, phi: GridFunction, s: float,
 def _dress(prop: Propagator, phi: GridFunction, T: float) -> GridFunction:
     """e^{iTH} e^{-iTH0} phi (the dressing transform at finite time)."""
     inner = np.exp(-1j * T * prop.grid.position_nodes()) * phi.samples
-    c = prop.eigenvectors.conj().T @ inner
-    out = prop.eigenvectors @ (np.exp(1j * T * prop.eigenvalues) * c)
+    c = prop._apply(inner, adjoint=True)
+    out = prop._apply(np.exp(1j * T * prop.eigenvalues) * c)
     return GridFunction(prop.grid, Representation.POSITION, out)
 
 
@@ -460,10 +486,12 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     tgrid = np.linspace(-T, T, n + 1)
 
     fbar = _f_cell_averages(f, g, r)
-    win = np.nonzero(np.abs(fbar) > 1e-16 * max(np.abs(fbar).max(), 1e-300))[0]
-    Bw = prop._momentum_basis[win, :]
+    fmax = float(np.abs(fbar).max())
+    win = np.nonzero(np.abs(fbar) > 1e-16 * max(fmax, 1e-300))[0]
     c = prop.coefficients(psi)
-    E = prop.eigenvalues
+    kept, discarded, window_term = _spectral_window(c, g.spacing, 2.0 * T * fmax, tol)
+    Bw = prop._momentum_basis[np.ix_(win, kept)]
+    c, E = c[kept], prop.eigenvalues[kept]
     gvals = np.zeros(tgrid.size)
     for lo in range(0, tgrid.size, _T_BLOCK):
         tb = tgrid[lo:lo + _T_BLOCK]
@@ -482,23 +510,49 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
     tail += float((dens_psi * overlap).sum() * dk)
     tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
-    return value, tail, zeta
+    return value, tail + window_term, zeta, kept.size, discarded
+
+
+def _spectral_window(c: np.ndarray, h: float, span: float, tol: float) -> tuple:
+    """(kept, discarded mass, charge) of the eigenmodes a sojourn runs on.
+
+    Dropping modes that hold a share delta of ||psi||^2 moves each sample
+    dk sum_k fbar_k |psi_t(k)|^2 by at most max|fbar| ||psi||^2 (2 sqrt(delta)
+    + delta); span = 2T max|fbar| turns that into a bound on the integral,
+    the charge.  The smallest modes go while the charge stays within
+    1e-3 tol, a negligible part of the tolerance the tail is held to.
+    """
+    mass = h * np.abs(c) ** 2
+    order = np.argsort(mass, kind="stable")
+    dropped = np.concatenate(([0.0], np.cumsum(mass[order])))  # the i lightest
+    total = float(dropped[-1])
+    share = dropped / max(total, 1e-300)
+    charges = span * total * (2.0 * np.sqrt(share) + share)
+    n_drop = int(np.searchsorted(charges, 1e-3 * tol, side="right")) - 1
+    return np.sort(order[n_drop:]), float(dropped[n_drop]), float(charges[n_drop])
 
 
 def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: float,
             which: str = "full", w_minus_phi: GridFunction | None = None,
             tol: float = 1e-6, dt: float | None = None, return_info: bool = False):
-    """Sojourn time of the localized evolution at scale r."""
+    """Sojourn time of the localized evolution at scale r.
+
+    With return_info the result comes with a dict: "tail_estimate" (the
+    error estimate held to tol, the spectral-window charge included),
+    "zeta" (the measured decay exponent of the integrand), "modes_kept"
+    (the eigenmodes the full evolution ran on; M for the free routes,
+    which drop none) and "discarded_mass" (the part of ||W- phi||^2 on the
+    dropped modes).
+    """
     which = _canon(which, {"freeanalytic", "freenumeric", "full"}, "sojourn kind")
     _require_sojourn_profile(f)
     if r <= 0:
         raise ValidationError("localization scale r must be positive")
+    modes, discarded = phi.grid.points, 0.0
     if which == "freeanalytic":
-        total = localization_integral(f)
-        value = r * norm(phi) ** 2 * float(np.real(total))
-        info = {"tail_estimate": 0.0, "zeta": math.inf}
-        return (value, info) if return_info else value
-    if which == "freenumeric":
+        value = r * norm(phi) ** 2 * float(np.real(localization_integral(f)))
+        tail, zeta = 0.0, math.inf
+    elif which == "freenumeric":
         value, tail, zeta = _free_numeric(phi, f, r, tol, dt)
     else:
         psi = w_minus_phi
@@ -511,11 +565,12 @@ def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: floa
             # V = 0: the full evolution is the free one, bit for bit
             value, tail, zeta = _free_numeric(psi, f, r, tol, dt)
         else:
-            value, tail, zeta = _full_sojourn(prop, psi, f, r, tol, dt)
+            value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol, dt)
     if tail > max(tol, 1e-12) * max(abs(value), 1.0):
         raise ToleranceError(
             f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
-    info = {"tail_estimate": tail, "zeta": zeta}
+    info = {"tail_estimate": tail, "zeta": zeta, "modes_kept": modes,
+            "discarded_mass": discarded}
     return (value, info) if return_info else value
 
 

@@ -120,9 +120,16 @@ class FiniteRankModel:
 
     @cached_property
     def eigendecomposition(self) -> tuple:
-        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V."""
+        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V.
+
+        When no vector has an imaginary part H is built, and decomposed, as
+        a real symmetric matrix: U is then real, and the solve is several
+        times faster than the complex one.
+        """
         g = self.grid
         vm = self.vector_matrix()
+        if not np.any(vm.imag):
+            vm = vm.real
         V = g.spacing * (vm.T * self.coupling_array()) @ vm.conj()
         H = np.diag(g.position_nodes()) + V
         res = np.max(np.abs(H - H.conj().T)) / max(1.0, np.max(np.abs(H)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs import Representation, ToleranceError, ValidationError
+from friedrichs import Representation, ToleranceError, ValidationError, dynamics
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +190,42 @@ def test_wave_operator_validation(gaussian_propagator, grid):
         fr.wave_operator(gaussian_propagator, phi, "minus", "cook", horizon=cap + 50.0)
 
 
+@pytest.mark.parametrize("compact", [True, False])
+def test_cook_couplings_on_the_support_match_the_full_grid(gaussian_propagator, grid, compact):
+    phi = fr.bump_state(grid, (0.25, 0.75)) if compact else fr.gaussian_state(grid, 0.5, 0.6)
+    assert np.all(phi.samples != 0) != compact
+    taus = np.linspace(-40.0, 40.0, 161)
+    x = grid.position_nodes()
+    vm = gaussian_propagator.model.vector_matrix()
+    full = grid.spacing * (vm.conj() @ (np.exp(-1j * np.outer(x, taus)) * phi.samples[:, None]))
+    got = dynamics._cook_couplings(gaussian_propagator, phi, taus)
+    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+def test_cook_panels_match_the_per_node_quadrature(coarse_grid):
+    # one exponential per panel and node, summed node by node, as reference
+    # for the panel-factored phases; rank 2 exercises the sum over vectors
+    g = coarse_grid
+    lam = np.array([0.8, -0.5])
+    model = fr.finite_rank_model(g, [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], lam)
+    prop = fr.build_propagator(model)
+    psi = fr.gaussian_state(g, 0.5, 0.6)
+    vm, E, U = model.vector_matrix(), prop.eigenvalues, prop.eigenvectors
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    for sign, s in (("minus", -1.0), ("plus", 1.0)):
+        w, info = fr.wave_operator(prop, psi, sign, "cook", return_info=True)
+        n = max(int(math.ceil(info["horizon"] / 0.2)), 1)
+        edges = np.linspace(0.0, info["horizon"], n + 1)
+        hw = 0.5 * (edges[1] - edges[0])
+        taus = s * (0.5 * (edges[:-1] + edges[1:])[:, None] + hw * nodes).ravel()
+        cc = g.spacing * (vm.conj() @ (np.exp(-1j * np.outer(g.position_nodes(), taus))
+                                       * psi.samples[:, None]))
+        W = U.conj().T @ (lam[:, None] * vm).T
+        acc = (W @ cc * np.exp(1j * np.outer(E, taus))) @ np.tile(hw * weights, n)
+        ref = psi.samples + 1j * s * (U @ acc)
+        assert np.max(np.abs(w.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # sojourn times and the propagation functional
 
@@ -233,6 +269,43 @@ def test_sojourn_tolerance_failure_is_loud(gaussian_propagator, grid, f_ind):
     with pytest.raises(ToleranceError):
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, "full",
                    w_minus_phi=w, tol=1e-15)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("profile", ["f_ind", "f_smooth"])
+def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, profile):
+    # all-modes reference on the same time grid: dropping modes with a
+    # share delta of ||psi||^2 may move the integral by at most the charge
+    # 2T max|fbar| ||psi||^2 (2 sqrt(delta) + delta)
+    g, f, r, tol = coarse_grid, request.getfixturevalue(profile), 4.0, 1e-3
+    prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [lam]))
+    phi = fr.gaussian_state(g, 0.5, 0.6)
+    w = fr.wave_operator(prop, phi, "minus", "cook")
+    value, info = fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol,
+                             return_info=True)
+    assert value == fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol)
+    _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), g, f, r, tol)
+    E = prop.eigenvalues
+    dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
+    tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
+    fbar = dynamics._f_cell_averages(f, g, r)
+    hat = prop._momentum_basis @ (np.exp(-1j * np.outer(E, tgrid))
+                                  * prop.coefficients(w)[:, None])
+    ref = np.trapezoid(g.momentum_spacing * (fbar @ np.abs(hat) ** 2), tgrid)
+    norm2 = fr.norm(w) ** 2
+    delta = info["discarded_mass"] / norm2
+    charge = 2.0 * T * fbar.max() * norm2 * (2.0 * math.sqrt(delta) + delta)
+    assert 0 < info["modes_kept"] < g.points
+    assert 0.0 < charge <= 1e-3 * tol
+    assert abs(value - ref) <= charge
+
+
+def test_free_sojourn_routes_keep_every_mode(gaussian_propagator, grid, f_ind):
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    for which in ("freeanalytic", "freenumeric"):
+        _, info = fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, which, return_info=True)
+        assert info["modes_kept"] == grid.points
+        assert info["discarded_mass"] == 0.0
 
 
 def test_propagation_functional_exact_regime(f_ind):

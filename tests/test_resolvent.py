@@ -241,6 +241,28 @@ def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, mon
     assert first.eigenvectors is second.eigenvectors
 
 
+@pytest.mark.parametrize("momentum, dtype", [(0.0, np.float64), (1.0, np.complex128)])
+def test_real_models_decompose_a_real_hamiltonian(coarse_grid, monkeypatch, momentum, dtype):
+    # a real vector gives a real H and the real eigh; a boosted Gaussian
+    # is complex and keeps the complex one
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(H):
+        seen.append(H)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    v = fr.gaussian_state(coarse_grid, 0.0, 1.0, momentum=momentum)
+    E, U = fr.finite_rank_model(coarse_grid, [v], [1.0]).eigendecomposition
+    (H,) = seen
+    assert H.dtype == dtype
+    scale = np.linalg.norm(H)
+    assert np.linalg.norm(H @ U - U * E) <= 1e-10 * scale
+    if dtype is np.float64:
+        assert np.max(np.abs(E - eigh(H.astype(complex))[0])) <= 1e-12 * scale
+
+
 def test_embedded_determinant_vanishes_at_one(grid):
     model = _embedded_model(grid)
     d = fr.perturbation_determinant(model, 1.0, "plus")
