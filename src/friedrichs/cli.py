@@ -68,7 +68,7 @@ from ._errors import PointSpectrumProximity, ToleranceError, ValidationError
 from .dynamics import build_propagator, propagation_functional, time_delay_sweep
 from .grid import Representation, grid_function, norm, transform
 from .localization import localization_integral, make_localization
-from .resolvent import finite_rank_model, point_spectrum
+from .resolvent import _scan_triple, finite_rank_model, point_spectrum
 from .scattering import (
     compute_curve,
     ew_time_delay,
@@ -527,7 +527,11 @@ def _assemble_point_spectrum(cfg: dict, base: Path) -> dict:
         if not lo < hi or n < 8:
             raise ValidationError(
                 "experiment.scan: needs lo < hi and at least 8 points")
-        scan = np.linspace(lo, hi, n)
+        scan = (lo, hi, n)
+        try:
+            _scan_triple(grid, scan)
+        except ValidationError as exc:
+            raise ValidationError(f"experiment.scan: {exc}") from None
     threshold = _as_float("experiment.threshold",
                           cfg.get("experiment.threshold", "1e-6"))
     if not threshold > 0:

@@ -2,32 +2,38 @@
 
 The free Hamiltonian is multiplication by x, so every resolvent matrix
 element is a Cauchy-type integral of a pair density g_jk = conj(v_j) v_k
-over the position grid.  The boundary values r(x +- i0) are computed by a
-principal-value quadrature plus the Sokhotski-Plemelj jump; higher orders
-come from moving derivatives onto g_jk (integration by parts), never from
-hypersingular kernels.
+over the position grid.  Higher orders come from moving derivatives onto
+g_jk (integration by parts), never from hypersingular kernels:
+r^(n)(x + i0) is the first-order boundary value of g^(n-1) over (n-1)!.
 
-P.V. scheme: subtract a Gaussian-damped copy of the singular numerator,
+Boundary-value scheme: a one-sided spectral projection,
 
-    P.V. int g(k)/(k-x) dk
-      = int [g(k) - g(x) e^{-((k-x)/w)^2}] / (k-x) dk
-        + g(x) * (1/2) [E1(((L+x)/w)^2) - E1(((L-x)/w)^2)],
+    r(x + i0) = int g(k) / (k - x - i0) dk
+              = 2 pi i (P+ g)(x) + h sum_k c(k - x) g(k),
+    c(u)      = 1/u - a cot(a u),   a = pi / 2L.
 
-so the quadrature sees a smooth, boundary-decaying integrand (trapezoid
-is then spectrally accurate) and the box correction is exact in terms of
-the exponential integral.  The damping width w shrinks near the box edge.
+On the periodic box 2 pi i P+ is a mask on the momentum coefficients the
+model stores for each pair density (1 for k > 0, 1/2 at k = 0, 0 below),
+read out by the band-limited interpolant.  The line integral differs from
+the periodic one by the kernel c, which is odd and analytic for |u| < 2L,
+so its trapezoid sum is spectrally accurate with no singularity to
+subtract; near u = 0 c is summed as its odd series.  The other side is
+r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform point-spectrum scan reads
+the periodic part by chirp-z and the smooth correction by Chebyshev
+interpolation; every other batch, and every single energy, uses the
+dense projection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.special import exp1
 
 from ._errors import PointSpectrumProximity, ValidationError
 from .grid import (
@@ -59,8 +65,9 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
-_BOUNDARY_MARGIN = 10  # pv_integral refuses x within 10 h of the box edge
-_DET_BLOCK = 1024  # energies per P.V. geometry in perturbation_determinant
+_BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
+_DET_BLOCK = 1024  # energies per projection in perturbation_determinant
+_CHEB_POINTS = 64  # Chebyshev nodes carrying a scan's line correction
 
 
 class Side(Enum):
@@ -141,21 +148,22 @@ class FiniteRankModel:
     def _pair_store(self) -> dict:
         return {}
 
-    def pair_density(self, j: int, k: int, order: int = 0) -> tuple:
-        """(position samples, momentum coefficients) of the order-th spectral
-        derivative of conj(v_j) v_k; the coefficients are the transform of
-        those same samples, taken once per model."""
-        key = (j, k, order)
-        if key not in self._pair_store:
-            if order == 0:
-                g = np.conj(self.vectors[j].samples) * self.vectors[k].samples
-            else:
-                base = GridFunction(self.grid, Representation.POSITION,
-                                    self.pair_density(j, k, 0)[0])
-                g = derivative(base, order).samples
-            phi = GridFunction(self.grid, Representation.POSITION, g)
-            self._pair_store[key] = (phi.samples, transform(phi).samples)
-        return self._pair_store[key]
+    def pair_densities(self, order: int = 0) -> tuple:
+        """(position samples, momentum coefficients), each (M, N^2) with
+        column j N + k holding the order-th spectral derivative of
+        conj(v_j) v_k; the coefficients are the transform of those same
+        samples, taken once per model and order."""
+        if order not in self._pair_store:
+            N = self.rank
+            dens = np.zeros((2, self.grid.points, N * N), dtype=complex)
+            for p in range(N * N):
+                vj, vk = self.vectors[p // N].samples, self.vectors[p % N].samples
+                g = derivative(GridFunction(self.grid, Representation.POSITION,
+                                            np.conj(vj) * vk), order)
+                dens[:, :, p] = g.samples, transform(g).samples
+            dens.setflags(write=False)
+            self._pair_store[order] = (dens[0], dens[1])
+        return self._pair_store[order]
 
 
 def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) -> FiniteRankModel:
@@ -216,68 +224,136 @@ class PointSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# principal-value machinery
+# the one-sided projection
 
-class _PVPrepared:
-    """Shared geometry for P.V. integrals of many densities at the same x's."""
+def _interior(grid: GridSpec, xs) -> np.ndarray:
+    """xs as a 1-D array, refused if any lies within the boundary margin."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    L, h = grid.half_width, grid.spacing
+    if np.any(L - np.abs(xs) < _BOUNDARY_MARGIN * h):
+        worst = xs[np.argmax(np.abs(xs))]
+        raise ValidationError(
+            f"energy {worst:g} is within {_BOUNDARY_MARGIN} grid spacings "
+            f"of the box edge +-{L:g}")
+    return xs
 
-    def __init__(self, grid: GridSpec, xs: np.ndarray):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        L, h = grid.half_width, grid.spacing
-        if np.any(L - np.abs(xs) < _BOUNDARY_MARGIN * h):
-            worst = xs[np.argmax(np.abs(xs))]
-            raise ValidationError(
-                f"energy {worst:g} is within {_BOUNDARY_MARGIN} grid spacings "
-                f"of the box edge +-{L:g}")
-        self.grid = grid
-        self.xs = xs
-        nodes = grid.position_nodes()
-        self.K = nodes[None, :] - xs[:, None]          # (Nx, M)
-        self.w = np.minimum(1.0, (L - np.abs(xs)) / 6.0)
-        self.damp = np.exp(-(self.K / self.w[:, None]) ** 2)
-        self.near = np.abs(self.K) < 1e-6
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.inv = np.where(self.near, 0.0, 1.0 / self.K)
-        # exact box correction for the damped singular part
-        a2 = ((L + xs) / self.w) ** 2
-        b2 = ((L - xs) / self.w) ** 2
-        self.correction = 0.5 * (exp1(a2) - exp1(b2))
-        self.eval_mat = evaluation_matrix(grid, xs)    # (Nx, M) band-limited
 
-    def pv(self, samples, vals, d1_vals, d2_vals) -> np.ndarray:
-        """P.V. integral of samples/(k - x) at every x, vectorized.
+def _line_kernel(grid: GridSpec, xs: np.ndarray) -> np.ndarray:
+    """(Nx, M) weights h c(k - x); below |u| = 1e-2 c is summed as its odd
+    series, which the direct form loses to cancellation."""
+    a = math.pi / (2.0 * grid.half_width)
+    u = grid.position_nodes()[None, :] - xs[:, None]
+    near = np.abs(u) < 1e-2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = 1.0 / u - a / np.tan(a * u)
+    z = a * u[near]
+    c[near] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * z ** 4)
+    return grid.spacing * c
 
-        vals, d1_vals and d2_vals are the density and its first two
-        derivatives at the xs; the derivatives enter only at near-node xs.
-        """
-        num = samples[None, :] - vals[:, None] * self.damp
-        integrand = num * self.inv
-        if self.near.any():
-            # limit of the subtracted quotient across the singularity
-            taylor = (d1_vals[:, None]
-                      + self.K * (0.5 * d2_vals[:, None]
-                                  + vals[:, None] / (self.w ** 2)[:, None]))
-            integrand = np.where(self.near, taylor, integrand)
-        total = self.grid.spacing * integrand.sum(axis=1)
-        return total + vals * self.correction
+
+def _projection_mask(grid: GridSpec, side: Side) -> np.ndarray:
+    """P+ on the momentum coefficients: 1 for k > 0 and 1/2 at k = 0, which
+    sits at index M/2.  The minus side takes P+ - 1, which moves r by
+    -2 pi i g(x)."""
+    half = grid.points // 2
+    p = np.zeros(grid.points)
+    p[half], p[half + 1:] = 0.5, 1.0
+    return p - (side is Side.MINUS)
+
+
+class _Projection:
+    """The periodic read-out and the line sum at any batch of energies.
+
+    periodic(c) is the band-limited interpolant of (M, P) momentum
+    coefficients c; line(g) is h sum_k c(k - x) g(k) for (M, P) position
+    samples g.
+    """
+
+    def __init__(self, grid: GridSpec, xs):
+        xs = _interior(grid, xs)
+        self.eval_mat = evaluation_matrix(grid, xs)         # (Nx, M) band-limited
+        self.kernel = _line_kernel(grid, xs)                # (Nx, M) real
+
+    def periodic(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.eval_mat @ coeffs
+
+    def line(self, samples: np.ndarray) -> np.ndarray:
+        # the real kernel meets the interleaved real and imaginary parts
+        return (self.kernel @ samples.view(float)).view(complex)
+
+
+def _half_turns(q: float, m: np.ndarray) -> np.ndarray:
+    """e^{i pi q m} for integers |m| < 2^52, with q m reduced mod 2 exactly:
+    q is split at 26 bits (Dekker) and m at 2^26, so each partial product,
+    and its remainder, is exact in binary64."""
+    c = 134217729.0 * q                                     # (2^27 + 1) q
+    q_hi = c - (c - q)
+    m = np.asarray(m, dtype=np.int64)
+    turns = np.zeros(m.shape)
+    for a in (q_hi, q - q_hi):
+        for b in ((m >> 26) << 26, m & (2 ** 26 - 1)):
+            turns = np.mod(turns + np.mod(a * b.astype(float), 2.0), 2.0)
+    return np.exp(1j * math.pi * turns)
+
+
+class _ChirpProjection:
+    """The same two maps on the uniform grid x_m = lo + m (hi - lo)/(n - 1).
+
+    With k_l = (l - M/2) pi/L and q = step/2L, x_m k_l is
+    pi (lo/L)(l - M/2) + 2 pi q m l - pi q M m.  The outer phases are a lead
+    on l and a tail on m, and e^{2 pi i q m l} =
+    e^{i pi q m^2} e^{i pi q l^2} e^{-i pi q (m - l)^2} turns the read-out
+    into one FFT convolution (Bluestein, IEEE Trans. Audio Electroacoust.
+    18 (1970) 451).  The line sum is smooth in x, its poles lying at
+    k +- 2L, and is interpolated from _CHEB_POINTS Chebyshev energies.
+    """
+
+    def __init__(self, grid: GridSpec, lo: float, hi: float, n: int):
+        M, L = grid.points, grid.half_width
+        step = (hi - lo) / (n - 1)
+        q = step / (2.0 * L)
+        l, m = np.arange(M), np.arange(n)
+        self.lead = (_half_turns(lo / L, l - M // 2) * _half_turns(q, l * l))[:, None]
+        self.size = 1 << (n + M - 2).bit_length()           # >= n + M - 1
+        lags = np.arange(1 - M, n)                          # m - l, wrapped
+        chirp = np.zeros(self.size, complex)
+        chirp[lags] = np.conj(_half_turns(q, lags * lags))
+        self.chirp = np.fft.fft(chirp)[:, None]
+        self.tail = (grid.momentum_spacing / math.sqrt(2.0 * math.pi)
+                     * _half_turns(q, m * m) * _half_turns(-q * M, m))[:, None]
+        cheb = np.polynomial.chebyshev
+        nodes = np.cos(math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS)
+        at = (lo + step * m - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        self.interp = (cheb.chebvander(at, _CHEB_POINTS - 1)
+                       @ np.linalg.inv(cheb.chebvander(nodes, _CHEB_POINTS - 1)))
+        self.kernel = _line_kernel(grid, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
+
+    def periodic(self, coeffs: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.fft(self.lead * coeffs, self.size, axis=0) * self.chirp
+        return self.tail * np.fft.ifft(spectrum, axis=0)[:self.tail.shape[0]]
+
+    def line(self, samples: np.ndarray) -> np.ndarray:
+        return self.interp @ (self.kernel @ samples.view(float)).view(complex)
 
 
 def pv_integral(g: GridFunction, x: float) -> complex:
-    """P.V. of g(k)/(k-x) dk over the box, x allowed anywhere off the edge."""
+    """P.V. of g(k)/(k-x) dk over the box, x allowed anywhere off the edge:
+    r(x + i0) - i pi g(x), read from the same projection."""
     if g.representation is not Representation.POSITION:
         raise ValidationError("pv_integral expects a position-representation density")
-    prep = _PVPrepared(g.grid, np.array([float(x)]))
-    vals, d1, d2 = (evaluate_many(derivative(g, o), prep.xs) for o in range(3))
-    return complex(prep.pv(np.asarray(g.samples), vals, d1, d2)[0])
+    proj = _Projection(g.grid, float(x))
+    mask = _projection_mask(g.grid, Side.PLUS) - 0.5
+    periodic = 2j * math.pi * proj.periodic(mask * transform(g).samples)
+    return complex(periodic[0] + proj.line(g.samples[:, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
-def _boundary_batch(model: FiniteRankModel, prep: _PVPrepared, side: Side,
-                    orders=(1,)) -> list:
-    """r^(n)(x +- i0) at every energy of prep, one (Nx, N, N) array per n in
-    orders; each pair density's orders min-1 .. max+1 are interpolated once."""
+def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
+    """r^(n)(x +- i0) at every energy of proj (a _Projection or a
+    _ChirpProjection), one (Nx, N, N) array per n in orders: the
+    order-(n-1) derivative of each pair density over (n-1)!."""
     side = _as_side(side)
     if min(orders) < 1:
         raise ValidationError("derivative order n must be >= 1")
@@ -288,26 +364,27 @@ def _boundary_batch(model: FiniteRankModel, prep: _PVPrepared, side: Side,
                 "boundary values of this order are outside the vectors' certified class",
                 stacklevel=3)
     N = model.rank
-    lo = min(orders) - 1
-    outs = [np.zeros((prep.xs.size, N, N), dtype=complex) for _ in orders]
-    sign = 1.0 if side is Side.PLUS else -1.0
-    for j in range(N):
-        for k in range(N):
-            vals = [prep.eval_mat @ model.pair_density(j, k, o)[1]
-                    for o in range(lo, max(orders) + 2)]
-            for out, n in zip(outs, orders):
-                v, d1, d2 = vals[n - 1 - lo:n + 2 - lo]
-                pv = prep.pv(model.pair_density(j, k, n - 1)[0], v, d1, d2)
-                out[:, j, k] = (pv + sign * 1j * math.pi * v) / math.factorial(n - 1)
+    mask = _projection_mask(model.grid, side)[:, None]
+    outs = []
+    for n in orders:
+        samples, coeffs = model.pair_densities(n - 1)
+        r = 2j * math.pi * proj.periodic(mask * coeffs) + proj.line(samples)
+        outs.append((r / math.factorial(n - 1)).reshape(r.shape[0], N, N))
     return outs
+
+
+def _determinant(model: FiniteRankModel, proj, side) -> np.ndarray:
+    """D(x +- i0) at every energy of proj."""
+    r1 = _boundary_batch(model, proj, side)[0]
+    return np.linalg.det(np.eye(model.rank) + r1 * model.coupling_array())
 
 
 def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> BoundaryData:
     side = _as_side(side)
-    mat = _boundary_batch(model, _PVPrepared(model.grid, float(x)), side, (n,))[0][0]
+    mat = _boundary_batch(model, _Projection(model.grid, float(x)), side, (n,))[0][0]
     det = None
     if n == 1:
-        det = complex(np.linalg.det(np.eye(model.rank) + mat @ np.diag(model.coupling_array())))
+        det = complex(np.linalg.det(np.eye(model.rank) + mat * model.coupling_array()))
     return BoundaryData(float(x), side, n, mat, det)
 
 
@@ -328,23 +405,36 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
 
     x is a number (returns complex) or a 1-D array of energies (returns a
-    complex array); one P.V. geometry serves each block of _DET_BLOCK energies.
+    complex array); one projection serves each block of _DET_BLOCK energies.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValidationError("energies must be a number or a 1-D array")
     flat = np.atleast_1d(xs)
     out = np.ones(flat.size, dtype=complex)
-    lam = np.diag(model.coupling_array())
     for lo in range(0, flat.size if model.rank else 0, _DET_BLOCK):
-        prep = _PVPrepared(model.grid, flat[lo:lo + _DET_BLOCK])
-        r1 = _boundary_batch(model, prep, side)[0]
-        out[lo:lo + _DET_BLOCK] = np.linalg.det(np.eye(model.rank) + r1 @ lam)
+        out[lo:lo + _DET_BLOCK] = _determinant(
+            model, _Projection(model.grid, flat[lo:lo + _DET_BLOCK]), side)
     return complex(out[0]) if xs.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # point spectrum
+
+def _scan_triple(grid: GridSpec, scan) -> tuple:
+    """(lo, hi, n) of a point-spectrum scan, refused with its cause."""
+    try:
+        lo, hi, n = scan
+        lo, hi, n = float(lo), float(hi), operator.index(n)
+    except (TypeError, ValueError):
+        raise ValidationError("scan must be a (lo, hi, n) triple with an integer n") from None
+    if not lo < hi:
+        raise ValidationError(f"scan needs lo < hi, got {lo:g} and {hi:g}")
+    if n < 8:
+        raise ValidationError(f"scan needs at least 8 points, got {n}")
+    _interior(grid, [lo, hi])
+    return lo, hi, n
+
 
 def _eigenvector_window(model: FiniteRankModel) -> tuple:
     """Interval expected to carry an embedded eigenfunction's mass."""
@@ -364,14 +454,18 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
     pi * sum_j lambda_j^2 |v_j(x0)|^2-type content to vanish: that joint
     condition filters scan minima before refinement.  Survivors must also
     reproduce as localized eigenvectors of the discretized Hamiltonian.
+
+    scan is the (lo, hi, n) triple of the uniform energy grid searched,
+    (-0.8 L, 0.8 L, 4001) by default; its step also sets how close two
+    roots may lie and the spacing of the exclusion-ball probes.
     """
+    L, h = model.grid.half_width, model.grid.spacing
+    lo, hi, n = _scan_triple(model.grid, (-0.8 * L, 0.8 * L, 4001) if scan is None else scan)
     if model.rank == 0 or not np.any(model.coupling_array()):
         return PointSpectrum((), ())
-    L, h = model.grid.half_width, model.grid.spacing
-    if scan is None:
-        scan = np.linspace(-0.8 * L, 0.8 * L, 4001)
-    scan = np.asarray(scan, dtype=float)
-    dets = perturbation_determinant(model, scan, Side.PLUS)
+    step = (hi - lo) / (n - 1)
+    xs = np.linspace(lo, hi, n)
+    dets = _determinant(model, _ChirpProjection(model.grid, lo, hi, n), Side.PLUS)
     dvals = np.abs(dets)
 
     # candidate brackets: |D| behaves like |x - x0| near a real zero, so a
@@ -388,7 +482,7 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
     candidates = []
     lam = model.coupling_array()
     for i in idx:
-        x0 = scan[i] if dvals[i] <= dvals[i + 1] else scan[i + 1]
+        x0 = xs[i] if dvals[i] <= dvals[i + 1] else xs[i + 1]
         # necessary condition: all vectors (jointly) vanish at the root
         vx = np.array([evaluate_many(v, [x0])[0] for v in model.vectors])
         plemelj = math.pi * float(np.sum(lam ** 2 * np.abs(vx) ** 2))
@@ -396,14 +490,13 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
             continue
         res = minimize_scalar(
             lambda t: abs(perturbation_determinant(model, t, Side.PLUS)),
-            bounds=(scan[max(i - 1, 0)], scan[min(i + 2, scan.size - 1)]),
+            bounds=(xs[max(i - 1, 0)], xs[min(i + 2, n - 1)]),
             method="bounded", options={"xatol": 1e-10})
         if res.fun < threshold:
             candidates.append(float(res.x))
 
     if not candidates:
         return PointSpectrum((), ())
-    step = scan[1] - scan[0]
     merged = []
     for c in sorted(candidates):
         if not merged or c - merged[-1] > 0.5 * step:

@@ -39,7 +39,7 @@ from .resolvent import (
     PointSpectrum,
     Side,
     _boundary_batch,
-    _PVPrepared,
+    _Projection,
     perturbation_determinant,
 )
 
@@ -80,10 +80,10 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
         }
     lam = model.coupling_array()
     N = model.rank
-    prep = _PVPrepared(model.grid, xs)
-    r1, r2 = _boundary_batch(model, prep, Side.PLUS, (1, 2))
+    proj = _Projection(model.grid, xs)
+    r1, r2 = _boundary_batch(model, proj, Side.PLUS, (1, 2))
 
-    E = prep.eval_mat
+    E = proj.eval_mat
     vm = model.vectors_momentum
     k = model.grid.momentum_nodes()
     vals = E @ vm.T                                    # v_j(x_i), (K, N)

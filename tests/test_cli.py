@@ -211,6 +211,21 @@ model.vector.1 = gaussian(0, 1)
     assert "eigenvalues_found = 0" in (out / "summary.txt").read_text()
 
 
+def test_point_spectrum_scan_outside_the_box_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+grid.L = 16
+grid.M = 512
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = gaussian(0, 1)
+experiment.scan = -10, 20, 201
+""")
+    out = tmp_path / "out"
+    assert main(["point-spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "experiment.scan: energy 20 is within 10 grid spacings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unattainable_tolerance_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 grid.L = 16

@@ -3,12 +3,14 @@
 Oracle notes.  For the unit Gaussian vector the diagonal matrix element
 has the closed form r11(x + i0) = i sqrt(pi) w(x) with w the Faddeeva
 function, whose real part is the principal value -2 dawsn(x).  Those
-values are frozen below from an independent evaluation so regressions in
-the PV quadrature cannot hide behind a matching implementation.
+values are frozen below from an independent evaluation, and checked
+against scipy's wofz over a dense set of energies, so regressions in the
+boundary-value engine cannot hide behind a matching implementation.
 
 A second, slower oracle smears the resolvent at finite epsilon on a
 doubled grid and Neville-extrapolates epsilon -> 0; it agrees with the
-PV route to ~1e-7, which is what the limiting-absorption invariant asks.
+projection route to ~1e-7, which is what the limiting-absorption
+invariant asks.
 """
 
 import dataclasses
@@ -60,6 +62,19 @@ def test_boundary_matrix_faddeeva_closed_form(gaussian_model):
         assert abs(bdm.matrix[0, 0] - np.conj(ref)) < 1e-13
 
 
+def test_boundary_matrix_matches_faddeeva_across_the_box(gaussian_model, grid):
+    # interior energies, grid nodes, a tiny and a subnormal offset from the
+    # node at 0, and the last energies the margin allows
+    from scipy.special import wofz
+
+    L, h = grid.half_width, grid.spacing
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 1001), grid.position_nodes()[[900, 1024, 1100]],
+                         [1e-7, 5e-324, L - 11 * h, -(L - 11 * h)]])
+    got = np.array([fr.boundary_matrix(gaussian_model, float(x), "plus").matrix[0, 0]
+                    for x in xs])
+    assert np.max(np.abs(got - 1j * SQRT_PI * wofz(xs))) <= 1e-14
+
+
 def test_boundary_matrix_at_zero(gaussian_model):
     # PV vanishes by parity, leaving the pure Plemelj term
     bd = fr.boundary_matrix(gaussian_model, 0.0, "plus")
@@ -96,7 +111,8 @@ def test_conjugation_symmetry_random_energies(rank2_model):
 
 def test_epsilon_sweep_limit_matches_boundary_value(gaussian_model):
     """Limiting absorption: smear at finite epsilon on a doubled grid,
-    extrapolate epsilon -> 0 by Neville's scheme, compare to the PV route."""
+    extrapolate epsilon -> 0 by Neville's scheme, compare to the
+    projection route."""
     fine = fr.make_grid(16.0, 4096)
     vf = fr.gaussian_state(fine)
     k = fine.position_nodes()
@@ -219,10 +235,22 @@ def test_point_spectrum_embedded_eigenvalue(grid):
 
 def test_exclusion_probes_stay_inside_the_box(coarse_grid):
     # probes run x0 + step * (1..199) = 1.1 .. 20.9, past the edge at 16
-    ps = fr.point_spectrum(_embedded_model(coarse_grid), scan=np.linspace(-10, 10, 201))
+    ps = fr.point_spectrum(_embedded_model(coarse_grid), scan=(-10, 10, 201))
     assert len(ps.eigenvalues) == 1 and abs(ps.eigenvalues[0] - 1.0) < 1e-4
     assert ps.radii == (pytest.approx(0.2),)
     assert type(ps.radii[0]) is float
+
+
+@pytest.mark.parametrize("scan, cause", [
+    ((1.0, 1.0, 201), "lo < hi"),
+    ((-1.0, 1.0, 7), "at least 8 points"),
+    ((-1.0, 1.0, 201.0), "integer n"),
+    ((-10.0, 20.0, 201), "within 10 grid spacings"),
+    (np.linspace(-10.0, 10.0, 201), r"\(lo, hi, n\) triple"),
+])
+def test_point_spectrum_refuses_a_bad_scan(coarse_grid, scan, cause):
+    with pytest.raises(ValidationError, match=cause):
+        fr.point_spectrum(_embedded_model(coarse_grid), scan=scan)
 
 
 def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, monkeypatch):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import StateNotAdmissible, ValidationError
+from friedrichs.resolvent import _ChirpProjection, _determinant
 
 SQRT_PI = 1.7724538509055159
 
@@ -269,6 +270,16 @@ def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, hermite,
     gram = g.momentum_spacing * (B.conj().T @ B)
     assert np.max(np.abs(gram - g.spacing * np.eye(g.points))) <= 1e-10 * g.spacing
 
+    # the point-spectrum scan's chirp-z determinant against the dense one on
+    # the same linspace, box-wide and narrow off-centre
+    L, h = g.half_width, g.spacing
+    for lo, hi, n in ((-L + 10 * h, L - 10 * h, 1001), (0.3, 0.9, 4001)):
+        chirp = _determinant(model, _ChirpProjection(g, lo, hi, n), "plus")
+        dense = fr.perturbation_determinant(model, np.linspace(lo, hi, n), "plus")
+        assert np.all(np.abs(chirp - dense) <= 1e-11 * np.maximum(1.0, np.abs(dense)))
+        assert np.array_equal(np.sign(chirp.real[:-1]) * np.sign(chirp.real[1:]) < 0,
+                              np.sign(dense.real[:-1]) * np.sign(dense.real[1:]) < 0)
+
 
 # ---------------------------------------------------------------------------
 # the boundary-value engine
@@ -326,8 +337,10 @@ def test_s_prime_interpolates_each_pair_density_order_once(coarse_grid, monkeypa
     fr.s_prime(model, 0.3)
     products.clear()
     fr.s_prime(model, -1.1)
-    # 4 pairs x orders 0..3, then v_j and v_j' at x
-    assert len(products) == 18
+    # one column per pair density and order (4 pairs x orders 0..1, for r1
+    # and r2), then v_j and v_j' at x
+    M = coarse_grid.points
+    assert products == [(M, 4), (M, 4), (M, 2), (M, 2)]
 
 
 def test_curve_residuals_name_the_summary_invariants(gaussian_curve):
@@ -339,7 +352,7 @@ def test_curve_residuals_name_the_summary_invariants(gaussian_curve):
 
 
 def test_subnormal_distance_from_a_node_warns_nothing(gaussian_model):
-    # the near-node branch replaces the overflowing 1/(k - x) entry
+    # c's odd series replaces the overflowing 1/(k - x) entry at the node
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = fr.s_matrix(gaussian_model, 5e-324)
