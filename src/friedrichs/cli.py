@@ -47,10 +47,10 @@ Exit status: 0 on success, 2 when a named precondition fails, 3 when a
 tolerance cannot be met.  Rerunning the same config at the same BLAS
 thread count reproduces every output byte for byte; nothing here depends
 on wall-clock or ordering.  Across thread counts every experiment but
-timedelay-sweep stays byte-identical.  The sweep's values differ from
-about the 10th significant digit and its tail estimates from the 8th (the
-spectral-window charge moves with which nearly empty eigenmodes are
-dropped); fit_residual, abs_gap and rel_gap differ from the 4th or 5th.
+timedelay-sweep stays byte-identical.  The sweep's sojourns differ from
+about the 13th significant digit, tau columns from the 12th and tail
+estimates from the 7th or 8th (the dense eigh moves with the thread count);
+fit_residual, abs_gap and rel_gap differ from the 4th or 5th.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from ._errors import PointSpectrumProximity, ToleranceError, ValidationError
 from .dynamics import build_propagator, propagation_functional, time_delay_sweep
 from .grid import Representation, grid_function, norm, transform
 from .localization import localization_integral, make_localization
-from .resolvent import _scan_triple, finite_rank_model, point_spectrum
+from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
 from .scattering import (
     compute_curve,
     ew_time_delay,
@@ -339,7 +339,7 @@ def _lo_hi_n(key: str, text: str) -> tuple:
     return lo, hi, _as_int(key, text.split(",")[2].strip())
 
 
-def _energy_grid(cfg: dict, phi):
+def _energy_grid(cfg: dict, grid, phi):
     """(lo, hi), points: explicit key, else a widened state support."""
     if "experiment.energy-grid" in cfg:
         lo, hi, n = _lo_hi_n("experiment.energy-grid", cfg["experiment.energy-grid"])
@@ -347,6 +347,10 @@ def _energy_grid(cfg: dict, phi):
             raise ValidationError("experiment.energy-grid: needs lo < hi")
         if n < 4:
             raise ValidationError("experiment.energy-grid: needs at least 4 points")
+        try:
+            _interior(grid, [lo, hi])
+        except ValidationError as exc:
+            raise ValidationError(f"experiment.energy-grid: {exc}") from None
         return (lo, hi), n
     if phi is None:
         raise ValidationError(
@@ -424,7 +428,7 @@ def _assemble_smatrix(cfg: dict, base: Path) -> dict:
     grid = _build_grid(cfg)
     model = _build_model(cfg, grid, base)
     phi = _build_state(cfg, grid, densities=False) if "state.family" in cfg else None
-    span, npts = _energy_grid(cfg, phi)
+    span, npts = _energy_grid(cfg, grid, phi)
     excl = _exclusions(cfg, model, default="none")
     return {"model": model, "phi": phi, "span": span, "npts": npts, "excl": excl}
 
@@ -563,7 +567,7 @@ def _assemble_sweep(cfg: dict, base: Path) -> dict:
     tol = _as_float("experiment.tolerance", cfg.get("experiment.tolerance", "1e-6"))
     if not tol > 0:
         raise ValidationError("experiment.tolerance: must be positive")
-    span, npts = _energy_grid(cfg, phi)
+    span, npts = _energy_grid(cfg, grid, phi)
     if phi.representation is Representation.POSITION:
         a, b = state_support(phi)
         if not (span[0] <= a and b <= span[1]):

@@ -5,9 +5,9 @@ momentum content downward at unit speed; all sojourn integrands therefore
 live naturally in the momentum representation, where the localization
 f(P/r) is diagonal.  The full evolution uses a one-time dense Hermitian
 eigendecomposition of the discretized H = Q + V (M <= 4096), taken as a
-real symmetric one when every vector is real.  That makes every time
-sample exact up to the decomposition and leaves only window truncation in
-the time quadratures.
+real symmetric one when every vector is real.  On its eigenmodes a full
+sojourn over [-T, T] is an exact quadratic form, so no time quadrature is
+left to err: only truncation at +-T and the spectral window remain.
 
 Discretization choices worth knowing about:
 
@@ -16,10 +16,10 @@ Discretization choices worth knowing about:
   T0 = r ||phi||^2 int(f) survives discretization; sampling f at nodes
   would break it at O(dk/r).
 
-* Full-evolution integrands are band-limited by the eigenvalue spread
-  (about 2L), so a uniform time step below half the Nyquist step has no
-  aliasing error at all; the default dt = 0.04 keeps a 2.4x margin at
-  L = 16.
+* A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
+  with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.
+  The fitted decay tail reads the integrand only at _TAIL_SAMPLES times a
+  side on T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _T_BLOCK = 2048        # time columns (Cook: panels) per batch (memory control)
+_TAIL_SAMPLES = 128    # full-sojourn integrand samples a side for the tail fit
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
 _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
                        # (the neglected mass is charged to the tail estimate;
@@ -458,15 +459,18 @@ def _free_tail_exact(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
     return float(r * grid.momentum_spacing * np.sum(dens * per_node))
 
 
+def _free_time_grid(t0: float, T: float, r: float) -> np.ndarray:
+    """Trapezoid nodes on [t0, T] for the free sliding-window integrands."""
+    dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
+    return np.linspace(t0, T, int(math.ceil((T - t0) / dt)) + 1)
+
+
 def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float,
-                  tol: float, dt: float | None) -> tuple:
+                  tol: float) -> tuple:
     g = phi.grid
     dens = _momentum_density(phi)
     radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
-    if dt is None:
-        dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
-    n = int(math.ceil(2.0 * T / dt))
-    tgrid = np.linspace(-T, T, n + 1)
+    tgrid = _free_time_grid(-T, T, r)
     gvals = _sliding_sum(dens, g, f, r, tgrid, 1.0, radius)
     value = float(np.trapezoid(gvals, tgrid))
     tail = _free_tail_exact(dens, g, f, r, T)
@@ -474,16 +478,11 @@ def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float,
 
 
 def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
-                  r: float, tol: float, dt: float | None) -> tuple:
+                  r: float, tol: float) -> tuple:
     g = prop.grid
     dk = g.momentum_spacing
     dens_psi = _momentum_density(psi)
     radius, K, T = _sojourn_horizon(dens_psi, g, f, r, tol)
-    if dt is None:
-        spread = float(prop.eigenvalues[-1] - prop.eigenvalues[0])
-        dt = min(0.04, 0.45 * math.pi / spread)
-    n = int(math.ceil(2.0 * T / dt))
-    tgrid = np.linspace(-T, T, n + 1)
 
     fbar = _f_cell_averages(f, g, r)
     fmax = float(np.abs(fbar).max())
@@ -492,15 +491,14 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     kept, discarded, window_term = _spectral_window(c, g.spacing, 2.0 * T * fmax, tol)
     Bw = prop._momentum_basis[np.ix_(win, kept)]
     c, E = c[kept], prop.eigenvalues[kept]
-    gvals = np.zeros(tgrid.size)
-    for lo in range(0, tgrid.size, _T_BLOCK):
-        tb = tgrid[lo:lo + _T_BLOCK]
-        cols = np.exp(-1j * np.outer(E, tb)) * c[:, None]
-        hat = Bw @ cols
-        gvals[lo:lo + _T_BLOCK] = dk * (fbar[win] @ (np.abs(hat) ** 2))
+    G = dk * (Bw.conj().T * fbar[win]) @ Bw
+    kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
+    value = float(np.real(c.conj() @ (G * kernel) @ c))
 
-    value = float(np.trapezoid(gvals, tgrid))
-    tail, zeta = _two_sided_tail(tgrid, gvals)
+    half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
+    times = np.concatenate((-half[::-1], half))
+    hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
+    tail, zeta = _two_sided_tail(times, dk * (fbar[win] @ (np.abs(hat) ** 2)))
     # The momentum box is periodic with period 2*cutoff: content at node k
     # re-enters the window spuriously once |t| reaches period - |k| - r*rho,
     # and stays in it for at most one full window transit.  Charge that
@@ -534,7 +532,7 @@ def _spectral_window(c: np.ndarray, h: float, span: float, tol: float) -> tuple:
 
 def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: float,
             which: str = "full", w_minus_phi: GridFunction | None = None,
-            tol: float = 1e-6, dt: float | None = None, return_info: bool = False):
+            tol: float = 1e-6, return_info: bool = False):
     """Sojourn time of the localized evolution at scale r.
 
     With return_info the result comes with a dict: "tail_estimate" (the
@@ -553,7 +551,7 @@ def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: floa
         value = r * norm(phi) ** 2 * float(np.real(localization_integral(f)))
         tail, zeta = 0.0, math.inf
     elif which == "freenumeric":
-        value, tail, zeta = _free_numeric(phi, f, r, tol, dt)
+        value, tail, zeta = _free_numeric(phi, f, r, tol)
     else:
         psi = w_minus_phi
         if psi is None:
@@ -563,9 +561,9 @@ def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: floa
             psi = phi
         if prop.is_diagonal:
             # V = 0: the full evolution is the free one, bit for bit
-            value, tail, zeta = _free_numeric(psi, f, r, tol, dt)
+            value, tail, zeta = _free_numeric(psi, f, r, tol)
         else:
-            value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol, dt)
+            value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol)
     if tail > max(tol, 1e-12) * max(abs(value), 1.0):
         raise ToleranceError(
             f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
@@ -607,14 +605,11 @@ def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float
 
 
 def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
-                       tol: float, dt: float | None) -> float:
+                       tol: float) -> float:
     g = phi.grid
     dens = _momentum_density(phi)
     radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
-    if dt is None:
-        dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
-    n = int(math.ceil(T / dt))
-    tgrid = np.linspace(0.0, T, n + 1)
+    tgrid = _free_time_grid(0.0, T, r)
     g_minus = _sliding_sum(dens, g, f, r, tgrid, 1.0, radius)
     g_plus = _sliding_sum(dens, g, f, r, tgrid, -1.0, radius)
     diff = g_minus - g_plus
@@ -628,8 +623,7 @@ def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
 
 
 def propagation_functional(phi, f: LocalizationProfile, r: float,
-                           half: str = "closedform", tol: float = 1e-8,
-                           dt: float | None = None) -> float:
+                           half: str = "closedform", tol: float = 1e-8) -> float:
     """Half-line propagation functional I_r.
 
     half = ClosedForm evaluates the momentum-space reduction
@@ -647,7 +641,7 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
         raise ValidationError("the direct route needs a grid state, not an analytic density")
     if not math.isfinite(sobolev_norm(phi, 1.5, 0.0)):
         raise ValidationError("propagation functional needs a state with s > 1 smoothness")
-    return _direct_functional(phi, f, r, tol, dt)
+    return _direct_functional(phi, f, r, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ experiment.energy-grid = -2, 2, 201
     ("experiment.energy-grid = -6, 6, 1001,",
      "experiment.energy-grid: expected 3 entries, got 4"),
     ("output.precision = 40", "output.precision"),
+    ("experiment.energy-grid = -15.9, 15.9, 101",
+     "experiment.energy-grid: energy -15.9 is within 10 grid spacings"),
 ])
 def test_bad_values_exit_2_and_name_the_field(tmp_path, capsys, line, field):
     base = GAUSSIAN_SMATRIX.replace("grid.M = 2048", "grid.M = 1024")

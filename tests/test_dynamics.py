@@ -300,6 +300,30 @@ def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, pro
     assert abs(value - ref) <= charge
 
 
+@pytest.mark.parametrize("r", [4.0, 64.0])
+def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, grid,
+                                                          f_ind, r):
+    # the integrand on the kept modes is band-limited by the eigenvalue
+    # spread, so a trapezoid with a step below half the Nyquist step has no
+    # aliasing error and must reproduce the exact quadratic form
+    prop, tol = gaussian_propagator, 1e-6
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    w = fr.wave_operator(prop, phi, "minus", "cook", tol=1e-5)
+    value = fr.sojourn(prop, phi, f_ind, r, "full", w_minus_phi=w, tol=tol)
+    _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r, tol)
+    fbar = dynamics._f_cell_averages(f_ind, grid, r)
+    c = prop.coefficients(w)
+    kept, _, _ = dynamics._spectral_window(c, grid.spacing, 2.0 * T * fbar.max(), tol)
+    E = prop.eigenvalues
+    dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
+    tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
+    on = fbar > 0
+    hat = prop._momentum_basis[np.ix_(on, kept)] @ (
+        np.exp(-1j * np.outer(E[kept], tgrid)) * c[kept, None])
+    ref = np.trapezoid(grid.momentum_spacing * (fbar[on] @ np.abs(hat) ** 2), tgrid)
+    assert abs(value - ref) <= 1e-12 * abs(value)
+
+
 def test_free_sojourn_routes_keep_every_mode(gaussian_propagator, grid, f_ind):
     phi = fr.bump_state(grid, (0.25, 0.75))
     for which in ("freeanalytic", "freenumeric"):
