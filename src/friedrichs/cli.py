@@ -47,10 +47,10 @@ Exit status: 0 on success, 2 when a named precondition fails, 3 when a
 tolerance cannot be met.  Rerunning the same config at the same BLAS
 thread count reproduces every output byte for byte; nothing here depends
 on wall-clock or ordering.  Across thread counts every experiment but
-timedelay-sweep stays byte-identical.  The sweep's sojourns differ from
-about the 13th significant digit, tau columns from the 12th and tail
-estimates from the 7th or 8th (the dense eigh moves with the thread count);
-fit_residual, abs_gap and rel_gap differ from the 4th or 5th.
+timedelay-sweep stays byte-identical.  On the demo config the sweep
+differs between 1 and 2 threads only in tail_est and tail_estimate_max,
+from the 12th significant digit; its sojourns, tau columns and fit values
+are byte-identical.
 """
 
 from __future__ import annotations

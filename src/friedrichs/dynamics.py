@@ -3,9 +3,9 @@
 The free Hamiltonian is multiplication by x, so free evolution translates
 momentum content downward at unit speed; all sojourn integrands therefore
 live naturally in the momentum representation, where the localization
-f(P/r) is diagonal.  The full evolution uses a one-time dense Hermitian
-eigendecomposition of the discretized H = Q + V (M <= 4096), taken as a
-real symmetric one when every vector is real.  On its eigenmodes a full
+f(P/r) is diagonal.  The full evolution uses a one-time eigendecomposition
+of H = Q + V, from the secular equation of diag(x) plus rank N, never
+forming H; it is real when every vector is.  On its eigenmodes a full
 sojourn over [-T, T] is an exact quadratic form, so no time quadrature is
 left to err: only truncation at +-T and the spectral window remain.
 
@@ -109,10 +109,11 @@ class Propagator:
     @cached_property
     def _momentum_basis(self) -> np.ndarray:
         """Eigenvector columns in the momentum representation."""
-        scale = self.grid.spacing / math.sqrt(2.0 * math.pi)
-        return scale * np.fft.fftshift(
+        B = np.fft.fftshift(
             np.fft.fft(np.fft.ifftshift(self.eigenvectors, axes=0), axis=0),
             axes=0)
+        B *= self.grid.spacing / math.sqrt(2.0 * math.pi)     # in place: B is M x M
+        return B
 
     def coefficients(self, phi: GridFunction) -> np.ndarray:
         """Eigenbasis coefficients of a position-representation state."""

@@ -68,6 +68,7 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _DET_BLOCK = 1024  # energies per projection in perturbation_determinant
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a scan's line correction
+_COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
 
 
 class Side(Enum):
@@ -127,22 +128,39 @@ class FiniteRankModel:
 
     @cached_property
     def eigendecomposition(self) -> tuple:
-        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V.
+        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V,
+        E ascending.
 
-        When no vector has an imaginary part H is built, and decomposed, as
-        a real symmetric matrix: U is then real, and the solve is several
-        times faster than the complex one.
+        H = diag(x) + h sum_j lambda_j v_j v_j^* is never formed: each
+        nonzero coupling is one rank-one update of the eigenpairs so far,
+        solved from its secular equation (_rank_one_eigh), and every
+        update after the first multiplies U by that update's eigenvectors.
+        U is real when no vector has an imaginary part.  The result is
+        refused unless it diagonalizes H to 1e-12 of H's scale.
         """
         g = self.grid
-        vm = self.vector_matrix()
+        vm, lam = self.vector_matrix(), self.coupling_array()
         if not np.any(vm.imag):
             vm = vm.real
-        V = g.spacing * (vm.T * self.coupling_array()) @ vm.conj()
-        H = np.diag(g.position_nodes()) + V
-        res = np.max(np.abs(H - H.conj().T)) / max(1.0, np.max(np.abs(H)))
-        if res > 1e-12:
-            raise ValidationError(f"discretized Hamiltonian asymmetry {res:.2e}")
-        return np.linalg.eigh(H)
+        x = g.position_nodes()
+        E, U = x.copy(), None
+        for lj, v in zip(lam, vm):
+            if lj:
+                E, Q = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj)
+                U = Q if U is None else U @ Q
+        U = np.eye(g.points) if U is None else U
+        weight = g.spacing * np.sum(np.abs(vm) ** 2, axis=1)
+        scale = max(1.0, np.max(np.abs(x)) + np.sum(np.abs(lam) * weight))
+        res = 0.0
+        for lo in range(0, g.points, _COLUMN_BLOCK):
+            B = U[:, lo:lo + _COLUMN_BLOCK]
+            R = np.subtract.outer(x, E[lo:lo + _COLUMN_BLOCK]) * B
+            R += g.spacing * vm.T @ (lam[:, None] * (vm.conj() @ B))
+            res = max(res, np.max(np.abs(R)))
+        if not res <= 1e-12 * scale:
+            raise ValidationError(f"eigenpairs of the discretized Hamiltonian leave residual "
+                                  f"{res:.2e} > 1e-12 x scale {scale:.3g}")
+        return E, U
 
     @cached_property
     def _pair_store(self) -> dict:
@@ -164,6 +182,85 @@ class FiniteRankModel:
             dens.setflags(write=False)
             self._pair_store[order] = (dens[0], dens[1])
         return self._pair_store[order]
+
+
+def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
+    """(mu, Q): eigenpairs of diag(d) + rho w w^*, d ascending, mu ascending.
+
+    Deflation follows LAPACK's dlaed2: an entry with |rho w_k| <= tol keeps
+    (d_k, e_k), and a Givens rotation zeroes one w entry of two poles closer
+    than tol allows.  The remaining roots come from dlasd4 on the poles
+    sqrt(d - d_first), which returns d_j - mu_i = delta_j work_j to working
+    precision; w is then recomputed from those products, as in dlaed3, so
+    the eigenvectors w / (d - mu_i) are orthogonal (Golub, SIAM Rev. 15
+    (1973) 318; Gu and Eisenstat, SIMAX 15 (1994) 1266).  rho < 0 solves
+    -diag(d) - rho w w^* with the order reversed; complex w solves with |w|
+    and puts the phases back on the rows of Q.
+    """
+    from scipy.linalg.lapack import dlasd4
+
+    phase = None
+    if np.iscomplexobj(w):
+        a = np.abs(w)
+        phase = np.where(a > 0, w / np.where(a > 0, a, 1.0), 1.0)
+        w = a
+    nw = np.linalg.norm(w)
+    z, rho = w / nw, rho * nw * nw
+    flip = rho < 0
+    if flip:
+        d, z, rho = -d[::-1], z[::-1], -rho
+    d, z = d.copy(), z.copy()
+    M = d.size
+    tol = 8.0 * np.finfo(float).eps * max(np.max(np.abs(d)), rho)
+    keep, rotations, prev = [], [], None
+    for j in np.flatnonzero(rho * np.abs(z) > tol):
+        if prev is not None:
+            tau = math.hypot(z[prev], z[j])
+            c, s = z[j] / tau, -z[prev] / tau
+            if abs((d[j] - d[prev]) * c * s) <= tol:
+                # prev takes the combination orthogonal to w and deflates
+                rotations.append((prev, j, c, s))
+                z[prev], z[j] = 0.0, tau
+                d[prev], d[j] = d[prev] * c * c + d[j] * s * s, d[prev] * s * s + d[j] * c * c
+                prev = j
+                continue
+            keep.append(prev)
+        prev = j
+    keep = np.array(keep + ([] if prev is None else [prev]), dtype=int)
+    defl = np.setdiff1d(np.arange(M), keep)
+
+    K = keep.size
+    D = np.sqrt(d[keep] - d[keep[0]]) if K else np.empty(0)
+    gaps = np.empty((K, K))                  # gaps[j, i] = d_j - mu_i
+    for i in range(K):
+        delta, sigma, work, info = dlasd4(i, D, z[keep], rho)
+        if info:
+            raise ValidationError(f"secular equation root {i} of {K} did not converge "
+                                  f"(dlasd4 info {info})")
+        gaps[:, i] = delta * work
+    poles = (D[:, None] - D[None, :]) * (D[:, None] + D[None, :])
+    np.fill_diagonal(poles, -rho)
+    zhat = np.copysign(np.sqrt(np.prod(np.divide(gaps, poles, out=poles), axis=1)), z[keep])
+    S = zhat[:, None] / gaps
+    S /= np.linalg.norm(S, axis=0)
+    d[keep] -= gaps.diagonal()
+
+    # slot k holds row k of Q (row M-1-k when flipped) and its eigenvalue
+    # d[k]; col places each slot's eigenvector in ascending order
+    order = np.argsort(d, kind="stable")
+    col, rows = np.empty(M, dtype=int), np.arange(M)
+    col[order] = rows
+    if flip:
+        rows, col, d = rows[::-1], M - 1 - col, -d
+    Q = np.zeros((M, M))
+    Q[np.ix_(rows[keep], col[keep])] = S
+    Q[rows[defl], col[defl]] = 1.0
+    for i, j, c, s in reversed(rotations):
+        i, j = rows[i], rows[j]
+        Q[[i, j]] = c * Q[i] - s * Q[j], s * Q[i] + c * Q[j]
+    mu = np.empty(M)
+    mu[col] = d
+    return mu, (Q if phase is None else phase[:, None] * Q)
 
 
 def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) -> FiniteRankModel:

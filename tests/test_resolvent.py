@@ -25,6 +25,7 @@ from friedrichs import (
     StateNotAdmissible,
     ValidationError,
 )
+from friedrichs import resolvent
 from friedrichs.resolvent import _ChirpProjection, _determinant
 
 SQRT_PI = 1.7724538509055159
@@ -268,40 +269,111 @@ def test_point_spectrum_refuses_a_bad_scan(coarse_grid, scan, cause):
 
 def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
+    step = resolvent._rank_one_eigh
 
-    def counting_eigh(H):
-        calls.append(H.shape)
-        return eigh(H)
+    def counting_step(d, w, rho):
+        calls.append(rho)
+        return step(d, w, rho)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def no_eigh(H):
+        raise AssertionError("the eigendecomposition called np.linalg.eigh")
+
+    monkeypatch.setattr(resolvent, "_rank_one_eigh", counting_step)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     model = _embedded_model(coarse_grid)
     assert len(fr.point_spectrum(model).eigenvalues) == 1
     first, second = fr.build_propagator(model), fr.build_propagator(model)
-    assert len(calls) == 1
+    assert len(calls) == model.rank
     assert first.eigenvectors is second.eigenvectors
 
 
+def _hamiltonian(model):
+    """The dense discretized H = Q + V, formed only to check against."""
+    g, vm = model.grid, model.vector_matrix()
+    if not np.any(vm.imag):
+        vm = vm.real
+    return np.diag(g.position_nodes()) + g.spacing * (vm.T * model.coupling_array()) @ vm.conj()
+
+
 @pytest.mark.parametrize("momentum, dtype", [(0.0, np.float64), (1.0, np.complex128)])
-def test_real_models_decompose_a_real_hamiltonian(coarse_grid, monkeypatch, momentum, dtype):
-    # a real vector gives a real H and the real eigh; a boosted Gaussian
-    # is complex and keeps the complex one
-    seen = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(H):
-        seen.append(H)
-        return eigh(H)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+def test_real_models_decompose_a_real_hamiltonian(coarse_grid, momentum, dtype):
+    # a real vector gives real eigenvectors; a boosted Gaussian is complex
+    # and keeps complex ones
     v = fr.gaussian_state(coarse_grid, 0.0, 1.0, momentum=momentum)
-    E, U = fr.finite_rank_model(coarse_grid, [v], [1.0]).eigendecomposition
-    (H,) = seen
-    assert H.dtype == dtype
+    model = fr.finite_rank_model(coarse_grid, [v], [1.0])
+    E, U = model.eigendecomposition
+    assert U.dtype == dtype
+    H = _hamiltonian(model)
     scale = np.linalg.norm(H)
     assert np.linalg.norm(H @ U - U * E) <= 1e-10 * scale
     if dtype is np.float64:
-        assert np.max(np.abs(E - eigh(H.astype(complex))[0])) <= 1e-12 * scale
+        assert np.max(np.abs(E - np.linalg.eigh(H.astype(complex))[0])) <= 1e-12 * scale
+
+
+def _assert_matches_eigh(H, E, U):
+    """Eigenvalues to 1e-12 ||H||, eigenvectors up to phase and U^* U = I
+    to 1e-12 against the dense solver.  Tied eigenvalues, such as the
+    embedded model's (the node where v vanishes decouples, and a secular
+    root lands on it to rounding), are compared by their eigenprojector."""
+    E0, U0 = np.linalg.eigh(H)
+    assert np.max(np.abs(E - E0)) <= 1e-12 * np.linalg.norm(H)
+    close = np.diff(E0) <= 1e-8 * np.max(np.abs(E0))
+    tied = np.r_[close, False] | np.r_[False, close]
+    overlap = np.sum(U.conj() * U0, axis=0)[~tied]
+    assert np.max(np.abs(U[:, ~tied] * (overlap / np.abs(overlap)) - U0[:, ~tied]),
+                  initial=0.0) <= 1e-12
+    at = np.flatnonzero(tied)
+    for run in np.split(at, np.flatnonzero(np.diff(at) > 1) + 1):
+        P, P0 = (V[:, run] @ V[:, run].conj().T for V in (U, U0))
+        assert np.max(np.abs(P - P0), initial=0.0) <= 1e-12
+    assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))) <= 1e-12
+
+
+def _hermite_model(grid, couplings, momentum=0.0):
+    vecs = [fr.hermite_state(grid, n) for n in range(len(couplings))]
+    boost = np.exp(1j * momentum * grid.position_nodes())
+    return fr.finite_rank_model(
+        grid, [fr.grid_function(grid, boost * v.samples) for v in vecs], couplings)
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda g, c=c: _hermite_model(g, c) for c in (
+        [1.0], [-1.0], [0.8, -0.5], [-0.8, 0.5], [1.2, -0.7, 0.4], [-1.2, 0.7, -0.4])],
+    _embedded_model,
+    lambda g: fr.finite_rank_model(g, [fr.gaussian_state(g, 0.0, 1.0, momentum=1.0)], [1.0]),
+    lambda g: _hermite_model(g, [0.9, -0.6], momentum=1.5),
+    lambda g: _hermite_model(g, [0.0, 0.7]),
+    lambda g: _hermite_model(g, [1e-14]),
+], ids=["N1+", "N1-", "N2+", "N2-", "N3+", "N3-", "embedded", "boosted",
+        "boosted-N2", "zero-coupling", "all-deflated"])
+def test_eigenpairs_match_the_dense_solver(coarse_grid, build):
+    model = build(coarse_grid)
+    E, U = model.eigendecomposition
+    assert np.all(np.diff(E) >= 0)
+    _assert_matches_eigh(_hamiltonian(model), E, U)
+
+
+@pytest.mark.parametrize("rho", [0.7, -0.7])
+def test_rank_one_step_deflates_repeated_poles_and_zero_weights(rho):
+    d = np.linspace(-1.0, 1.0, 40)
+    d[11] = d[10]                   # an exactly repeated pole
+    d[21] = d[20] + 1e-15           # a pair 1e-15 apart
+    w = np.random.default_rng(5).standard_normal(40)
+    w[[5, 30]] = 0.0                # exact zeros
+    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    _assert_matches_eigh(np.diag(d) + rho * np.outer(w, w), E, Q)
+    for k in (5, 30):               # a zero weight keeps its pole and e_k
+        m = int(np.argmin(np.abs(E - d[k])))
+        assert E[m] == d[k] and np.array_equal(np.abs(Q[:, m]), np.eye(40)[k])
+    for i in (10, 20):
+        # the rotation leaves one eigenvector on the pair alone, orthogonal
+        # to w; a secular-equation vector would touch every live entry
+        pair = [i, i + 1]
+        on_pair = np.flatnonzero(np.all(np.delete(Q, pair, axis=0) == 0.0, axis=0)
+                                 & np.any(Q[pair] != 0.0, axis=0))
+        assert on_pair.size == 1
+        m = on_pair[0]
+        assert abs(E[m] - d[i]) <= 1e-15 and abs(Q[pair, m] @ w[pair]) <= 1e-15
 
 
 def test_embedded_determinant_vanishes_at_one(grid):
