@@ -527,11 +527,7 @@ def _assemble_point_spectrum(cfg: dict, base: Path) -> dict:
     model = _build_model(cfg, grid, base)
     scan = None
     if "experiment.scan" in cfg:
-        lo, hi, n = _lo_hi_n("experiment.scan", cfg["experiment.scan"])
-        if not lo < hi or n < 8:
-            raise ValidationError(
-                "experiment.scan: needs lo < hi and at least 8 points")
-        scan = (lo, hi, n)
+        scan = _lo_hi_n("experiment.scan", cfg["experiment.scan"])
         try:
             _scan_triple(grid, scan)
         except ValidationError as exc:
@@ -615,6 +611,7 @@ def _execute_sweep(ctx: dict, outdir: Path, prec: int):
         f"tau_free_gap_at_largest_r = {_fmt(free_gap, prec)}",
         f"tail_estimate_max = {_fmt(max(rec.tail_estimate for rec in records), prec)}",
         f"zeta_measured = {_fmt(summary['zeta_measured'], prec)}",
+        f"wave_operator_route_gap = {_fmt(summary['wave_operator_route_gap'], prec)}",
         f"tau_inf = {_fmt(summary['tau_inf'], prec)}",
         f"beta = {_fmt(summary['beta'], prec)}",
         f"fit_residual = {_fmt(summary['fit_residual'], prec)}",

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .grid import (
     transform,
 )
 from .localization import LocalizationProfile, localization_integral
-from .resolvent import FiniteRankModel
+from .resolvent import FiniteRankModel, _stationary_wave_operator
 from .states import MomentumDensity
 
 __all__ = [
@@ -67,7 +66,7 @@ __all__ = [
     "propagation_functional",
 ]
 
-_T_BLOCK = 2048        # time columns (Cook: panels) per batch (memory control)
+_T_BLOCK = 2048        # free-route times (Cook: panels) per batch (memory control)
 _TAIL_SAMPLES = 128    # full-sojourn integrand samples a side for the tail fit
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
 _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
@@ -105,15 +104,6 @@ class Propagator:
     @property
     def is_diagonal(self) -> bool:
         return self.eigenvectors is None
-
-    @cached_property
-    def _momentum_basis(self) -> np.ndarray:
-        """Eigenvector columns in the momentum representation."""
-        B = np.fft.fftshift(
-            np.fft.fft(np.fft.ifftshift(self.eigenvectors, axes=0), axis=0),
-            axes=0)
-        B *= self.grid.spacing / math.sqrt(2.0 * math.pi)     # in place: B is M x M
-        return B
 
     def coefficients(self, phi: GridFunction) -> np.ndarray:
         """Eigenbasis coefficients of a position-representation state."""
@@ -249,41 +239,47 @@ def _cook_couplings(prop: Propagator, phi: GridFunction, taus: np.ndarray) -> np
 
 
 def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
-    """Probe |c_j(tau)| coarsely; return (horizon, C, zeta) of the decay.
+    """Probe |c_j(tau)| coarsely; return (horizon, tail, zeta).
 
     The probe stops at half the discrete revival period 2 pi / h: beyond
     that the trigonometric-polynomial couplings alias back up and no
-    longer approximate the continuum integrand.
+    longer approximate the continuum integrand.  tail(T) estimates Cook's
+    integrand sum_j |lambda_j| |c_j| beyond T: the probed amplitudes past
+    T, plus a power law C tau^-zeta, fitted over the probe's tail half,
+    past the probe's end.
     """
     g = prop.grid
     t_cap = g.momentum_cutoff - _MARGIN
-    probe = np.arange(0.5, t_cap, 0.5)
+    step = 0.5
+    probe = np.arange(step, t_cap, step)
     amps = np.abs(_cook_couplings(prop, phi, probe)).max(axis=0)
     cut = max(amps.max() * 1e-11, 1e-300)
     alive = np.nonzero(amps > cut)[0]
     T = probe[alive[-1]] + _MARGIN if alive.size else _MARGIN
     C, zeta = _tail_fit(probe, amps)
-    return min(float(T), t_cap), C, zeta
+    beyond = _tail_integral(C, zeta, probe[-1])
+    lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
+
+    def tail(horizon: float) -> float:
+        return lam_sum * float(step * amps[probe > horizon].sum() + beyond)
+
+    return min(float(T), t_cap), tail, zeta
 
 
 def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
-                  method: str = "cook", horizon: float | None = None,
-                  tol: float = 1e-4, return_info: bool = False):
-    """W+- phi by time-domain quadrature.
+                  horizon: float | None = None, tol: float = 1e-4,
+                  return_info: bool = False):
+    """W+- phi by Cook's integral over [0, horizon], with Gauss-Legendre
+    panels; while the tail estimate beyond the horizon exceeds tol the
+    horizon grows by 1.5x, up to the revival cap.  The independent check of
+    W- phi is resolvent._stationary_wave_operator.
 
-    Dressing evolves out to the horizon and Richardson-extrapolates over
-    {T, 2T}; Cook integrates e^{i tau H} V e^{-i tau H0} phi over the
-    incoming (outgoing) half-line with Gauss-Legendre panels and a fitted
-    power-law tail estimate.  While the error estimate exceeds tol the
-    horizon grows by 1.5x, up to the method's cap.
-
-    With return_info the result comes with a dict: "horizon" (the longest
-    time evolved), "tail_estimate" (the error estimate held to tol),
-    "zeta" (the decay exponent of the integrand) and "attempts" (the
-    number of horizons tried, 0 when V = 0).
+    With return_info the result comes with a dict: "horizon" (the Cook
+    horizon), "tail_estimate" (the error estimate held to tol), "zeta" (the
+    decay exponent of the integrand) and "attempts" (the number of horizons
+    tried, 0 when V = 0).
     """
     sign = _canon(sign, {"minus", "plus"}, "wave-operator sign")
-    method = _canon(method, {"dressing", "cook"}, "wave-operator method")
     if phi.representation is not Representation.POSITION:
         raise ValidationError("wave_operator expects a position-representation state")
     if phi.grid != prop.grid:
@@ -292,81 +288,38 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
         info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf, "attempts": 0}
         return (phi, info) if return_info else phi
 
-    probe_T, C_amp, zeta_amp = _wave_horizon(prop, phi)
-    s = -1.0 if sign == "minus" else 1.0
+    probe_T, tail, zeta = _wave_horizon(prop, phi)
     g = prop.grid
-
-    if method == "dressing":
-        # The intermediate state e^{-iTH0}phi is the input translated by T
-        # in momentum; content pushed past the box edge aliases.  Cap the
-        # horizon so the mass that would alias stays below (tol/10)^2 in
-        # norm-squared, and charge what still wraps to the estimate.
-        dens = _momentum_density(phi)
-        total = float(dens.sum() * g.momentum_spacing)
-        K_safe = _momentum_extent(dens, g, (0.1 * tol) ** 2 * total)
-        cap = 0.5 * (g.momentum_cutoff - _MARGIN - K_safe)
-        if horizon is None:
-            horizon = min(probe_T, cap) if cap > 0 else probe_T
-        if horizon <= 0 or 2.0 * horizon + K_safe > g.momentum_cutoff:
-            raise ToleranceError(
-                "state bandwidth leaves no room for the dressing horizon on "
-                "this grid; use the Cook method or enlarge the grid")
-        attempt = partial(_dressing_attempt, prop, phi, s, dens, min(prop.model.mu, 3.0))
-        refusal = ("dressing error estimate {est:.2e} exceeds tolerance {tol:g} "
-                   "at the largest aliasing-safe horizon; use the Cook method or "
-                   "enlarge the grid")
-        caution = "coupling decay exponent zeta = {zeta:.2f} <= 2"
-    else:
-        cap = g.momentum_cutoff - _MARGIN
-        if horizon is None:
-            horizon = probe_T
-        if not 0.0 < horizon <= cap:
-            raise ValidationError(
-                f"horizon must lie in (0, {cap:g}] on this grid: beyond "
-                "that the discrete couplings recur and the tail estimate "
-                "is void")
-        attempt = partial(_cook_attempt, prop, phi, s, C_amp, zeta_amp)
-        refusal = ("wave-operator tail estimate {est:.2e} exceeds "
-                   "tolerance {tol:g}; increase horizon or enlarge the grid")
-        caution = "measured integrand decay zeta = {zeta:.2f} <= 2"
-
-    out, info = attempt(horizon)
+    cap = g.momentum_cutoff - _MARGIN
+    if horizon is None:
+        horizon = probe_T
+    if not 0.0 < horizon <= cap:
+        raise ValidationError(
+            f"horizon must lie in (0, {cap:g}] on this grid: beyond "
+            "that the discrete couplings recur and the tail estimate "
+            "is void")
     attempts = 1
-    while info["tail_estimate"] > max(tol, 1e-12):
+    while tail(horizon) > max(tol, 1e-12):
         if 1.5 * horizon > cap:
-            raise ToleranceError(refusal.format(est=info["tail_estimate"], tol=tol))
+            raise ToleranceError(
+                f"wave-operator tail estimate {tail(horizon):.2e} exceeds "
+                f"tolerance {tol:g}; increase horizon or enlarge the grid")
         horizon = 1.5 * horizon
-        out, info = attempt(horizon)
         attempts += 1
-    info["attempts"] = attempts
-    if info["zeta"] <= 2.0:
+    if zeta <= 2.0:
         warnings.warn(
-            caution.format(zeta=info["zeta"])
-            + "; wave-operator convergence is outside the certified regime",
-            stacklevel=2)
-    result = GridFunction(g, Representation.POSITION, out)
+            f"measured integrand decay zeta = {zeta:.2f} <= 2; wave-operator "
+            "convergence is outside the certified regime", stacklevel=2)
+    result = GridFunction(g, Representation.POSITION, _cook_integral(
+        prop, phi, -1.0 if sign == "minus" else 1.0, horizon))
+    info = {"horizon": horizon, "tail_estimate": tail(horizon), "zeta": zeta,
+            "attempts": attempts}
     return (result, info) if return_info else result
 
 
-def _dressing_attempt(prop: Propagator, phi: GridFunction, s: float,
-                      dens: np.ndarray, zeta: float, horizon: float) -> tuple:
-    """Richardson-extrapolated dressing over {T, 2T}; (samples, info)."""
-    g = prop.grid
-    p = max(zeta - 1.0, 1.0)
-    half = _dress(prop, phi, s * horizon)
-    full = _dress(prop, phi, s * 2.0 * horizon)
-    out = (2.0 ** p * full.samples - half.samples) / (2.0 ** p - 1.0)
-    kn = np.abs(g.momentum_nodes())
-    aliased = float(dens[kn > g.momentum_cutoff - 2.0 * horizon].sum()
-                    * g.momentum_spacing)
-    est = float(np.linalg.norm(full.samples - half.samples)) \
-        * math.sqrt(g.spacing) + math.sqrt(max(aliased, 0.0))
-    return out, {"horizon": 2.0 * horizon, "tail_estimate": est, "zeta": zeta}
-
-
-def _cook_attempt(prop: Propagator, phi: GridFunction, s: float,
-                  C_amp: float, zeta_amp: float, horizon: float) -> tuple:
-    """Cook's integral over [0, horizon] plus its fitted tail; (samples, info)."""
+def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
+                   horizon: float) -> np.ndarray:
+    """phi + i s int_0^horizon e^{i s tau H} V e^{-i s tau H0} phi dtau."""
     lam = prop.model.coupling_array()
     nodes, weights = np.polynomial.legendre.leggauss(10)
     n_panels = max(int(math.ceil(horizon / 0.2)), 1)
@@ -384,17 +337,7 @@ def _cook_attempt(prop: Propagator, phi: GridFunction, s: float,
         summed = np.exp(1j * s * np.outer(E, mb)) @ cc.reshape(lam.size, mb.size, nodes.size)
         acc += np.einsum("mj,jmq->mq", W_eig, summed)
     node_phase = np.exp(1j * s * hw * np.outer(E, nodes))
-    out = phi.samples + 1j * s * prop._apply(node_phase * acc @ (hw * weights))
-    est = float(np.sum(np.abs(lam))) * _tail_integral(C_amp, zeta_amp, horizon)
-    return out, {"horizon": horizon, "tail_estimate": est, "zeta": zeta_amp}
-
-
-def _dress(prop: Propagator, phi: GridFunction, T: float) -> GridFunction:
-    """e^{iTH} e^{-iTH0} phi (the dressing transform at finite time)."""
-    inner = np.exp(-1j * T * prop.grid.position_nodes()) * phi.samples
-    c = prop._apply(inner, adjoint=True)
-    out = prop._apply(np.exp(1j * T * prop.eigenvalues) * c)
-    return GridFunction(prop.grid, Representation.POSITION, out)
+    return phi.samples + 1j * s * prop._apply(node_phase * acc @ (hw * weights))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +433,9 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     win = np.nonzero(np.abs(fbar) > 1e-16 * max(fmax, 1e-300))[0]
     c = prop.coefficients(psi)
     kept, discarded, window_term = _spectral_window(c, g.spacing, 2.0 * T * fmax, tol)
-    Bw = prop._momentum_basis[np.ix_(win, kept)]
+    Bw = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(prop.eigenvectors[:, kept], axes=0),
+                                    axis=0), axes=0)[win]
+    Bw *= g.spacing / math.sqrt(2.0 * math.pi)
     c, E = c[kept], prop.eigenvalues[kept]
     G = dk * (Bw.conj().T * fbar[win]) @ Bw
     kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
@@ -712,8 +657,9 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     """Sojourn-time sweep over r with power-law extrapolation.
 
     Returns (records, summary): one SojournRecord per r, and a summary
-    dict with tau_inf, beta, fit_residual, ew_value, rel_gap and the
-    measured integrand decay exponent.
+    dict with tau_inf, beta, fit_residual, ew_value, rel_gap, the
+    measured integrand decay exponent and wave_operator_route_gap, the
+    norm of Cook's W- phi less the stationary one.
     """
     from .scattering import apply_scattering, ew_time_delay, state_support
 
@@ -727,10 +673,9 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     s_phi = apply_scattering(curve, phi)
     ew = ew_time_delay(curve, phi)
 
-    if prop.is_diagonal:
-        w_phi = phi
-    else:
-        w_phi = wave_operator(prop, phi, "minus", "cook", tol=max(10.0 * tol, 1e-5))
+    w_phi = wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))
+    route_gap = norm(GridFunction(phi.grid, Representation.POSITION, w_phi.samples
+                                  - _stationary_wave_operator(prop.model, phi).samples))
 
     int_f = float(np.real(localization_integral(f)))
     # V = 0 collapses the full sojourn to the free one as an operator
@@ -768,4 +713,5 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     summary["rel_gap"] = summary["abs_gap"] / abs(ew) if abs(ew) > 1e-9 else math.nan
     finite_z = [z for z in zetas if math.isfinite(z)]
     summary["zeta_measured"] = float(np.median(finite_z)) if finite_z else math.inf
+    summary["wave_operator_route_gap"] = route_gap
     return records, summary

@@ -497,6 +497,43 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
     return np.linalg.solve(A, bd.matrix)
 
 
+def _stationary_wave_operator(model: FiniteRankModel, phi: GridFunction) -> GridFunction:
+    """W- phi = phi - int dE phi(E) R(E + i0) V delta_E, with no time integral
+    (Friedrichs, Comm. Pure Appl. Math. 1 (1948) 361; Yafaev, Mathematical
+    Scattering Theory, ch. 2).  On the grid, with X = <v, R(E + i0) v> on
+    phi's support,
+
+        W- phi(x) = phi(x) - sum_k v_k(x) int a_k(E) / (x - E - i0) dE,
+        a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E),
+
+    and the E-integral is -r_a(x - i0), read at the nodes.
+    """
+    from .scattering import state_support
+
+    lam, g = model.coupling_array(), model.grid
+    if model.rank == 0 or not np.any(lam):
+        return phi
+    a, b = state_support(phi)
+    x = g.position_nodes()
+    on = np.flatnonzero((x > a) & (x < b))
+    r1 = _boundary_batch(model, _Projection(g, x[on]), Side.PLUS)[0]
+    A = np.eye(model.rank) + r1 * lam
+    D = np.abs(np.linalg.det(A))
+    if D.min() < _DET_FLOOR:
+        raise PointSpectrumProximity(f"energy {x[on][D.argmin()]:g} in the state's support is "
+                                     f"at or near the point spectrum (|D| = {D.min():.2e})")
+    vm = model.vector_matrix()
+    w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
+    amp = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", np.linalg.solve(A, r1), w))
+    dens = np.zeros((g.points, model.rank), dtype=complex)
+    dens[on] = amp
+    coeffs = np.fft.fft(np.fft.ifftshift(dens, axes=0), axis=0)    # unshifted momentum order
+    mask = np.fft.ifftshift(_projection_mask(g, Side.MINUS))[:, None]
+    periodic = np.fft.fftshift(np.fft.ifft(mask * coeffs, axis=0), axes=0)
+    r_minus = 2j * math.pi * periodic - _line_kernel(g, x[on]).T @ amp
+    return GridFunction(g, Representation.POSITION, phi.samples + np.sum(vm.T * r_minus, axis=1))
+
+
 def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
                              side) -> complex | np.ndarray:
     """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
@@ -605,12 +642,18 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
     x_nodes = model.grid.position_nodes()
     lo, hi = _eigenvector_window(model)
     inside = (x_nodes >= lo) & (x_nodes <= hi)
+    vm = model.vector_matrix()
     confirmed, radii = [], []
     for x0 in sorted(candidates):
-        m = int(np.argmin(np.abs(E - x0)))
-        vec = U[:, m]
+        # the witness must couple to V: a node where every vector vanishes
+        # decouples as (x_k, e_k), localized by construction
+        near = np.flatnonzero(np.abs(E - x0) < 1e-3)
+        near = near[np.max(np.abs(vm.conj() @ U[:, near]), axis=0) > 0]
+        if not near.size:
+            continue
+        vec = U[:, near[np.argmin(np.abs(E[near] - x0))]]
         frac = float(np.sum(np.abs(vec[inside]) ** 2) / np.sum(np.abs(vec) ** 2))
-        if abs(E[m] - x0) < 1e-3 and frac >= localization:
+        if frac >= localization:
             confirmed.append(x0)
             # exclusion ball: where |D| climbs back above 100x threshold,
             # probed on the scan step and kept clear of the box edge

@@ -175,6 +175,7 @@ experiment.energy-grid = -1, 2, 301
     assert any(ln.startswith("# tau_inf = 0") for ln in footer)
     assert any(ln.startswith("# beta") for ln in footer)
     assert any(ln.startswith("# ew_value = 0") for ln in footer)
+    assert "wave_operator_route_gap = 0\n" in (out / "summary.txt").read_text()
 
 
 def test_propagation_exact_regime_writes_three(tmp_path):
@@ -226,6 +227,22 @@ experiment.scan = -10, 20, 201
     assert main(["point-spectrum", "--config", cfg, "--out", str(out)]) == 2
     assert "experiment.scan: energy 20 is within 10 grid spacings" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scan, cause", [("1, 1, 201", "lo < hi"),
+                                         ("-1, 1, 7", "at least 8 points")])
+def test_point_spectrum_bad_scan_check_exits_2(tmp_path, capsys, scan, cause):
+    cfg = write_cfg(tmp_path, f"""
+grid.L = 16
+grid.M = 512
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = gaussian(0, 1)
+experiment.scan = {scan}
+""")
+    assert main(["point-spectrum", "--config", cfg, "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.scan: " in err and cause in err
 
 
 def test_unattainable_tolerance_exits_3(tmp_path, capsys):

@@ -6,7 +6,7 @@ momentum cells the translated transform matches np.roll exactly, which
 checks the evolution against the FFT conventions with no analysis in
 between.  Wave-operator quality is certified by three independent
 handles: isometry, intertwining with the evolutions, and the agreement
-of the two construction methods on a state both can reach.
+of Cook's time integral with the stationary resolvent formula for W-.
 """
 
 import math
@@ -16,6 +16,7 @@ import pytest
 
 import friedrichs as fr
 from friedrichs import Representation, ToleranceError, ValidationError, dynamics
+from friedrichs.resolvent import _stationary_wave_operator
 
 
 @pytest.fixture(scope="module")
@@ -104,29 +105,59 @@ def test_evolve_which_validation(gaussian_propagator, grid):
 
 
 def test_wave_operator_identity_for_zero_coupling(grid):
-    model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [0.0])
-    prop = fr.build_propagator(model)
     phi = fr.bump_state(grid, (0.25, 0.75))
-    for method in ("cook", "dressing"):
-        out = fr.wave_operator(prop, phi, "minus", method)
-        assert np.array_equal(out.samples, phi.samples)
+    for model in (fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [0.0]),
+                  fr.finite_rank_model(grid, [], [])):
+        prop = fr.build_propagator(model)
+        for sign in ("minus", "plus"):
+            out = fr.wave_operator(prop, phi, sign)
+            assert np.array_equal(out.samples, phi.samples)
+        assert np.array_equal(_stationary_wave_operator(model, phi).samples, phi.samples)
 
 
-def test_wave_operator_methods_agree(gaussian_propagator, grid):
-    # a narrow Gaussian is reachable by both constructions
+def _route_gap(grid, model, phi):
+    """(||W_Cook phi - W_stat phi||, Cook's tail estimate, W_stat phi)."""
+    cook, info = fr.wave_operator(fr.build_propagator(model), phi, "minus", return_info=True)
+    stat = _stationary_wave_operator(model, phi)
+    return fr.norm(fr.grid_function(grid, cook.samples - stat.samples)), \
+        info["tail_estimate"], stat
+
+
+def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
+    # Cook's time integral against the stationary resolvent formula, which
+    # shares no code with it but the vectors: a narrow Gaussian at the AC-10
+    # bound, the sweep's bump on rank one and rank two at Cook's own tail
+    # estimate; the stationary route must be an isometry as well
     psi = fr.gaussian_state(grid, 0.5, 0.4)
-    cook = fr.wave_operator(gaussian_propagator, psi, "minus", "cook")
-    dress = fr.wave_operator(gaussian_propagator, psi, "minus", "dressing")
-    diff = fr.norm(fr.grid_function(grid, cook.samples - dress.samples))
-    assert diff < 1e-4  # measured ~1e-13
-    assert abs(fr.norm(cook) - 1.0) < 1e-4
-    assert abs(fr.norm(dress) - 1.0) < 1e-4
+    gap, _, stat = _route_gap(grid, gaussian_model, psi)
+    assert gap < 1e-4  # measured 1.2e-14
+    assert abs(fr.norm(stat) - fr.norm(psi)) < 1e-12
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    flipped = fr.finite_rank_model(grid, gaussian_model.vectors, [-1.0])
+    for model in (gaussian_model, flipped, rank2_model):
+        gap, tail, stat = _route_gap(grid, model, phi)
+        assert 0.0 < gap <= tail  # measured 1.1e-8 / 6.7e-9 / 1.0e-8
+        assert abs(fr.norm(stat) - fr.norm(phi)) < 1e-12
+
+
+@pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0, 4.0])
+def test_cook_tail_estimate_charges_the_probe_beyond_the_horizon(gaussian_model, grid,
+                                                                 horizon):
+    # the Gaussian's couplings are dead over the probe's tail half, so the
+    # fitted power law alone reads 0 at every horizon; the probed amplitudes
+    # past a short horizon must drive the retries to an accurate W- phi
+    psi = fr.gaussian_state(grid, 0.5, 0.4)
+    w, info = fr.wave_operator(fr.build_propagator(gaussian_model), psi, "minus",
+                               horizon=horizon, return_info=True)
+    stat = _stationary_wave_operator(gaussian_model, psi)
+    assert info["attempts"] > 1
+    assert 0.0 < info["tail_estimate"] <= 1e-4
+    assert fr.norm(fr.grid_function(grid, w.samples - stat.samples)) <= 1e-4
 
 
 def test_wave_operator_isometry_on_bump(gaussian_propagator, grid):
     phi = fr.bump_state(grid, (0.25, 0.75))
-    w, info = fr.wave_operator(gaussian_propagator, phi, "minus", "cook",
-                               return_info=True)
+    w, info = fr.wave_operator(gaussian_propagator, phi, "minus", return_info=True)
     assert abs(fr.norm(w) - fr.norm(phi)) < 1e-4
     assert info["tail_estimate"] <= 1e-4
     assert info["zeta"] > 2.0
@@ -137,9 +168,8 @@ def test_wave_operator_intertwines_evolutions(gaussian_propagator, grid):
     psi = fr.gaussian_state(grid, 0.5, 0.4)
     t = 1.0
     lhs = fr.wave_operator(gaussian_propagator,
-                           fr.evolve(gaussian_propagator, psi, t, "free"),
-                           "minus", "cook")
-    w = fr.wave_operator(gaussian_propagator, psi, "minus", "cook")
+                           fr.evolve(gaussian_propagator, psi, t, "free"), "minus")
+    w = fr.wave_operator(gaussian_propagator, psi, "minus")
     rhs = fr.evolve(gaussian_propagator, w, t, "full")
     res = fr.norm(fr.grid_function(grid, lhs.samples - rhs.samples))
     assert res < 1e-4  # measured ~1e-14
@@ -148,46 +178,36 @@ def test_wave_operator_intertwines_evolutions(gaussian_propagator, grid):
 def test_plus_and_minus_differ_by_scattering(gaussian_propagator, gaussian_curve, grid):
     # S phi = W_+^* W_- phi, so W_+ (S phi) = W_- phi
     phi = fr.bump_state(grid, (0.25, 0.75))
-    w_minus = fr.wave_operator(gaussian_propagator, phi, "minus", "cook")
+    w_minus = fr.wave_operator(gaussian_propagator, phi, "minus")
     s_phi = fr.apply_scattering(gaussian_curve, phi)
-    w_plus_s = fr.wave_operator(gaussian_propagator, s_phi, "plus", "cook")
+    w_plus_s = fr.wave_operator(gaussian_propagator, s_phi, "plus")
     diff = fr.norm(fr.grid_function(grid, w_minus.samples - w_plus_s.samples))
     assert diff < 1e-4
 
 
 def test_wave_operator_retries_in_one_loop(coarse_grid):
-    # from horizon 1.0 the dressing estimate needs six 1.5x extensions; the
+    # from horizon 1.0 the tail estimate needs six 1.5x extensions; the
     # loop counts every try and ends where a direct call at 1.5^6 starts
     model = fr.finite_rank_model(coarse_grid, [fr.gaussian_state(coarse_grid)], [1.0])
     prop = fr.build_propagator(model)
     psi = fr.gaussian_state(coarse_grid, 0.5, 0.4)
-    grown, info = fr.wave_operator(prop, psi, "minus", "dressing", horizon=1.0,
-                                   return_info=True)
-    direct, direct_info = fr.wave_operator(prop, psi, "minus", "dressing",
-                                           horizon=11.390625, return_info=True)
+    grown, info = fr.wave_operator(prop, psi, "minus", horizon=1.0, return_info=True)
+    direct, direct_info = fr.wave_operator(prop, psi, "minus", horizon=11.390625,
+                                           return_info=True)
     assert info["attempts"] == 7
     assert direct_info["attempts"] == 1
-    assert info["horizon"] == direct_info["horizon"] == 22.78125
+    assert info["horizon"] == direct_info["horizon"] == 11.390625
+    assert info["tail_estimate"] == direct_info["tail_estimate"] <= 1e-4
     assert np.array_equal(grown.samples, direct.samples)
-
-
-def test_dressing_refuses_wideband_state(gaussian_propagator, grid):
-    # the bump's bandwidth leaves no aliasing-safe dressing horizon at
-    # the default tolerance; the failure must be loud, not approximate
-    phi = fr.bump_state(grid, (0.25, 0.75))
-    with pytest.raises(ToleranceError, match="[Cc]ook"):
-        fr.wave_operator(gaussian_propagator, phi, "minus", "dressing", tol=1e-6)
 
 
 def test_wave_operator_validation(gaussian_propagator, grid):
     phi = fr.gaussian_state(grid, 0.5, 0.4)
     with pytest.raises(ValidationError):
-        fr.wave_operator(gaussian_propagator, phi, "backwards", "cook")
-    with pytest.raises(ValidationError):
-        fr.wave_operator(gaussian_propagator, phi, "minus", "magic")
+        fr.wave_operator(gaussian_propagator, phi, "backwards")
     cap = grid.momentum_cutoff
     with pytest.raises(ValidationError):
-        fr.wave_operator(gaussian_propagator, phi, "minus", "cook", horizon=cap + 50.0)
+        fr.wave_operator(gaussian_propagator, phi, "minus", horizon=cap + 50.0)
 
 
 @pytest.mark.parametrize("compact", [True, False])
@@ -213,7 +233,7 @@ def test_cook_panels_match_the_per_node_quadrature(coarse_grid):
     vm, E, U = model.vector_matrix(), prop.eigenvalues, prop.eigenvectors
     nodes, weights = np.polynomial.legendre.leggauss(10)
     for sign, s in (("minus", -1.0), ("plus", 1.0)):
-        w, info = fr.wave_operator(prop, psi, sign, "cook", return_info=True)
+        w, info = fr.wave_operator(prop, psi, sign, return_info=True)
         n = max(int(math.ceil(info["horizon"] / 0.2)), 1)
         edges = np.linspace(0.0, info["horizon"], n + 1)
         hw = 0.5 * (edges[1] - edges[0])
@@ -228,6 +248,12 @@ def test_cook_panels_match_the_per_node_quadrature(coarse_grid):
 
 # ---------------------------------------------------------------------------
 # sojourn times and the propagation functional
+
+
+def _momentum_columns(prop, cols):
+    """The eigenvectors cols in momentum, one fr.transform each."""
+    return np.stack([fr.transform(fr.grid_function(prop.grid, prop.eigenvectors[:, j])).samples
+                     for j in cols], axis=1)
 
 
 def test_free_sojourn_identity(gaussian_propagator, grid, f_ind, f_smooth):
@@ -265,7 +291,7 @@ def test_full_sojourn_requires_dressed_state(gaussian_propagator, grid, f_ind):
 
 def test_sojourn_tolerance_failure_is_loud(gaussian_propagator, grid, f_ind):
     phi = fr.bump_state(grid, (0.25, 0.75))
-    w = fr.wave_operator(gaussian_propagator, phi, "minus", "cook")
+    w = fr.wave_operator(gaussian_propagator, phi, "minus")
     with pytest.raises(ToleranceError):
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, "full",
                    w_minus_phi=w, tol=1e-15)
@@ -280,7 +306,7 @@ def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, pro
     g, f, r, tol = coarse_grid, request.getfixturevalue(profile), 4.0, 1e-3
     prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [lam]))
     phi = fr.gaussian_state(g, 0.5, 0.6)
-    w = fr.wave_operator(prop, phi, "minus", "cook")
+    w = fr.wave_operator(prop, phi, "minus")
     value, info = fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol,
                              return_info=True)
     assert value == fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol)
@@ -289,8 +315,8 @@ def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, pro
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
     tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
     fbar = dynamics._f_cell_averages(f, g, r)
-    hat = prop._momentum_basis @ (np.exp(-1j * np.outer(E, tgrid))
-                                  * prop.coefficients(w)[:, None])
+    hat = _momentum_columns(prop, range(g.points)) @ (np.exp(-1j * np.outer(E, tgrid))
+                                                      * prop.coefficients(w)[:, None])
     ref = np.trapezoid(g.momentum_spacing * (fbar @ np.abs(hat) ** 2), tgrid)
     norm2 = fr.norm(w) ** 2
     delta = info["discarded_mass"] / norm2
@@ -308,7 +334,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     # aliasing error and must reproduce the exact quadratic form
     prop, tol = gaussian_propagator, 1e-6
     phi = fr.bump_state(grid, (0.25, 0.75))
-    w = fr.wave_operator(prop, phi, "minus", "cook", tol=1e-5)
+    w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
     value = fr.sojourn(prop, phi, f_ind, r, "full", w_minus_phi=w, tol=tol)
     _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r, tol)
     fbar = dynamics._f_cell_averages(f_ind, grid, r)
@@ -318,7 +344,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
     tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
     on = fbar > 0
-    hat = prop._momentum_basis[np.ix_(on, kept)] @ (
+    hat = _momentum_columns(prop, kept)[on] @ (
         np.exp(-1j * np.outer(E[kept], tgrid)) * c[kept, None])
     ref = np.trapezoid(grid.momentum_spacing * (fbar[on] @ np.abs(hat) ** 2), tgrid)
     assert abs(value - ref) <= 1e-12 * abs(value)
@@ -380,6 +406,7 @@ def test_sweep_identities_and_convergence(gaussian_propagator, gaussian_curve,
         assert rec.tail_estimate < 1e-5
     assert summary["fit_ok"]
     assert abs(summary["tau_inf"] - summary["ew_value"]) < 0.02 * abs(summary["ew_value"])
+    assert 0.0 < summary["wave_operator_route_gap"] <= 1e-5  # Cook's tolerance here
 
 
 def test_sweep_free_route_converges_to_full(gaussian_propagator, gaussian_curve,

@@ -243,6 +243,24 @@ def test_exclusion_probes_stay_inside_the_box(coarse_grid):
     assert type(ps.radii[0]) is float
 
 
+def test_point_spectrum_witness_couples_to_the_vectors(coarse_grid):
+    # v vanishes at the node x = 1, which decouples as (1, e_k): localized
+    # by construction, so it must not stand witness for the eigenvalue.
+    # Put it exactly at x0 and delocalize the coupled eigenvector there.
+    model = _embedded_model(coarse_grid)
+    x0 = fr.point_spectrum(model).eigenvalues[0]
+    E, U = (a.copy() for a in model.eigendecomposition)
+    near = np.flatnonzero(np.abs(E - x0) < 1e-3)
+    overlap = np.abs(model.vector_matrix().conj() @ U[:, near])[0]
+    decoupled, coupled = near[overlap == 0], near[overlap > 0]
+    assert decoupled.size == coupled.size == 1
+    E[decoupled] = x0
+    U[:, coupled] = 1.0 / math.sqrt(coarse_grid.points)
+    doctored = _embedded_model(coarse_grid)
+    doctored.__dict__["eigendecomposition"] = (E, U)
+    assert fr.point_spectrum(doctored).eigenvalues == ()
+
+
 @pytest.mark.parametrize("model", ["gaussian_model", "rank2_model"])
 def test_chirp_scan_matches_the_dense_determinant(request, grid, model):
     # the default scan on the demo grid: unreduced chirp phases err by about

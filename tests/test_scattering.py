@@ -267,7 +267,8 @@ def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, hermite,
     E, U = prop.eigenvalues, prop.eigenvectors
     assert np.max(np.abs(H @ U - U * E)) <= 1e-10 * np.max(np.abs(H))
     assert np.max(np.abs(U.conj().T @ U - np.eye(g.points))) <= 1e-12
-    B = prop._momentum_basis
+    B = np.stack([fr.transform(fr.grid_function(g, U[:, j])).samples
+                  for j in range(g.points)], axis=1)
     gram = g.momentum_spacing * (B.conj().T @ B)
     assert np.max(np.abs(gram - g.spacing * np.eye(g.points))) <= 1e-10 * g.spacing
 
