@@ -8,7 +8,9 @@ given, and compares every output file byte for byte:
 
 Prints ``same`` or ``DIFF`` per file and exits 1 on any difference.  Under
 a differing CSV file whose values are all numbers it also prints the
-largest absolute difference in each column.
+largest absolute difference in each column, and under a differing
+``summary.txt`` or CSV footer each ``key = value`` line that changed, with
+its old and new value.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import csv
 import filecmp
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -56,6 +59,20 @@ def column_diffs(a: Path, b: Path) -> str | None:
     return "  ".join(f"{name} {diff:.3g}" for name, diff in zip(head, worst))
 
 
+KEY_VALUE = re.compile(r"#?\s*(\S+) = (.*)")
+
+
+def key_changes(a: Path, b: Path) -> list:
+    """"key: old -> new" for each ``key = value`` line (or ``# key = value``
+    line of a CSV footer) that differs between two files."""
+    old, new = ({} if not path.is_file() else
+                dict(m.groups() for m in map(KEY_VALUE.fullmatch,
+                                             path.read_text().splitlines()) if m)
+                for path in (a, b))
+    return [f"{key}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
@@ -80,9 +97,13 @@ def main() -> int:
                 same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
                 differ |= not same
                 print(f"{'same' if same else 'DIFF'}  threads={threads}  {rel}")
-                diffs = None if same else column_diffs(a, b)
+                if same:
+                    continue
+                diffs = column_diffs(a, b)
                 if diffs:
                     print(f"      max |diff|: {diffs}")
+                for change in key_changes(a, b):
+                    print(f"      {change}")
     return 1 if differ else 0
 
 

@@ -70,6 +70,7 @@ from .grid import Representation, grid_function, norm, transform
 from .localization import localization_integral, make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
 from .scattering import (
+    _support_nodes,
     compute_curve,
     ew_time_delay,
     spectral_shift_density_determinant,
@@ -470,12 +471,10 @@ def _execute_spectral_shift(ctx: dict, outdir: Path, prec: int):
         # state-weighted consistency: the expected delay against the
         # determinant-route shift density integrated over the support
         ew = ew_time_delay(curve, phi)
-        a, b = state_support(phi)
-        x = phi.grid.position_nodes()
-        inside = (x >= a) & (x <= b)
-        xi = spectral_shift_density_determinant(ctx["model"], x[inside])
+        on = _support_nodes(phi)
+        xi = spectral_shift_density_determinant(ctx["model"], phi.grid.position_nodes()[on])
         integral = -2.0 * math.pi * float(
-            phi.grid.spacing * np.sum(np.abs(phi.samples[inside]) ** 2 * xi))
+            phi.grid.spacing * np.sum(np.abs(phi.samples[on]) ** 2 * xi))
         lines += [
             f"ew_time_delay = {_fmt(ew, prec)}",
             f"shift_route_integral = {_fmt(integral, prec)}",
@@ -564,12 +563,6 @@ def _assemble_sweep(cfg: dict, base: Path) -> dict:
     if not tol > 0:
         raise ValidationError("experiment.tolerance: must be positive")
     span, npts = _energy_grid(cfg, grid, phi)
-    if phi.representation is Representation.POSITION:
-        a, b = state_support(phi)
-        if not (span[0] <= a and b <= span[1]):
-            raise ValidationError(
-                f"experiment.energy-grid: span [{span[0]:g}, {span[1]:g}] does "
-                f"not cover the state support [{a:g}, {b:g}]")
     excl = _exclusions(cfg, model, default="auto")
     return {"model": model, "f": f, "phi": phi, "rs": rs,
             "tol": tol, "span": span, "npts": npts, "excl": excl}

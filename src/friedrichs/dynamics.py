@@ -244,9 +244,9 @@ def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
     The probe stops at half the discrete revival period 2 pi / h: beyond
     that the trigonometric-polynomial couplings alias back up and no
     longer approximate the continuum integrand.  tail(T) estimates Cook's
-    integrand sum_j |lambda_j| |c_j| beyond T: the probed amplitudes past
-    T, plus a power law C tau^-zeta, fitted over the probe's tail half,
-    past the probe's end.
+    integrand sum_j |lambda_j| |c_j| beyond T: the probed amplitudes from
+    the probe interval holding T on (a left-endpoint sum), plus a power law
+    C tau^-zeta, fitted over the probe's tail half, past the probe's end.
     """
     g = prop.grid
     t_cap = g.momentum_cutoff - _MARGIN
@@ -261,7 +261,7 @@ def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
     lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
 
     def tail(horizon: float) -> float:
-        return lam_sum * float(step * amps[probe > horizon].sum() + beyond)
+        return lam_sum * float(step * amps[probe > horizon - step].sum() + beyond)
 
     return min(float(T), t_cap), tail, zeta
 
@@ -668,8 +668,11 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     if rs.size == 0 or rs[0] <= 0:
         raise ValidationError("r_list must contain positive scales")
 
+    if curve.model is not prop.model:
+        raise ValidationError("the scattering curve was tabulated for another model "
+                              "than the propagator's")
     support = state_support(phi)
-    certify_support(phi, support, s=3.0, excluded=getattr(curve, "exclusions", ()))
+    certify_support(phi, support, s=3.0, excluded=curve.exclusions)
     s_phi = apply_scattering(curve, phi)
     ew = ew_time_delay(curve, phi)
 

@@ -497,6 +497,16 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
     return np.linalg.solve(A, bd.matrix)
 
 
+def _refuse_point_spectrum(xs: np.ndarray, A: np.ndarray) -> None:
+    """Raise PointSpectrumProximity, naming the energy, where the stack
+    A = I + r(x + i0) Lambda over the energies xs has |det A| < _DET_FLOOR."""
+    D = np.abs(np.linalg.det(A))
+    k = int(np.argmin(D))
+    if D[k] < _DET_FLOOR:
+        raise PointSpectrumProximity(
+            f"energy {xs[k]:g} is at or near the point spectrum (|D| = {D[k]:.2e})")
+
+
 def _stationary_wave_operator(model: FiniteRankModel, phi: GridFunction) -> GridFunction:
     """W- phi = phi - int dE phi(E) R(E + i0) V delta_E, with no time integral
     (Friedrichs, Comm. Pure Appl. Math. 1 (1948) 361; Yafaev, Mathematical
@@ -508,20 +518,16 @@ def _stationary_wave_operator(model: FiniteRankModel, phi: GridFunction) -> Grid
 
     and the E-integral is -r_a(x - i0), read at the nodes.
     """
-    from .scattering import state_support
+    from .scattering import _support_nodes
 
     lam, g = model.coupling_array(), model.grid
     if model.rank == 0 or not np.any(lam):
         return phi
-    a, b = state_support(phi)
     x = g.position_nodes()
-    on = np.flatnonzero((x > a) & (x < b))
+    on = _support_nodes(phi)
     r1 = _boundary_batch(model, _Projection(g, x[on]), Side.PLUS)[0]
     A = np.eye(model.rank) + r1 * lam
-    D = np.abs(np.linalg.det(A))
-    if D.min() < _DET_FLOOR:
-        raise PointSpectrumProximity(f"energy {x[on][D.argmin()]:g} in the state's support is "
-                                     f"at or near the point spectrum (|D| = {D.min():.2e})")
+    _refuse_point_spectrum(x[on], A)
     vm = model.vector_matrix()
     w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
     amp = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", np.linalg.solve(A, r1), w))

@@ -16,12 +16,17 @@ out of the production path.
 
 A ScatteringCurve tabulates S, S', the delay density theta' = -i conj(S) S'
 and the spectral-shift density on an energy grid with exclusion balls
-removed around any point spectrum.  The curve stores the shift density
-from the determinant route, (1/pi) Im tr[(I + r1 L)^{-1} r2 L], so the
-Birman-Krein residual theta' + 2 pi xi' is a genuine cross-check of two
-pipelines, not an identity of the storage format.  The sign convention for
-xi is fixed by continuity of arg D along the axis and by that same
-agreement requirement.
+removed around any point spectrum, and carries the model it was computed
+from.  The curve stores the shift density from the determinant route,
+(1/pi) Im tr[(I + r1 L)^{-1} r2 L], so the Birman-Krein residual
+theta' + 2 pi xi' is a genuine cross-check of two pipelines, not an
+identity of the storage format.  The sign convention for xi is fixed by
+continuity of arg D along the axis and by that same agreement requirement.
+
+ew_time_delay and apply_scattering do not read the table: they evaluate
+S and theta' from the curve's model at the grid nodes of the state's
+support, so nothing is interpolated.  The curve still supplies the model
+and the exclusion balls a state's support must avoid.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
 from .grid import GridFunction, Representation
@@ -40,6 +44,7 @@ from .resolvent import (
     Side,
     _boundary_batch,
     _Projection,
+    _refuse_point_spectrum,
     perturbation_determinant,
 )
 
@@ -63,21 +68,26 @@ _SUPPORT_REL = 1e-14
 # ---------------------------------------------------------------------------
 # assembly
 
-def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
-    """S, S', the determinant-route shift density and D at a batch of energies.
+def _stationary_batch(model: FiniteRankModel, xs) -> dict:
+    """S, S', the delay density theta' = Re[-i conj(S) S'] and the
+    determinant-route shift density at a batch of energies, one projection
+    per _CHUNK of them.
 
-    Raises PointSpectrumProximity (from the resolvent solve) when any
-    energy sits too close to an eigenvalue.
+    Raises PointSpectrumProximity, naming the energy, where |D(x + i0)|
+    falls below the resolvent's floor.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    K = xs.size
     if model.rank == 0:
-        return {
-            "s": np.ones(K, complex),
-            "s_prime": np.zeros(K, complex),
-            "xi_det": np.zeros(K),
-            "determinant": np.ones(K, complex),
-        }
+        s, sp, xi = np.ones(xs.size, complex), np.zeros(xs.size, complex), np.zeros(xs.size)
+    else:
+        chunks = [_stationary_chunk(model, xs[lo:lo + _CHUNK])
+                  for lo in range(0, xs.size, _CHUNK)]
+        s, sp, xi = (np.concatenate(parts) for parts in zip(*chunks))
+    return {"s": s, "s_prime": sp, "delay": (-1j * s.conj() * sp).real, "xi_det": xi}
+
+
+def _stationary_chunk(model: FiniteRankModel, xs: np.ndarray) -> tuple:
+    """(S, S', xi') at the energies xs, from one projection."""
     lam = model.coupling_array()
     N = model.rank
     proj = _Projection(model.grid, xs)
@@ -90,7 +100,7 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
     d1 = E @ (1j * k * vm).T                           # v_j'(x_i)
 
     A = np.eye(N) + r1 * lam[None, None, :]            # I + r1 Lambda
-    D = np.linalg.det(A)
+    _refuse_point_spectrum(xs, A)
     X = np.linalg.solve(A, r1)
     lamX = lam[None, :, None] * X
     Xp = np.linalg.solve(A, r2 @ (np.eye(N) - lamX))
@@ -108,14 +118,7 @@ def _stationary_batch(model: FiniteRankModel, xs: np.ndarray) -> dict:
     s_prime = -2j * math.pi * (diag_p - quad_p)
 
     Y = np.linalg.solve(A, r2 * lam[None, None, :])
-    xi_det = np.einsum("ijj->i", Y).imag / math.pi
-
-    return {
-        "s": s,
-        "s_prime": s_prime,
-        "xi_det": xi_det,
-        "determinant": D,
-    }
+    return s, s_prime, np.einsum("ijj->i", Y).imag / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -150,45 +153,28 @@ class ScatteringCurve:
     """S, S' and the two densities tabulated on an exclusion-aware grid.
 
     delay_density is theta'(x) = Re[-i conj(S) S']; shift_density is the
-    determinant-route xi'(x).  Exclusions are (energy, radius) pairs whose
-    balls were removed from the grid; `segments` exposes the contiguous
-    runs in between.
+    determinant-route xi'(x).  model is the model the table was computed
+    from; exclusions are (energy, radius) pairs whose balls were removed
+    from the grid.
     """
 
+    model: FiniteRankModel
     energies: np.ndarray
     s: np.ndarray
     s_prime: np.ndarray
     delay_density: np.ndarray
     shift_density: np.ndarray
     exclusions: tuple = ()
-    determinant: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("energies", "s", "s_prime", "delay_density",
-                     "shift_density", "determinant"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
+        for name in ("energies", "s", "s_prime", "delay_density", "shift_density"):
+            arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.energies.size
         for name in ("s", "s_prime", "delay_density", "shift_density"):
             if getattr(self, name).size != n:
                 raise ValidationError(f"curve field {name} has mismatched length")
-
-    def segments(self) -> list:
-        """(start, stop) index pairs of gap-free runs of the energy grid."""
-        x = self.energies
-        if x.size == 0:
-            return []
-        if x.size == 1:
-            return [(0, 1)]
-        dx = float(np.median(np.diff(x)))
-        breaks = np.nonzero(np.diff(x) > 1.5 * dx)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [x.size]))
-        return [(int(i), int(j)) for i, j in zip(starts, stops)]
 
     def residuals(self) -> dict:
         """Largest unitarity, delay-reality and Birman-Krein residuals."""
@@ -238,20 +224,9 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
     if xs.size < 4:
         raise ValidationError("exclusions leave too few energy points")
 
-    s = np.empty(xs.size, complex)
-    sp = np.empty(xs.size, complex)
-    xi = np.empty(xs.size)
-    det = np.empty(xs.size, complex)
-    for lo in range(0, xs.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        out = _stationary_batch(model, xs[sl])
-        s[sl] = out["s"]
-        sp[sl] = out["s_prime"]
-        xi[sl] = out["xi_det"]
-        det[sl] = out["determinant"]
-
-    theta = (-1j * s.conj() * sp).real
-    curve = ScatteringCurve(xs, s, sp, theta, xi, excl, det)
+    out = _stationary_batch(model, xs)
+    curve = ScatteringCurve(model, xs, out["s"], out["s_prime"], out["delay"],
+                            out["xi_det"], excl)
     res = curve.residuals()
     if res["unitarity_residual"] > 1e-8:
         raise ToleranceError(
@@ -282,47 +257,39 @@ def state_support(phi: GridFunction, rel: float = _SUPPORT_REL) -> tuple:
     return (float(x[idx[0]] - 0.5 * h), float(x[idx[-1]] + 0.5 * h))
 
 
-def _segment_for(curve: ScatteringCurve, a: float, b: float) -> tuple:
-    """Index range of the contiguous curve segment containing [a, b]."""
-    for (e, rad) in curve.exclusions:
+def _support_nodes(phi: GridFunction, exclusions=()) -> np.ndarray:
+    """Indices of phi's grid nodes inside state_support(phi).
+
+    Raises StateNotAdmissible when the support meets one of the
+    (energy, radius) exclusion balls.
+    """
+    a, b = state_support(phi)
+    for (e, rad) in exclusions:
         if e + rad > a and e - rad < b:
             raise StateNotAdmissible(
                 f"state support [{a:.4g}, {b:.4g}] meets the excluded energy "
                 f"{e:.6g} (radius {rad:.2g})")
-    for (i, j) in curve.segments():
-        if j - i >= 4 and curve.energies[i] <= a and b <= curve.energies[j - 1]:
-            return i, j
-    raise StateNotAdmissible(
-        f"state support [{a:.4g}, {b:.4g}] is not covered by a contiguous "
-        "stretch of the scattering curve")
+    x = phi.grid.position_nodes()
+    return np.flatnonzero((x >= a) & (x <= b))
 
 
 def ew_time_delay(curve: ScatteringCurve, phi: GridFunction) -> float:
-    """Stationary time delay: integral of |phi(x)|^2 theta'(x) over the support."""
-    a, b = state_support(phi)
-    i, j = _segment_for(curve, a, b)
-    spline = CubicSpline(curve.energies[i:j], curve.delay_density[i:j])
-    x = phi.grid.position_nodes()
-    inside = (x >= a) & (x <= b)
-    dens = np.abs(phi.samples[inside]) ** 2
-    return float(phi.grid.spacing * np.sum(dens * spline(x[inside])))
+    """Stationary time delay: sum of |phi(x)|^2 theta'(x) h over the support
+    nodes, with theta' from the curve's model at each node."""
+    on = _support_nodes(phi, curve.exclusions)
+    theta = _stationary_batch(curve.model, phi.grid.position_nodes()[on])["delay"]
+    return float(phi.grid.spacing * np.sum(np.abs(phi.samples[on]) ** 2 * theta))
 
 
 def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
-    """Multiply a state by S(x), interpolated onto its grid.
+    """Multiply a state by S(x), from the curve's model at its support nodes.
 
     Outside the support S is not needed (the samples vanish there) and is
     treated as 1, so the output keeps the input's exact zeros.
     """
-    a, b = state_support(phi)
-    i, j = _segment_for(curve, a, b)
-    xs = curve.energies[i:j]
-    re = CubicSpline(xs, curve.s[i:j].real)
-    im = CubicSpline(xs, curve.s[i:j].imag)
-    x = phi.grid.position_nodes()
-    inside = (x >= a) & (x <= b)
+    on = _support_nodes(phi, curve.exclusions)
     out = np.array(phi.samples, dtype=complex)
-    out[inside] *= re(x[inside]) + 1j * im(x[inside])
+    out[on] *= _stationary_batch(curve.model, phi.grid.position_nodes()[on])["s"]
     return GridFunction(phi.grid, Representation.POSITION, out)
 
 

@@ -177,23 +177,52 @@ def test_ac8_headline_sweep(headline):
             + f" decreasing to the floor; {wall:.0f} s (bound 300 s)")
 
 
-def test_ac9_birman_krein(grid, gaussian_model, gaussian_curve):
-    bk = float(np.max(np.abs(gaussian_curve.delay_density
-                             + 2.0 * math.pi * gaussian_curve.shift_density)))
-    phi = fr.bump_state(grid, (0.25, 0.75))
-    ew = fr.ew_time_delay(gaussian_curve, phi)
+def _ac9_gap(model, curve, phi):
+    """|ew_time_delay - (-2 pi) int |phi|^2 xi'|, the integral by
+    80-point Gauss-Legendre over the support with the determinant route."""
+    ew = fr.ew_time_delay(curve, phi)
     a, b = fr.state_support(phi)
     nodes, weights = np.polynomial.legendre.leggauss(80)
     xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     w = 0.5 * (b - a) * weights
     dens = np.abs(fr.evaluate_many(phi, xs)) ** 2
-    xi = spectral_shift_density_determinant(gaussian_model, xs)
-    integral = -2.0 * math.pi * float(np.sum(w * dens * xi))
-    gap = abs(ew - integral)
+    xi = spectral_shift_density_determinant(model, xs)
+    return abs(ew - (-2.0 * math.pi * float(np.sum(w * dens * xi))))
+
+
+def test_ac9_birman_krein(grid, gaussian_model, gaussian_curve):
+    bk = float(np.max(np.abs(gaussian_curve.delay_density
+                             + 2.0 * math.pi * gaussian_curve.shift_density)))
+    gap = _ac9_gap(gaussian_model, gaussian_curve, fr.bump_state(grid, (0.25, 0.75)))
     verdict("AC-9", bk <= 1e-6 and gap <= 1e-8,
             f"max |theta' + 2 pi xi'| = {bk:.2e} on the energy grid "
             f"(bound 1e-6); integral form vs ew_time_delay {gap:.2e} "
             f"(bound 1e-8)")
+
+
+@pytest.fixture(scope="module")
+def hermite_curve(grid):
+    """coupling -> 1001-point curve of the rank-one hermite(0) model."""
+    curves = {}
+
+    def curve(lam):
+        if lam not in curves:
+            model = fr.finite_rank_model(grid, [fr.hermite_state(grid, 0)], [lam])
+            curves[lam] = compute_curve(model, (-6.0, 6.0), 1001)
+        return curves[lam]
+    return curve
+
+
+@pytest.mark.parametrize("lam", [-1.2, -1.0, -0.75, -0.3, 0.3, 0.75, 1.0, 1.2])
+@pytest.mark.parametrize("center", [-1.0, -0.5, 0.0, 0.5, 0.9, 1.0])
+def test_ac9_holds_across_centres_and_couplings(grid, hermite_curve, lam, center):
+    # bumps of half-width 0.25 centred across [-1, 1], where AC-9 is held
+    curve = hermite_curve(lam)
+    phi = fr.bump_state(grid, (center - 0.25, center + 0.25))
+    gap = _ac9_gap(curve.model, curve, phi)
+    verdict("AC-9", gap <= 1e-8,
+            f"lambda = {lam:g}, bump centre {center:g}: integral form vs "
+            f"ew_time_delay {gap:.2e} (bound 1e-8)")
 
 
 def test_ac10_wave_operator_quality(grid, gaussian_model, gaussian_propagator):

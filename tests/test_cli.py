@@ -265,22 +265,6 @@ experiment.tolerance = 1e-15
     assert "tolerance" in capsys.readouterr().err
 
 
-def test_energy_grid_must_cover_state_support(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """
-grid.L = 16
-grid.M = 2048
-model.N = 0
-localization.kind = indicator
-localization.J = -1, 1
-state.family = bump
-state.support = 0.25, 0.75
-experiment.r-list = 4
-experiment.energy-grid = 2, 4, 101
-""")
-    assert main(["timedelay-sweep", "--config", cfg, "--check"]) == 2
-    assert "energy-grid" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("mu", [2.5, 1.5])
 def test_low_mu_warning_lands_in_summary(tmp_path, mu):
     cfg = write_cfg(tmp_path, f"""

@@ -145,14 +145,16 @@ def test_cook_tail_estimate_charges_the_probe_beyond_the_horizon(gaussian_model,
                                                                  horizon):
     # the Gaussian's couplings are dead over the probe's tail half, so the
     # fitted power law alone reads 0 at every horizon; the probed amplitudes
-    # past a short horizon must drive the retries to an accurate W- phi
+    # from the interval holding a short horizon on must drive the retries to
+    # an accurate W- phi and bound its distance to the stationary route
     psi = fr.gaussian_state(grid, 0.5, 0.4)
     w, info = fr.wave_operator(fr.build_propagator(gaussian_model), psi, "minus",
                                horizon=horizon, return_info=True)
     stat = _stationary_wave_operator(gaussian_model, psi)
+    gap = fr.norm(fr.grid_function(grid, w.samples - stat.samples))
     assert info["attempts"] > 1
     assert 0.0 < info["tail_estimate"] <= 1e-4
-    assert fr.norm(fr.grid_function(grid, w.samples - stat.samples)) <= 1e-4
+    assert gap <= info["tail_estimate"]
 
 
 def test_wave_operator_isometry_on_bump(gaussian_propagator, grid):
@@ -186,17 +188,17 @@ def test_plus_and_minus_differ_by_scattering(gaussian_propagator, gaussian_curve
 
 
 def test_wave_operator_retries_in_one_loop(coarse_grid):
-    # from horizon 1.0 the tail estimate needs six 1.5x extensions; the
-    # loop counts every try and ends where a direct call at 1.5^6 starts
+    # from horizon 1.0 the tail estimate needs seven 1.5x extensions; the
+    # loop counts every try and ends where a direct call at 1.5^7 starts
     model = fr.finite_rank_model(coarse_grid, [fr.gaussian_state(coarse_grid)], [1.0])
     prop = fr.build_propagator(model)
     psi = fr.gaussian_state(coarse_grid, 0.5, 0.4)
     grown, info = fr.wave_operator(prop, psi, "minus", horizon=1.0, return_info=True)
-    direct, direct_info = fr.wave_operator(prop, psi, "minus", horizon=11.390625,
+    direct, direct_info = fr.wave_operator(prop, psi, "minus", horizon=17.0859375,
                                            return_info=True)
-    assert info["attempts"] == 7
+    assert info["attempts"] == 8
     assert direct_info["attempts"] == 1
-    assert info["horizon"] == direct_info["horizon"] == 11.390625
+    assert info["horizon"] == direct_info["horizon"] == 17.0859375
     assert info["tail_estimate"] == direct_info["tail_estimate"] <= 1e-4
     assert np.array_equal(grown.samples, direct.samples)
 
@@ -435,6 +437,13 @@ def test_sweep_trivial_for_zero_coupling(grid, f_ind):
         assert rec.tau_free == 0.0
     assert summary["ew_value"] == 0.0
     assert summary["tau_inf"] == 0.0
+
+
+def test_sweep_refuses_a_curve_of_another_model(rank2_model, gaussian_curve, grid, f_ind):
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    with pytest.raises(ValidationError, match="another model"):
+        fr.time_delay_sweep(fr.build_propagator(rank2_model), gaussian_curve, phi,
+                            f_ind, [4.0])
 
 
 def test_sweep_validates_r_list(gaussian_propagator, gaussian_curve, grid, f_ind):

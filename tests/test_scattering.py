@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from friedrichs import StateNotAdmissible, ValidationError
+from friedrichs import PointSpectrumProximity, StateNotAdmissible, ValidationError
 from friedrichs.resolvent import _ChirpProjection, _determinant
 
 SQRT_PI = 1.7724538509055159
@@ -143,22 +143,24 @@ def test_apply_scattering(gaussian_model, gaussian_curve, grid):
     assert np.array_equal(out.samples[~inside], phi.samples[~inside])
     # pointwise against the stationary formula on the support nodes
     ref = np.array([fr.s_matrix(gaussian_model, float(xx)) for xx in x[inside]])
-    assert np.max(np.abs(out.samples[inside] - ref * phi.samples[inside])) < 1e-7
+    assert np.max(np.abs(out.samples[inside] - ref * phi.samples[inside])) < 1e-12
+
+
+def test_state_data_come_from_the_model_not_the_table(gaussian_model, gaussian_curve, grid):
+    # the curve's span and spacing do not enter: S and theta' are evaluated
+    # from the model at the state's support nodes
+    other = fr.compute_curve(gaussian_model, (-1.0, 2.0), 37)
+    assert other.model is gaussian_curve.model
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    assert fr.ew_time_delay(other, phi) == fr.ew_time_delay(gaussian_curve, phi)
+    assert np.array_equal(fr.apply_scattering(other, phi).samples,
+                          fr.apply_scattering(gaussian_curve, phi).samples)
 
 
 def test_curve_rejects_nonpositive_exclusion_radius(gaussian_model):
     with pytest.raises(ValidationError):
         fr.compute_curve(gaussian_model, (-6.0, 6.0), 101,
                          exclusions=((1.0, 0.0),))
-
-
-def test_admissibility_guards(gaussian_curve, grid):
-    # support leaking outside the curve span
-    wide = fr.gaussian_state(grid)
-    with pytest.raises(StateNotAdmissible):
-        fr.ew_time_delay(gaussian_curve, wide)
-    with pytest.raises(StateNotAdmissible):
-        fr.apply_scattering(gaussian_curve, wide)
 
 
 def _embedded_model(grid):
@@ -173,7 +175,6 @@ def test_exclusions_split_curve_and_gate_states(grid):
     ps = fr.point_spectrum(model)
     assert ps.eigenvalues and abs(ps.eigenvalues[0] - 1.0) < 1e-4
     curve = fr.compute_curve(model, (-4.0, 4.0), 801, exclusions=ps)
-    assert len(curve.segments()) == 2
     # curve carries no energies inside the exclusion ball
     x0, rad = ps.eigenvalues[0], ps.radii[0]
     assert np.all(np.abs(curve.energies - x0) >= rad * 0.999)
@@ -184,6 +185,20 @@ def test_exclusions_split_curve_and_gate_states(grid):
     riding = fr.bump_state(grid, (0.9, 1.1))
     with pytest.raises(StateNotAdmissible):
         fr.ew_time_delay(curve, riding)
+
+
+def test_point_spectrum_is_refused_with_its_cause(grid):
+    # no exclusions: the 801-point curve has a node on the eigenvalue x = 1,
+    # and a bump straddling it puts a support node there
+    model = _embedded_model(grid)
+    with pytest.raises(PointSpectrumProximity, match="energy 1 "):
+        fr.compute_curve(model, (-4.0, 4.0), 801)
+    curve = fr.compute_curve(model, (-4.0, 4.0), 800)
+    riding = fr.bump_state(grid, (0.9, 1.1))
+    with pytest.raises(PointSpectrumProximity, match="energy 1 "):
+        fr.ew_time_delay(curve, riding)
+    with pytest.raises(PointSpectrumProximity, match="energy 1 "):
+        fr.apply_scattering(curve, riding)
 
 
 def test_trivial_scattering_for_zero_rank(grid):
