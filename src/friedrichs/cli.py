@@ -69,13 +69,7 @@ from .dynamics import build_propagator, propagation_functional, time_delay_sweep
 from .grid import Representation, grid_function, norm, transform
 from .localization import localization_integral, make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
-from .scattering import (
-    _support_nodes,
-    compute_curve,
-    ew_time_delay,
-    spectral_shift_density_determinant,
-    state_support,
-)
+from .scattering import _state_scattering, compute_curve, state_support
 from .states import (
     bump_state,
     gaussian_momentum_density,
@@ -470,11 +464,8 @@ def _execute_spectral_shift(ctx: dict, outdir: Path, prec: int):
     if phi is not None:
         # state-weighted consistency: the expected delay against the
         # determinant-route shift density integrated over the support
-        ew = ew_time_delay(curve, phi)
-        on = _support_nodes(phi)
-        xi = spectral_shift_density_determinant(ctx["model"], phi.grid.position_nodes()[on])
-        integral = -2.0 * math.pi * float(
-            phi.grid.spacing * np.sum(np.abs(phi.samples[on]) ** 2 * xi))
+        _, ew, shift = _state_scattering(curve, phi)
+        integral = -2.0 * math.pi * shift
         lines += [
             f"ew_time_delay = {_fmt(ew, prec)}",
             f"shift_route_integral = {_fmt(integral, prec)}",

@@ -661,7 +661,7 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     measured integrand decay exponent and wave_operator_route_gap, the
     norm of Cook's W- phi less the stationary one.
     """
-    from .scattering import apply_scattering, ew_time_delay, state_support
+    from .scattering import _state_scattering, state_support
 
     _require_sojourn_profile(f)
     rs = np.asarray(sorted(float(r) for r in r_list))
@@ -673,8 +673,7 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
                               "than the propagator's")
     support = state_support(phi)
     certify_support(phi, support, s=3.0, excluded=curve.exclusions)
-    s_phi = apply_scattering(curve, phi)
-    ew = ew_time_delay(curve, phi)
+    s_phi, ew, _ = _state_scattering(curve, phi)
 
     w_phi = wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))
     route_gap = norm(GridFunction(phi.grid, Representation.POSITION, w_phi.samples

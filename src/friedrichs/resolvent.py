@@ -18,10 +18,11 @@ read out by the band-limited interpolant.  The line integral differs from
 the periodic one by the kernel c, which is odd and analytic for |u| < 2L,
 so its trapezoid sum is spectrally accurate with no singularity to
 subtract; near u = 0 c is summed as its odd series.  The other side is
-r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform point-spectrum scan reads
-the periodic part by chirp-z and the smooth correction by Chebyshev
-interpolation; every other batch, and every single energy, uses the
-dense projection.
+r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
+point-spectrum scan's or a scattering curve's, reads the periodic part by
+chirp-z and the smooth correction by Chebyshev interpolation; a single
+energy or an arbitrary array of them uses the dense projection, one
+block of _DET_BLOCK energies at a time.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ _ORTHO_TOL = 1e-10
 _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
-_DET_BLOCK = 1024  # energies per projection in perturbation_determinant
-_CHEB_POINTS = 64  # Chebyshev nodes carrying a scan's line correction
+_DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
+_CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
 
 
@@ -406,6 +407,7 @@ class _ChirpProjection:
     """
 
     def __init__(self, grid: GridSpec, lo: float, hi: float, n: int):
+        _interior(grid, [lo, hi])
         M, L = grid.points, grid.half_width
         step = (hi - lo) / (n - 1)
         q = step / (2.0 * L)
@@ -489,18 +491,15 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
     """X_jk = <v_j, R(x +- i0) v_k> from the rank-N linear system."""
     if bd.order != 1:
         raise ValidationError("resolvent_matrix needs order n = 1 boundary data")
-    if abs(bd.determinant) < _DET_FLOOR:
-        raise PointSpectrumProximity(
-            f"energy {bd.energy:g} is at or near the point spectrum "
-            f"(|D| = {abs(bd.determinant):.2e})")
+    _refuse_point_spectrum([bd.energy], [bd.determinant])
     A = np.eye(model.rank) + bd.matrix @ np.diag(model.coupling_array())
     return np.linalg.solve(A, bd.matrix)
 
 
-def _refuse_point_spectrum(xs: np.ndarray, A: np.ndarray) -> None:
-    """Raise PointSpectrumProximity, naming the energy, where the stack
-    A = I + r(x + i0) Lambda over the energies xs has |det A| < _DET_FLOOR."""
-    D = np.abs(np.linalg.det(A))
+def _refuse_point_spectrum(xs, dets) -> None:
+    """Raise PointSpectrumProximity, naming the energy, where a determinant
+    D(x + i0) at the energies xs has |D| < _DET_FLOOR."""
+    D = np.abs(dets)
     k = int(np.argmin(D))
     if D[k] < _DET_FLOOR:
         raise PointSpectrumProximity(
@@ -527,7 +526,7 @@ def _stationary_wave_operator(model: FiniteRankModel, phi: GridFunction) -> Grid
     on = _support_nodes(phi)
     r1 = _boundary_batch(model, _Projection(g, x[on]), Side.PLUS)[0]
     A = np.eye(model.rank) + r1 * lam
-    _refuse_point_spectrum(x[on], A)
+    _refuse_point_spectrum(x[on], np.linalg.det(A))
     vm = model.vector_matrix()
     w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
     amp = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", np.linalg.solve(A, r1), w))

@@ -42,7 +42,9 @@ from .resolvent import (
     FiniteRankModel,
     PointSpectrum,
     Side,
+    _DET_BLOCK,
     _boundary_batch,
+    _ChirpProjection,
     _Projection,
     _refuse_point_spectrum,
     perturbation_determinant,
@@ -61,46 +63,31 @@ __all__ = [
     "state_support",
 ]
 
-_CHUNK = 256
 _SUPPORT_REL = 1e-14
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def _stationary_batch(model: FiniteRankModel, xs) -> dict:
+def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dict:
     """S, S', the delay density theta' = Re[-i conj(S) S'] and the
-    determinant-route shift density at a batch of energies, one projection
-    per _CHUNK of them.
+    determinant-route shift density at the energies xs[keep]: xs are the
+    energies proj reads (a _Projection or a _ChirpProjection), and only
+    the rows keep selects reach a solve.
 
     Raises PointSpectrumProximity, naming the energy, where |D(x + i0)|
     falls below the resolvent's floor.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if model.rank == 0:
-        s, sp, xi = np.ones(xs.size, complex), np.zeros(xs.size, complex), np.zeros(xs.size)
-    else:
-        chunks = [_stationary_chunk(model, xs[lo:lo + _CHUNK])
-                  for lo in range(0, xs.size, _CHUNK)]
-        s, sp, xi = (np.concatenate(parts) for parts in zip(*chunks))
-    return {"s": s, "s_prime": sp, "delay": (-1j * s.conj() * sp).real, "xi_det": xi}
-
-
-def _stationary_chunk(model: FiniteRankModel, xs: np.ndarray) -> tuple:
-    """(S, S', xi') at the energies xs, from one projection."""
     lam = model.coupling_array()
     N = model.rank
-    proj = _Projection(model.grid, xs)
-    r1, r2 = _boundary_batch(model, proj, Side.PLUS, (1, 2))
-
-    E = proj.eval_mat
+    r1, r2 = (r[keep] for r in _boundary_batch(model, proj, Side.PLUS, (1, 2)))
     vm = model.vectors_momentum
     k = model.grid.momentum_nodes()
-    vals = E @ vm.T                                    # v_j(x_i), (K, N)
-    d1 = E @ (1j * k * vm).T                           # v_j'(x_i)
+    vals = proj.periodic(vm.T)[keep]                   # v_j(x_i), (K, N)
+    d1 = proj.periodic((1j * k * vm).T)[keep]          # v_j'(x_i)
 
     A = np.eye(N) + r1 * lam[None, None, :]            # I + r1 Lambda
-    _refuse_point_spectrum(xs, A)
+    _refuse_point_spectrum(xs[keep], np.linalg.det(A))
     X = np.linalg.solve(A, r1)
     lamX = lam[None, :, None] * X
     Xp = np.linalg.solve(A, r2 @ (np.eye(N) - lamX))
@@ -115,10 +102,22 @@ def _stationary_chunk(model: FiniteRankModel, xs: np.ndarray) -> tuple:
     quad_p = (np.einsum("ij,ik,ijk->i", wd, wv.conj(), X)
               + np.einsum("ij,ik,ijk->i", wv, wd.conj(), X)
               + np.einsum("ij,ik,ijk->i", wv, wv.conj(), Xp))
-    s_prime = -2j * math.pi * (diag_p - quad_p)
+    sp = -2j * math.pi * (diag_p - quad_p)
 
     Y = np.linalg.solve(A, r2 * lam[None, None, :])
-    return s, s_prime, np.einsum("ijj->i", Y).imag / math.pi
+    return {"s": s, "s_prime": sp, "delay": (-1j * s.conj() * sp).real,
+            "xi_det": np.einsum("ijj->i", Y).imag / math.pi}
+
+
+def _stationary_at(model: FiniteRankModel, xs) -> dict:
+    """_stationary_batch at arbitrary energies, through one dense projection
+    per block of _DET_BLOCK of them."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    parts = []
+    for lo in range(0, xs.size, _DET_BLOCK):
+        block = xs[lo:lo + _DET_BLOCK]
+        parts.append(_stationary_batch(model, _Projection(model.grid, block), block))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def _stationary_chunk(model: FiniteRankModel, xs: np.ndarray) -> tuple:
 
 def s_matrix(model: FiniteRankModel, x: float) -> complex:
     """Scattering matrix component at energy x, stationary assembly."""
-    return complex(_stationary_batch(model, [x])["s"][0])
+    return complex(_stationary_at(model, [x])["s"][0])
 
 
 def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
@@ -142,7 +141,7 @@ def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
 
 def s_prime(model: FiniteRankModel, x: float) -> complex:
     """Analytic derivative of the scattering matrix at energy x."""
-    return complex(_stationary_batch(model, [x])["s_prime"][0])
+    return complex(_stationary_at(model, [x])["s_prime"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +205,12 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
                   exclusions=()) -> ScatteringCurve:
     """Tabulate the scattering data over span, skipping exclusion balls.
 
-    The construction validates the curve invariants (unitarity, reality of
-    the delay density, agreement of the two shift-density routes) and
-    raises ToleranceError if the quadrature failed to deliver them.
+    One chirp-z projection reads the whole uniform grid; the rows inside an
+    exclusion ball are dropped before the solve, so an energy at an
+    eigenvalue never reaches it.  The construction validates the curve
+    invariants (unitarity, reality of the delay density, agreement of the
+    two shift-density routes) and raises ToleranceError if the quadrature
+    failed to deliver them.
     """
     a, b = float(span[0]), float(span[1])
     if not a < b:
@@ -220,12 +222,11 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
     keep = np.ones(xs.size, dtype=bool)
     for (e, rad) in excl:
         keep &= np.abs(xs - e) > rad
-    xs = xs[keep]
-    if xs.size < 4:
+    if np.count_nonzero(keep) < 4:
         raise ValidationError("exclusions leave too few energy points")
 
-    out = _stationary_batch(model, xs)
-    curve = ScatteringCurve(model, xs, out["s"], out["s_prime"], out["delay"],
+    out = _stationary_batch(model, _ChirpProjection(model.grid, a, b, xs.size), xs, keep)
+    curve = ScatteringCurve(model, xs[keep], out["s"], out["s_prime"], out["delay"],
                             out["xi_det"], excl)
     res = curve.residuals()
     if res["unitarity_residual"] > 1e-8:
@@ -273,12 +274,22 @@ def _support_nodes(phi: GridFunction, exclusions=()) -> np.ndarray:
     return np.flatnonzero((x >= a) & (x <= b))
 
 
+def _state_scattering(curve: ScatteringCurve, phi: GridFunction) -> tuple:
+    """(apply_scattering, ew_time_delay, sum of |phi(x)|^2 xi'(x) h with the
+    determinant-route xi') from one stationary batch at phi's support nodes."""
+    on = _support_nodes(phi, curve.exclusions)
+    data = _stationary_at(curve.model, phi.grid.position_nodes()[on])
+    h, weight = phi.grid.spacing, np.abs(phi.samples[on]) ** 2
+    out = np.array(phi.samples, dtype=complex)
+    out[on] *= data["s"]
+    return (GridFunction(phi.grid, Representation.POSITION, out),
+            float(h * np.sum(weight * data["delay"])), float(h * np.sum(weight * data["xi_det"])))
+
+
 def ew_time_delay(curve: ScatteringCurve, phi: GridFunction) -> float:
     """Stationary time delay: sum of |phi(x)|^2 theta'(x) h over the support
     nodes, with theta' from the curve's model at each node."""
-    on = _support_nodes(phi, curve.exclusions)
-    theta = _stationary_batch(curve.model, phi.grid.position_nodes()[on])["delay"]
-    return float(phi.grid.spacing * np.sum(np.abs(phi.samples[on]) ** 2 * theta))
+    return _state_scattering(curve, phi)[1]
 
 
 def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
@@ -287,10 +298,7 @@ def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
     Outside the support S is not needed (the samples vanish there) and is
     treated as 1, so the output keeps the input's exact zeros.
     """
-    on = _support_nodes(phi, curve.exclusions)
-    out = np.array(phi.samples, dtype=complex)
-    out[on] *= _stationary_batch(curve.model, phi.grid.position_nodes()[on])["s"]
-    return GridFunction(phi.grid, Representation.POSITION, out)
+    return _state_scattering(curve, phi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,5 +315,4 @@ def spectral_shift_density_determinant(model: FiniteRankModel, xs) -> np.ndarray
     Independent of the S-matrix assembly; used to cross-check the sign
     and normalization of the curve densities.
     """
-    out = _stationary_batch(model, np.asarray(xs, dtype=float))
-    return out["xi_det"]
+    return _stationary_at(model, xs)["xi_det"]

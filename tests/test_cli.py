@@ -71,16 +71,33 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
 
 
+HERMITE3_SMATRIX = """
+grid.L = 16
+grid.M = 1024
+model.N = 3
+model.lambdas = 0.8, -0.5, 0.3
+model.vector.1 = hermite(0)
+model.vector.2 = hermite(1)
+model.vector.3 = hermite(2)
+experiment.energy-grid = -2, 2, 201
+"""
+
+
 def test_smatrix_is_byte_identical_across_blas_thread_counts(tmp_path):
-    cfg = write_cfg(tmp_path, GAUSSIAN_SMATRIX.replace("grid.M = 2048", "grid.M = 1024"))
+    # the rank-3 model runs the chirp-z read-out on nine pair-density columns
     src = str(Path(friedrichs.__file__).parents[1])
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "friedrichs.cli", "smatrix", "--config", cfg,
-                        "--out", str(tmp_path / threads)], env=env, check=True, timeout=300)
-    for name in ("smatrix.csv", "summary.txt"):
-        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False)
+    for case, text in (("gaussian", GAUSSIAN_SMATRIX.replace("grid.M = 2048", "grid.M = 1024")),
+                       ("hermite3", HERMITE3_SMATRIX)):
+        cfg = write_cfg(tmp_path, text, f"{case}.cfg")
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "friedrichs.cli", "smatrix", "--config", cfg,
+                            "--out", str(tmp_path / case / threads)],
+                           env=env, check=True, timeout=300)
+        for name in ("smatrix.csv", "summary.txt"):
+            assert filecmp.cmp(tmp_path / case / "1" / name, tmp_path / case / "2" / name,
+                               shallow=False)
 
 
 def test_twelve_significant_digits_by_default(tmp_path):

@@ -27,6 +27,7 @@ from friedrichs import (
 )
 from friedrichs import resolvent
 from friedrichs.resolvent import _ChirpProjection, _determinant
+from friedrichs.scattering import _stationary_at
 
 SQRT_PI = 1.7724538509055159
 
@@ -271,6 +272,22 @@ def test_chirp_scan_matches_the_dense_determinant(request, grid, model):
     chirp = _determinant(model, _ChirpProjection(grid, lo, hi, n), "plus")
     dense = fr.perturbation_determinant(model, np.linspace(lo, hi, n), "plus")
     assert np.all(np.abs(chirp - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("model", ["gaussian_model", 1, "rank2_model", 3])
+def test_chirp_curve_matches_the_dense_batch(request, grid, model):
+    # compute_curve reads its linspace by chirp-z; the dense projection
+    # reads the same energies for the rank-N Hermite models and the Gaussian
+    if isinstance(model, int):
+        model = fr.finite_rank_model(grid, [fr.hermite_state(grid, j) for j in range(model)],
+                                     [0.8, -0.5, 0.3][:model])
+    else:
+        model = request.getfixturevalue(model)
+    curve = fr.compute_curve(model, (-6.0, 6.0), 1001)
+    dense = _stationary_at(model, curve.energies)
+    for got, key in ((curve.s, "s"), (curve.s_prime, "s_prime"),
+                     (curve.delay_density, "delay"), (curve.shift_density, "xi_det")):
+        assert np.all(np.abs(got - dense[key]) <= 1e-12 * np.maximum(1.0, np.abs(dense[key])))
 
 
 @pytest.mark.parametrize("scan, cause", [

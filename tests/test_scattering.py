@@ -328,12 +328,22 @@ def test_chain_route_transforms_each_pair_density_once(coarse_grid, monkeypatch)
     assert calls == []
 
 
-def test_curve_chunk_builds_one_evaluation_matrix(gaussian_model, monkeypatch):
+def test_curve_builds_no_evaluation_matrix(gaussian_model, monkeypatch):
     from friedrichs.grid import evaluation_matrix
 
     calls = _count_calls(monkeypatch, evaluation_matrix)
-    fr.compute_curve(gaussian_model, (-2.0, 2.0), 256)
-    assert len(calls) == 1
+    fr.compute_curve(gaussian_model, (-2.0, 2.0), 1001, exclusions=[(0.5, 0.1)])
+    assert calls == []
+
+
+def test_exclusions_only_drop_rows(gaussian_model):
+    full = fr.compute_curve(gaussian_model, (-6.0, 6.0), 1001)
+    cut = fr.compute_curve(gaussian_model, (-6.0, 6.0), 1001,
+                           exclusions=[(-2.0, 0.3), (0.5, 0.05), (1.0, 0.5)])
+    kept = np.isin(full.energies, cut.energies)
+    assert 0 < cut.energies.size == np.count_nonzero(kept) < full.energies.size
+    for name in ("energies", "s", "s_prime", "delay_density", "shift_density"):
+        assert np.array_equal(getattr(full, name)[kept], getattr(cut, name))
 
 
 def test_s_prime_interpolates_each_pair_density_order_once(coarse_grid, monkeypatch):
