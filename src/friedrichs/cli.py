@@ -49,8 +49,9 @@ thread count reproduces every output byte for byte; nothing here depends
 on wall-clock or ordering.  Across thread counts every experiment but
 timedelay-sweep stays byte-identical.  On the demo config the sweep
 differs between 1 and 2 threads only in tail_est and tail_estimate_max,
-from the 12th significant digit; its sojourns, tau columns and fit values
-are byte-identical.
+from the 12th significant digit, and in wave_operator_route_gap, from the
+11th, as Cook's W- phi moves with the thread count; its sojourns, tau
+columns and fit values are byte-identical.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def _execute_spectral_shift(ctx: dict, outdir: Path, prec: int):
     if phi is not None:
         # state-weighted consistency: the expected delay against the
         # determinant-route shift density integrated over the support
-        _, ew, shift = _state_scattering(curve, phi)
+        _, ew, shift, _ = _state_scattering(curve.model, phi, curve.exclusions)
         integral = -2.0 * math.pi * shift
         lines += [
             f"ew_time_delay = {_fmt(ew, prec)}",

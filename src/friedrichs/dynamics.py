@@ -52,7 +52,8 @@ from .grid import (
     transform,
 )
 from .localization import LocalizationProfile, localization_integral
-from .resolvent import FiniteRankModel, _stationary_wave_operator
+from .resolvent import FiniteRankModel
+from .scattering import _state_scattering, state_support
 from .states import MomentumDensity
 
 __all__ = [
@@ -187,8 +188,9 @@ def _sojourn_horizon(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
     return radius, K, K + r * radius + _MARGIN
 
 
-def _tail_fit(tax: np.ndarray, gabs: np.ndarray) -> tuple:
-    """Fit |g| ~ C t^-zeta over the tail half of the axis; return (C, zeta).
+def _fitted_tail(tax: np.ndarray, gabs: np.ndarray) -> tuple:
+    """(tail, zeta): |g| ~ C t^-zeta fitted over the tail half of the axis,
+    and the fit's integral beyond the axis' end T, inf when not integrable.
 
     An integrand that is numerically dead over the fit window reports
     (0, inf): there is nothing left to truncate.
@@ -199,16 +201,10 @@ def _tail_fit(tax: np.ndarray, gabs: np.ndarray) -> tuple:
     if sel.sum() < 4:
         return 0.0, math.inf
     slope, intercept = np.polyfit(np.log(tax[sel]), np.log(gabs[sel]), 1)
-    return math.exp(intercept), -slope
-
-
-def _tail_integral(C: float, zeta: float, T: float) -> float:
-    """Integral of the fitted power law beyond T; inf when not integrable."""
+    C, zeta = math.exp(intercept), -slope
     if C == 0.0:
-        return 0.0
-    if zeta <= 1.0:
-        return math.inf
-    return C * T ** (1.0 - zeta) / (zeta - 1.0)
+        return 0.0, zeta
+    return (C * T ** (1.0 - zeta) / (zeta - 1.0) if zeta > 1.0 else math.inf), zeta
 
 
 def _f_cell_averages(f: LocalizationProfile, grid: GridSpec, r: float) -> np.ndarray:
@@ -256,8 +252,7 @@ def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
     cut = max(amps.max() * 1e-11, 1e-300)
     alive = np.nonzero(amps > cut)[0]
     T = probe[alive[-1]] + _MARGIN if alive.size else _MARGIN
-    C, zeta = _tail_fit(probe, amps)
-    beyond = _tail_integral(C, zeta, probe[-1])
+    beyond, zeta = _fitted_tail(probe, amps)
     lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
 
     def tail(horizon: float) -> float:
@@ -272,7 +267,7 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     """W+- phi by Cook's integral over [0, horizon], with Gauss-Legendre
     panels; while the tail estimate beyond the horizon exceeds tol the
     horizon grows by 1.5x, up to the revival cap.  The independent check of
-    W- phi is resolvent._stationary_wave_operator.
+    W- phi is the stationary formula in scattering._state_scattering.
 
     With return_info the result comes with a dict: "horizon" (the Cook
     horizon), "tail_estimate" (the error estimate held to tol), "zeta" (the
@@ -375,15 +370,6 @@ def _momentum_density(phi: GridFunction) -> np.ndarray:
     return np.abs(phi.samples) ** 2
 
 
-def _two_sided_tail(tgrid: np.ndarray, gvals: np.ndarray) -> tuple:
-    """Truncation estimate beyond both ends of a symmetric time window."""
-    half = tgrid.size // 2
-    C_hi, z_hi = _tail_fit(tgrid[half:], np.abs(gvals[half:]))
-    C_lo, z_lo = _tail_fit(-tgrid[:half][::-1], np.abs(gvals[:half][::-1]))
-    tail = _tail_integral(C_hi, z_hi, tgrid[-1]) + _tail_integral(C_lo, z_lo, -tgrid[0])
-    return tail, min(z_hi, z_lo)
-
-
 def _free_tail_exact(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
                      r: float, T: float) -> float:
     """Exact truncation tail of the free sojourn integral beyond [-T, T].
@@ -444,7 +430,10 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
     times = np.concatenate((-half[::-1], half))
     hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
-    tail, zeta = _two_sided_tail(times, dk * (fbar[win] @ (np.abs(hat) ** 2)))
+    gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
+    tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
+    tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
+    tail, zeta = tail_hi + tail_lo, min(z_hi, z_lo)
     # The momentum box is periodic with period 2*cutoff: content at node k
     # re-enters the window spuriously once |t| reaches period - |k| - r*rho,
     # and stays in it for at most one full window transit.  Charge that
@@ -560,8 +549,7 @@ def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
     g_plus = _sliding_sum(dens, g, f, r, tgrid, -1.0, radius)
     diff = g_minus - g_plus
     value = float(np.trapezoid(diff, tgrid))
-    C, zeta = _tail_fit(tgrid[1:], np.abs(diff[1:]))
-    tail = _tail_integral(C, zeta, tgrid[-1])
+    tail, _ = _fitted_tail(tgrid[1:], np.abs(diff[1:]))
     if tail > max(tol, 1e-12) * max(abs(value), 1.0):
         raise ToleranceError(
             f"propagation-functional horizon insufficient (tail {tail:.2e})")
@@ -661,8 +649,6 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     measured integrand decay exponent and wave_operator_route_gap, the
     norm of Cook's W- phi less the stationary one.
     """
-    from .scattering import _state_scattering, state_support
-
     _require_sojourn_profile(f)
     rs = np.asarray(sorted(float(r) for r in r_list))
     if rs.size == 0 or rs[0] <= 0:
@@ -673,11 +659,11 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
                               "than the propagator's")
     support = state_support(phi)
     certify_support(phi, support, s=3.0, excluded=curve.exclusions)
-    s_phi, ew, _ = _state_scattering(curve, phi)
+    s_phi, ew, _, w_stat = _state_scattering(curve.model, phi, curve.exclusions)
 
     w_phi = wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))
-    route_gap = norm(GridFunction(phi.grid, Representation.POSITION, w_phi.samples
-                                  - _stationary_wave_operator(prop.model, phi).samples))
+    route_gap = norm(GridFunction(phi.grid, Representation.POSITION,
+                                  w_phi.samples - w_stat.samples))
 
     int_f = float(np.real(localization_integral(f)))
     # V = 0 collapses the full sojourn to the free one as an operator

@@ -21,8 +21,9 @@ subtract; near u = 0 c is summed as its odd series.  The other side is
 r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation; a single
-energy or an arbitrary array of them uses the dense projection, one
-block of _DET_BLOCK energies at a time.
+energy or an arbitrary array of them uses the dense projection, and
+_dense_blocks is the one loop that serves an array _DET_BLOCK energies
+at a time.
 """
 
 from __future__ import annotations
@@ -449,6 +450,14 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
+def _dense_blocks(grid: GridSpec, xs: np.ndarray):
+    """(rows, _Projection at xs[rows]) for each block of _DET_BLOCK energies
+    of the 1-D array xs, so memory stays bounded for any number of them."""
+    for lo in range(0, xs.size, _DET_BLOCK):
+        rows = slice(lo, lo + _DET_BLOCK)
+        yield rows, _Projection(grid, xs[rows])
+
+
 def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
     """r^(n)(x +- i0) at every energy of proj (a _Projection or a
     _ChirpProjection), one (Nx, N, N) array per n in orders: the
@@ -506,39 +515,6 @@ def _refuse_point_spectrum(xs, dets) -> None:
             f"energy {xs[k]:g} is at or near the point spectrum (|D| = {D[k]:.2e})")
 
 
-def _stationary_wave_operator(model: FiniteRankModel, phi: GridFunction) -> GridFunction:
-    """W- phi = phi - int dE phi(E) R(E + i0) V delta_E, with no time integral
-    (Friedrichs, Comm. Pure Appl. Math. 1 (1948) 361; Yafaev, Mathematical
-    Scattering Theory, ch. 2).  On the grid, with X = <v, R(E + i0) v> on
-    phi's support,
-
-        W- phi(x) = phi(x) - sum_k v_k(x) int a_k(E) / (x - E - i0) dE,
-        a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E),
-
-    and the E-integral is -r_a(x - i0), read at the nodes.
-    """
-    from .scattering import _support_nodes
-
-    lam, g = model.coupling_array(), model.grid
-    if model.rank == 0 or not np.any(lam):
-        return phi
-    x = g.position_nodes()
-    on = _support_nodes(phi)
-    r1 = _boundary_batch(model, _Projection(g, x[on]), Side.PLUS)[0]
-    A = np.eye(model.rank) + r1 * lam
-    _refuse_point_spectrum(x[on], np.linalg.det(A))
-    vm = model.vector_matrix()
-    w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
-    amp = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", np.linalg.solve(A, r1), w))
-    dens = np.zeros((g.points, model.rank), dtype=complex)
-    dens[on] = amp
-    coeffs = np.fft.fft(np.fft.ifftshift(dens, axes=0), axis=0)    # unshifted momentum order
-    mask = np.fft.ifftshift(_projection_mask(g, Side.MINUS))[:, None]
-    periodic = np.fft.fftshift(np.fft.ifft(mask * coeffs, axis=0), axes=0)
-    r_minus = 2j * math.pi * periodic - _line_kernel(g, x[on]).T @ amp
-    return GridFunction(g, Representation.POSITION, phi.samples + np.sum(vm.T * r_minus, axis=1))
-
-
 def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
                              side) -> complex | np.ndarray:
     """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
@@ -549,11 +525,9 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValidationError("energies must be a number or a 1-D array")
-    flat = np.atleast_1d(xs)
-    out = np.ones(flat.size, dtype=complex)
-    for lo in range(0, flat.size if model.rank else 0, _DET_BLOCK):
-        out[lo:lo + _DET_BLOCK] = _determinant(
-            model, _Projection(model.grid, flat[lo:lo + _DET_BLOCK]), side)
+    out = np.ones(xs.size, dtype=complex)
+    for rows, proj in _dense_blocks(model.grid, np.atleast_1d(xs)):
+        out[rows] = _determinant(model, proj, side)
     return complex(out[0]) if xs.ndim == 0 else out
 
 

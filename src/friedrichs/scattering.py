@@ -26,7 +26,9 @@ continuity of arg D along the axis and by that same agreement requirement.
 ew_time_delay and apply_scattering do not read the table: they evaluate
 S and theta' from the curve's model at the grid nodes of the state's
 support, so nothing is interpolated.  The curve still supplies the model
-and the exclusion balls a state's support must avoid.
+and the exclusion balls a state's support must avoid.  The same batch at
+those nodes, one dense block at a time, also gives the stationary W- phi,
+the time sweep's check on Cook's integral that shares no code with it.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from .resolvent import (
     FiniteRankModel,
     PointSpectrum,
     Side,
-    _DET_BLOCK,
     _boundary_batch,
     _ChirpProjection,
-    _Projection,
+    _dense_blocks,
+    _projection_mask,
     _refuse_point_spectrum,
     perturbation_determinant,
 )
@@ -70,8 +72,9 @@ _SUPPORT_REL = 1e-14
 # assembly
 
 def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dict:
-    """S, S', the delay density theta' = Re[-i conj(S) S'] and the
-    determinant-route shift density at the energies xs[keep]: xs are the
+    """S, S', the delay density theta' = Re[-i conj(S) S'], the
+    determinant-route shift density and X = <v, R(x + i0) v> (the rank-N
+    solve, (K, N, N)) at the energies xs[keep]: xs are the
     energies proj reads (a _Projection or a _ChirpProjection), and only
     the rows keep selects reach a solve.
 
@@ -106,18 +109,18 @@ def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dic
 
     Y = np.linalg.solve(A, r2 * lam[None, None, :])
     return {"s": s, "s_prime": sp, "delay": (-1j * s.conj() * sp).real,
-            "xi_det": np.einsum("ijj->i", Y).imag / math.pi}
+            "xi_det": np.einsum("ijj->i", Y).imag / math.pi, "X": X}
+
+
+def _joined(parts: list) -> dict:
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def _stationary_at(model: FiniteRankModel, xs) -> dict:
-    """_stationary_batch at arbitrary energies, through one dense projection
-    per block of _DET_BLOCK of them."""
+    """_stationary_batch at arbitrary energies, one dense block at a time."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    parts = []
-    for lo in range(0, xs.size, _DET_BLOCK):
-        block = xs[lo:lo + _DET_BLOCK]
-        parts.append(_stationary_batch(model, _Projection(model.grid, block), block))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return _joined([_stationary_batch(model, proj, xs[rows])
+                    for rows, proj in _dense_blocks(model.grid, xs)])
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +277,49 @@ def _support_nodes(phi: GridFunction, exclusions=()) -> np.ndarray:
     return np.flatnonzero((x >= a) & (x <= b))
 
 
-def _state_scattering(curve: ScatteringCurve, phi: GridFunction) -> tuple:
+def _state_scattering(model: FiniteRankModel, phi: GridFunction, exclusions) -> tuple:
     """(apply_scattering, ew_time_delay, sum of |phi(x)|^2 xi'(x) h with the
-    determinant-route xi') from one stationary batch at phi's support nodes."""
-    on = _support_nodes(phi, curve.exclusions)
-    data = _stationary_at(curve.model, phi.grid.position_nodes()[on])
-    h, weight = phi.grid.spacing, np.abs(phi.samples[on]) ** 2
+    determinant-route xi', the stationary W- phi) from one stationary batch
+    at phi's support nodes, which must avoid the exclusion balls.
+
+    W- phi = phi - int dE phi(E) R(E + i0) V delta_E needs no time integral
+    (Friedrichs, Comm. Pure Appl. Math. 1 (1948) 361; Yafaev, Mathematical
+    Scattering Theory, ch. 2).  With the batch's X at the nodes E,
+
+        W- phi(x) = phi(x) - sum_k v_k(x) int a_k(E) / (x - E - i0) dE,
+        a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E),
+
+    and the E-integral is -r_a(x - i0) at every node: the periodic part by
+    one FFT, the line sum through the kernel of each block's projection.
+    """
+    g, lam, vm = phi.grid, model.coupling_array(), model.vector_matrix()
+    on = _support_nodes(phi, exclusions)
+    xs, phi_on = g.position_nodes()[on], phi.samples[on]
+    w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
+    amp = np.zeros((g.points, model.rank), dtype=complex)
+    line, parts = np.zeros_like(amp), []
+    for rows, proj in _dense_blocks(g, xs):
+        parts.append(_stationary_batch(model, proj, xs[rows]))
+        Xw = np.einsum("ekj,ej->ek", parts[-1]["X"], w[rows])
+        amp[on[rows]] = a = phi_on[rows, None] * (w[rows] - lam * Xw)
+        line += proj.kernel.T @ a
+    data = _joined(parts)
+    coeffs = np.fft.fft(np.fft.ifftshift(amp, axes=0), axis=0)    # unshifted momentum order
+    mask = np.fft.ifftshift(_projection_mask(g, Side.MINUS))[:, None]
+    periodic = np.fft.fftshift(np.fft.ifft(mask * coeffs, axis=0), axes=0)
+    w_phi = phi.samples + np.sum(vm.T * (2j * math.pi * periodic - line), axis=1)
+    h, weight = g.spacing, np.abs(phi_on) ** 2
     out = np.array(phi.samples, dtype=complex)
     out[on] *= data["s"]
-    return (GridFunction(phi.grid, Representation.POSITION, out),
-            float(h * np.sum(weight * data["delay"])), float(h * np.sum(weight * data["xi_det"])))
+    return (GridFunction(g, Representation.POSITION, out),
+            float(h * np.sum(weight * data["delay"])), float(h * np.sum(weight * data["xi_det"])),
+            GridFunction(g, Representation.POSITION, w_phi))
 
 
 def ew_time_delay(curve: ScatteringCurve, phi: GridFunction) -> float:
     """Stationary time delay: sum of |phi(x)|^2 theta'(x) h over the support
     nodes, with theta' from the curve's model at each node."""
-    return _state_scattering(curve, phi)[1]
+    return _state_scattering(curve.model, phi, curve.exclusions)[1]
 
 
 def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
@@ -298,7 +328,7 @@ def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
     Outside the support S is not needed (the samples vanish there) and is
     treated as 1, so the output keeps the input's exact zeros.
     """
-    return _state_scattering(curve, phi)[0]
+    return _state_scattering(curve.model, phi, curve.exclusions)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs import Representation, ToleranceError, ValidationError, dynamics
-from friedrichs.resolvent import _stationary_wave_operator
+from friedrichs import Representation, ToleranceError, ValidationError, dynamics, resolvent
+from friedrichs.scattering import _state_scattering, _support_nodes
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +112,13 @@ def test_wave_operator_identity_for_zero_coupling(grid):
         for sign in ("minus", "plus"):
             out = fr.wave_operator(prop, phi, sign)
             assert np.array_equal(out.samples, phi.samples)
-        assert np.array_equal(_stationary_wave_operator(model, phi).samples, phi.samples)
+        assert np.array_equal(_state_scattering(model, phi, ())[3].samples, phi.samples)
 
 
 def _route_gap(grid, model, phi):
     """(||W_Cook phi - W_stat phi||, Cook's tail estimate, W_stat phi)."""
     cook, info = fr.wave_operator(fr.build_propagator(model), phi, "minus", return_info=True)
-    stat = _stationary_wave_operator(model, phi)
+    stat = _state_scattering(model, phi, ())[3]
     return fr.norm(fr.grid_function(grid, cook.samples - stat.samples)), \
         info["tail_estimate"], stat
 
@@ -138,6 +138,15 @@ def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
         gap, tail, stat = _route_gap(grid, model, phi)
         assert 0.0 < gap <= tail  # measured 1.1e-8 / 6.7e-9 / 1.0e-8
         assert abs(fr.norm(stat) - fr.norm(phi)) < 1e-12
+    # a box-wide bump holds 1495 support nodes, more than one dense block,
+    # so the stationary line sum is read block by block; Cook's own tail
+    # estimate (1.4e-15 / 2.4e-15) lies below the round-off gap here
+    wide = fr.bump_state(grid, (-12.0, 12.0))
+    assert _support_nodes(wide).size > resolvent._DET_BLOCK
+    for model in (gaussian_model, rank2_model):
+        gap, _, stat = _route_gap(grid, model, wide)
+        assert gap <= 1e-12  # measured 1.2e-14 / 7.8e-15
+        assert abs(fr.norm(stat) - fr.norm(wide)) <= 1e-12  # measured 1.1e-16 / 0
 
 
 @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0, 4.0])
@@ -150,7 +159,7 @@ def test_cook_tail_estimate_charges_the_probe_beyond_the_horizon(gaussian_model,
     psi = fr.gaussian_state(grid, 0.5, 0.4)
     w, info = fr.wave_operator(fr.build_propagator(gaussian_model), psi, "minus",
                                horizon=horizon, return_info=True)
-    stat = _stationary_wave_operator(gaussian_model, psi)
+    stat = _state_scattering(gaussian_model, psi, ())[3]
     gap = fr.norm(fr.grid_function(grid, w.samples - stat.samples))
     assert info["attempts"] > 1
     assert 0.0 < info["tail_estimate"] <= 1e-4
@@ -409,6 +418,22 @@ def test_sweep_identities_and_convergence(gaussian_propagator, gaussian_curve,
     assert summary["fit_ok"]
     assert abs(summary["tau_inf"] - summary["ew_value"]) < 0.02 * abs(summary["ew_value"])
     assert 0.0 < summary["wave_operator_route_gap"] <= 1e-5  # Cook's tolerance here
+
+
+def test_sweep_reads_the_support_nodes_once(gaussian_propagator, gaussian_curve,
+                                            grid, f_ind, monkeypatch):
+    # S phi, tau_EW, the shift integral and the stationary W- phi all come
+    # from one dense projection per block of the state's support nodes
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    reads, init = [], resolvent._Projection.__init__
+
+    def counted(self, grid, xs):
+        reads.append(np.size(xs))
+        init(self, grid, xs)
+
+    monkeypatch.setattr(resolvent._Projection, "__init__", counted)
+    fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4])
+    assert reads == [_support_nodes(phi).size]
 
 
 def test_sweep_free_route_converges_to_full(gaussian_propagator, gaussian_curve,
