@@ -23,7 +23,9 @@ point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation; a single
 energy or an arbitrary array of them uses the dense projection, and
 _dense_blocks is the one loop that serves an array _DET_BLOCK energies
-at a time.
+at a time.  The chain route's two determinants at one energy share a
+single dense projection (_cut_determinants), each side slicing out its own
+half of the coefficients rather than taking the jump from the other.
 """
 
 from __future__ import annotations
@@ -458,6 +460,14 @@ def _dense_blocks(grid: GridSpec, xs: np.ndarray):
         yield rows, _Projection(grid, xs[rows])
 
 
+def _warn_regularity(model: FiniteRankModel, orders) -> None:
+    """Warn the caller's caller of each order n that mu < n + 1 leaves uncertified."""
+    for n in (n for n in sorted(orders) if model.mu < n + 1):
+        warnings.warn(f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
+                      "boundary values of this order are outside the vectors' certified "
+                      "class", stacklevel=4)
+
+
 def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
     """r^(n)(x +- i0) at every energy of proj (a _Projection or a
     _ChirpProjection), one (Nx, N, N) array per n in orders: the
@@ -465,12 +475,7 @@ def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> li
     side = _as_side(side)
     if min(orders) < 1:
         raise ValidationError("derivative order n must be >= 1")
-    for n in sorted(orders):
-        if model.mu < n + 1:
-            warnings.warn(
-                f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
-                "boundary values of this order are outside the vectors' certified class",
-                stacklevel=3)
+    _warn_regularity(model, orders)
     N = model.rank
     mask = _projection_mask(model.grid, side)[:, None]
     outs = []
@@ -529,6 +534,24 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     for rows, proj in _dense_blocks(model.grid, np.atleast_1d(xs)):
         out[rows] = _determinant(model, proj, side)
     return complex(out[0]) if xs.ndim == 0 else out
+
+
+def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
+    """(D(x - i0), D(x + i0)) from one dense projection at x: the evaluation
+    row and the line sum are read once, and each side slices its own half of
+    the order-0 pair coefficients, x + i0 the k > 0 sum plus half the k = 0
+    term (P+), x - i0 minus the k < 0 sum and minus that half (P+ - 1).
+    Neither side is formed from the other through the jump 2 pi i g(x)."""
+    _warn_regularity(model, (1,))
+    proj = _Projection(model.grid, float(x))
+    samples, coeffs = model.pair_densities(0)
+    row, half, N = proj.eval_mat[0], model.grid.points // 2, model.rank
+    line = proj.line(samples)[0]
+    mid = 0.5 * row[half] * coeffs[half]
+    upper = row[half + 1:] @ coeffs[half + 1:] + mid
+    lower = -(row[:half] @ coeffs[:half]) - mid
+    return tuple(complex(np.linalg.det(np.eye(N) + (2j * math.pi * p + line).reshape(N, N)
+                                       * model.coupling_array())) for p in (lower, upper))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ the resolvent couplings in two independent ways:
 * directly, as 1 - 2 pi i (gamma [1 - V R(x+i0)] V gamma*) written out in
   the rank-N basis, with the inner resolvent factor X from a linear solve;
 * as the ratio D(x-i0)/D(x+i0) of perturbation determinants, which is the
-  closed form of the product of rank-one factors.
+  closed form of the product of rank-one factors.  Both sides come from one
+  evaluation row and one line sum at x; each reads its own half of the pair
+  coefficients, and neither is formed from the other by the jump formula.
 
 The two agree to quadrature accuracy and the tests hold them against each
 other.  S'(x) is assembled analytically from the second-order boundary
@@ -46,10 +48,11 @@ from .resolvent import (
     Side,
     _boundary_batch,
     _ChirpProjection,
+    _cut_determinants,
     _dense_blocks,
     _projection_mask,
     _refuse_point_spectrum,
-    perturbation_determinant,
+    perturbation_determinant,  # noqa: F401  unused; perfbench's install test reads it here
 )
 
 __all__ = [
@@ -132,14 +135,16 @@ def s_matrix(model: FiniteRankModel, x: float) -> complex:
 
 
 def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
-    """S(x) as the ratio of perturbation determinants across the cut.
+    """S(x) as the ratio D(x - i0)/D(x + i0) of perturbation determinants.
 
-    Both boundary sides are computed honestly, so this shares no Plemelj
-    sign with the stationary assembly and serves as its oracle.
+    One evaluation row and one line sum at x serve both sides, each reading
+    its own half of the pair coefficients and neither using the jump
+    formula, so this shares no Plemelj sign with the stationary assembly and
+    serves as its oracle.  It refuses point spectrum as s_matrix does.
     """
-    lower = perturbation_determinant(model, x, Side.MINUS)
-    upper = perturbation_determinant(model, x, Side.PLUS)
-    return complex(lower / upper)
+    lower, upper = _cut_determinants(model, x)
+    _refuse_point_spectrum([x], [upper])
+    return lower / upper
 
 
 def s_prime(model: FiniteRankModel, x: float) -> complex:
@@ -302,7 +307,7 @@ def _state_scattering(model: FiniteRankModel, phi: GridFunction, exclusions) -> 
         parts.append(_stationary_batch(model, proj, xs[rows]))
         Xw = np.einsum("ekj,ej->ek", parts[-1]["X"], w[rows])
         amp[on[rows]] = a = phi_on[rows, None] * (w[rows] - lam * Xw)
-        line += proj.kernel.T @ a
+        line += (proj.kernel.T @ a.view(float)).view(complex)
     data = _joined(parts)
     coeffs = np.fft.fft(np.fft.ifftshift(amp, axes=0), axis=0)    # unshifted momentum order
     mask = np.fft.ifftshift(_projection_mask(g, Side.MINUS))[:, None]

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from friedrichs import PointSpectrumProximity, StateNotAdmissible, ValidationError
-from friedrichs.resolvent import _ChirpProjection, _determinant
+from friedrichs.resolvent import _ChirpProjection, _cut_determinants, _determinant
 
 SQRT_PI = 1.7724538509055159
 
@@ -66,16 +66,24 @@ def test_born_regime_small_coupling(grid):
         assert abs(s - born) < 20.0 * lam ** 2
 
 
-def test_chain_route_agreement(grid):
-    # product of boundary-determinant ratios against the direct formula
+def test_chain_route_agreement(grid, gaussian_model):
+    # product of boundary-determinant ratios against the direct formula; each
+    # side of the chain's shared projection against one perturbation_determinant
+    # per side, and the chain against the ratio of those two calls
     couplings = [0.8, -0.5, 0.3]
-    xs = np.linspace(-5.0, 5.0, 41)
-    for n in (1, 2, 3):
-        vecs = [fr.hermite_state(grid, j) for j in range(n)]
-        model = fr.finite_rank_model(grid, vecs, couplings[:n])
-        worst = max(abs(fr.s_matrix(model, float(x)) -
-                        fr.s_matrix_chain(model, float(x))) for x in xs)
+    xs = [float(x) for x in np.linspace(-5.0, 5.0, 41)]
+    models = [gaussian_model] + [
+        fr.finite_rank_model(grid, [fr.hermite_state(grid, j) for j in range(n)],
+                             couplings[:n]) for n in (1, 2, 3)]
+    for model in models:
+        worst = max(abs(fr.s_matrix(model, x) - fr.s_matrix_chain(model, x)) for x in xs)
         assert worst < 1e-8
+        for x in xs:
+            lower = fr.perturbation_determinant(model, x, "minus")
+            upper = fr.perturbation_determinant(model, x, "plus")
+            for got, want in zip(_cut_determinants(model, x), (lower, upper)):
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+            assert abs(fr.s_matrix_chain(model, x) - lower / upper) <= 1e-13
 
 
 def test_s_prime_against_finite_differences(rank2_model):
@@ -211,6 +219,10 @@ def test_trivial_scattering_for_zero_rank(grid):
     assert fr.ew_time_delay(curve, phi) == 0.0
     out = fr.apply_scattering(curve, phi)
     assert np.array_equal(out.samples, phi.samples)
+    s = fr.s_matrix_chain(model, 0.3)
+    assert type(s) is complex and s == 1.0 + 0.0j
+    with pytest.raises(ValidationError, match="box edge"):
+        fr.s_matrix_chain(model, grid.half_width - 5 * grid.spacing)
 
 
 def test_curve_is_lipschitz_on_segments(gaussian_curve):
@@ -326,6 +338,27 @@ def test_chain_route_transforms_each_pair_density_once(coarse_grid, monkeypatch)
     calls.clear()
     fr.s_matrix_chain(model, -1.1)
     assert calls == []
+
+
+def test_chain_route_builds_one_evaluation_matrix(rank2_model, monkeypatch):
+    from friedrichs.grid import evaluation_matrix
+
+    calls = _count_calls(monkeypatch, evaluation_matrix)
+    fr.s_matrix_chain(rank2_model, 0.3)
+    assert calls == ["evaluation_matrix"]
+
+
+def test_chain_route_refuses_point_spectrum(grid):
+    # v = c (x - a) e^{-x^2/2} with lambda = (1/2 + a^2)/a has eigenvalue a
+    a = 1.1
+    x = grid.position_nodes()
+    c = (math.sqrt(math.pi) * (0.5 + a * a)) ** -0.5
+    v = fr.grid_function(grid, c * (x - a) * np.exp(-0.5 * x * x))
+    model = fr.finite_rank_model(grid, [v], [(0.5 + a * a) / a])
+    with pytest.raises(PointSpectrumProximity, match="energy 1.1 "):
+        fr.s_matrix(model, a)
+    with pytest.raises(PointSpectrumProximity, match="energy 1.1 "):
+        fr.s_matrix_chain(model, a)
 
 
 def test_curve_builds_no_evaluation_matrix(gaussian_model, monkeypatch):
