@@ -20,7 +20,8 @@ error; lists are comma separated.  Recognized keys:
     localization.J                  indicator window a, b  (a = -b)
     localization.delta              smooth_bump plateau half width
     localization.width              smooth_bump shoulder width
-    localization.rho                smooth_bump support radius
+    localization.rho                smooth_bump declared decay exponent (> 1);
+                                    the support radius is delta + width
     state.family                    gaussian | bump | hermite |
                                     momentum-indicator | gaussian-density |
                                     indicator-density (densities are for the
@@ -67,7 +68,7 @@ import numpy as np
 
 from ._errors import PointSpectrumProximity, ToleranceError, ValidationError
 from .dynamics import build_propagator, propagation_functional, time_delay_sweep
-from .grid import Representation, grid_function, norm, transform
+from .grid import Representation, grid_function, transform
 from .localization import localization_integral, make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
 from .scattering import _state_scattering, compute_curve, state_support

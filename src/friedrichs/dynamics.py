@@ -234,8 +234,9 @@ def _cook_couplings(prop: Propagator, phi: GridFunction, taus: np.ndarray) -> np
     return g.spacing * (vm.conj() @ (phases * phi.samples[on, None]))
 
 
-def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
-    """Probe |c_j(tau)| coarsely; return (horizon, tail, zeta).
+def _wave_horizon(prop: Propagator, phi: GridFunction, s: float) -> tuple:
+    """Probe |c_j(s tau)|, the couplings Cook integrates, coarsely; return
+    (horizon, tail, zeta).
 
     The probe stops at half the discrete revival period 2 pi / h: beyond
     that the trigonometric-polynomial couplings alias back up and no
@@ -248,7 +249,7 @@ def _wave_horizon(prop: Propagator, phi: GridFunction) -> tuple:
     t_cap = g.momentum_cutoff - _MARGIN
     step = 0.5
     probe = np.arange(step, t_cap, step)
-    amps = np.abs(_cook_couplings(prop, phi, probe)).max(axis=0)
+    amps = np.abs(_cook_couplings(prop, phi, s * probe)).max(axis=0)
     cut = max(amps.max() * 1e-11, 1e-300)
     alive = np.nonzero(amps > cut)[0]
     T = probe[alive[-1]] + _MARGIN if alive.size else _MARGIN
@@ -283,7 +284,8 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
         info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf, "attempts": 0}
         return (phi, info) if return_info else phi
 
-    probe_T, tail, zeta = _wave_horizon(prop, phi)
+    s = -1.0 if sign == "minus" else 1.0
+    probe_T, tail, zeta = _wave_horizon(prop, phi, s)
     g = prop.grid
     cap = g.momentum_cutoff - _MARGIN
     if horizon is None:
@@ -305,8 +307,7 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
         warnings.warn(
             f"measured integrand decay zeta = {zeta:.2f} <= 2; wave-operator "
             "convergence is outside the certified regime", stacklevel=2)
-    result = GridFunction(g, Representation.POSITION, _cook_integral(
-        prop, phi, -1.0 if sign == "minus" else 1.0, horizon))
+    result = GridFunction(g, Representation.POSITION, _cook_integral(prop, phi, s, horizon))
     info = {"horizon": horizon, "tail_estimate": tail(horizon), "zeta": zeta,
             "attempts": attempts}
     return (result, info) if return_info else result
@@ -339,11 +340,11 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
 # sojourn times
 
 def _sliding_sum(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
-                 r: float, tgrid: np.ndarray, sgn: float, radius: float) -> np.ndarray:
-    """g(t) = dk * sum_j dens_j fbar((k_j - sgn t)/r) over a t grid.
+                 r: float, tgrid: np.ndarray, radius: float) -> np.ndarray:
+    """g(t) = dk * sum_j dens_j fbar((k_j - t)/r) over a t grid.
 
     fbar is the cell average of f(./r); only cells meeting the window
-    support [sgn t - r radius, sgn t + r radius] are touched.
+    support [t - r radius, t + r radius] are touched.
     """
     k = grid.momentum_nodes()
     dk = grid.momentum_spacing
@@ -352,13 +353,11 @@ def _sliding_sum(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
     span = r * radius + dk
     for lo in range(0, tgrid.size, _T_BLOCK):
         tb = tgrid[lo:lo + _T_BLOCK]
-        centers = sgn * tb
-        i0 = np.searchsorted(k, centers.min() - span)
-        i1 = np.searchsorted(k, centers.max() + span)
+        i0 = np.searchsorted(k, tb.min() - span)
+        i1 = np.searchsorted(k, tb.max() + span)
         if i0 >= i1:
             continue
-        ks = k[i0:i1]
-        offs = ks[None, :] - centers[:, None]
+        offs = k[None, i0:i1] - tb[:, None]
         fb = np.real(f.window_average(offs - half, offs + half, r))
         out[lo:lo + _T_BLOCK] = dk * (fb @ dens[i0:i1])
     return out
@@ -370,23 +369,24 @@ def _momentum_density(phi: GridFunction) -> np.ndarray:
     return np.abs(phi.samples) ** 2
 
 
-def _free_tail_exact(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
-                     r: float, T: float) -> float:
-    """Exact truncation tail of the free sojourn integral beyond [-T, T].
+def _free_tails(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
+                r: float, T: float) -> tuple:
+    """(hi, lo): the exact integrals over t > T of the free integrands
+    dk sum_k dens_k f((k - t)/r) and dk sum_k dens_k f((k + t)/r).
 
-    Integrating the window f((k -+ t)/r) over t past T leaves
-    r*(I/2 +- A((k -+ T)/r)) per momentum node, a closed form in the
-    profile antiderivative.  No decay fit is involved, so a plateau in
-    the integrand (narrow state, large r) cannot mislead the estimate;
-    for compactly supported profiles the tail vanishes identically once
-    T covers the momentum extent plus r times the window radius.
+    Each leaves r*(I/2 +- A((k -+ T)/r)) per momentum node, a closed form
+    in the profile antiderivative.  No decay fit is involved, so a plateau
+    in the integrand (narrow state, large r) cannot mislead them; for
+    compactly supported profiles both vanish identically once T covers the
+    momentum extent plus r times the window radius.  Neither is clamped at
+    zero: a signed profile may leave a negative side.
     """
     k = grid.momentum_nodes()
     half_int = 0.5 * float(np.real(f.integral()))
-    beyond_hi = half_int + np.real(f.antiderivative((k - T) / r))
-    beyond_lo = half_int - np.real(f.antiderivative((k + T) / r))
-    per_node = np.maximum(beyond_hi, 0.0) + np.maximum(beyond_lo, 0.0)
-    return float(r * grid.momentum_spacing * np.sum(dens * per_node))
+    w = r * grid.momentum_spacing
+    hi = w * float(np.sum(dens * (half_int + np.real(f.antiderivative((k - T) / r)))))
+    lo = w * float(np.sum(dens * (half_int - np.real(f.antiderivative((k + T) / r)))))
+    return hi, lo
 
 
 def _free_time_grid(t0: float, T: float, r: float) -> np.ndarray:
@@ -401,10 +401,8 @@ def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float,
     dens = _momentum_density(phi)
     radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
     tgrid = _free_time_grid(-T, T, r)
-    gvals = _sliding_sum(dens, g, f, r, tgrid, 1.0, radius)
-    value = float(np.trapezoid(gvals, tgrid))
-    tail = _free_tail_exact(dens, g, f, r, T)
-    return value, tail, math.inf
+    value = float(np.trapezoid(_sliding_sum(dens, g, f, r, tgrid, radius), tgrid))
+    return value, sum(_free_tails(dens, g, f, r, T)), math.inf
 
 
 def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
@@ -511,7 +509,7 @@ def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: floa
 # propagation functional
 
 def _closed_form_grid(phi: GridFunction, f: LocalizationProfile, r: float) -> float:
-    if not math.isfinite(sobolev_norm(phi, 1.5, 0.0)):
+    if not math.isfinite(sobolev_norm(phi, 1.5)):
         raise ValidationError("propagation functional needs a state with s > 1 smoothness")
     g = phi.grid
     dens = _momentum_density(phi)
@@ -541,18 +539,19 @@ def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float
 
 def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
                        tol: float) -> float:
+    """int_0^T (g-(t) - g+(t)) dt with g-+ the free integrands centred at
+    +-t; the part beyond T is exactly hi - lo of _free_tails."""
     g = phi.grid
     dens = _momentum_density(phi)
     radius, _, T = _sojourn_horizon(dens, g, f, r, tol)
     tgrid = _free_time_grid(0.0, T, r)
-    g_minus = _sliding_sum(dens, g, f, r, tgrid, 1.0, radius)
-    g_plus = _sliding_sum(dens, g, f, r, tgrid, -1.0, radius)
-    diff = g_minus - g_plus
+    diff = (_sliding_sum(dens, g, f, r, tgrid, radius)
+            - _sliding_sum(dens, g, f, r, -tgrid, radius))
     value = float(np.trapezoid(diff, tgrid))
-    tail, _ = _fitted_tail(tgrid[1:], np.abs(diff[1:]))
-    if tail > max(tol, 1e-12) * max(abs(value), 1.0):
+    hi, lo = _free_tails(dens, g, f, r, T)
+    if abs(hi - lo) > max(tol, 1e-12) * max(abs(value), 1.0):
         raise ToleranceError(
-            f"propagation-functional horizon insufficient (tail {tail:.2e})")
+            f"propagation-functional horizon insufficient (tail {hi - lo:.2e})")
     return value
 
 
@@ -564,7 +563,8 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
     I_r = 2r int dens(k) A(k/r) dk (A the signed antiderivative of f);
     it accepts either a GridFunction or an analytic MomentumDensity.
     half = Direct integrates the commutator expression over time and is
-    grid-only.
+    grid-only; the part beyond its horizon, known in closed form, is held
+    to tol.
     """
     half = _canon(half, {"closedform", "direct"}, "functional route")
     if half == "closedform":
@@ -573,7 +573,7 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
         return _closed_form_grid(phi, f, r)
     if isinstance(phi, MomentumDensity):
         raise ValidationError("the direct route needs a grid state, not an analytic density")
-    if not math.isfinite(sobolev_norm(phi, 1.5, 0.0)):
+    if not math.isfinite(sobolev_norm(phi, 1.5)):
         raise ValidationError("propagation functional needs a state with s > 1 smoothness")
     return _direct_functional(phi, f, r, tol)
 
@@ -593,7 +593,7 @@ class SojournRecord:
     tail_estimate: float
 
 
-def _fit_power_law(rs: np.ndarray, taus: np.ndarray, floor: float = 0.0) -> dict:
+def _fit_power_law(rs: np.ndarray, taus: np.ndarray, floor: float) -> dict:
     """tau(r) = tau_inf + c r^-beta through the last three points.
 
     beta solves a one-dimensional root problem on the gap ratio; the

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EDGE_NODES = 8  # nodes a side that boundary_decay reads
 
 
 class Representation(enum.Enum):
@@ -162,30 +163,17 @@ def norm(phi: GridFunction) -> float:
     return float(math.sqrt(w) * np.linalg.norm(phi.samples))
 
 
-def sobolev_norm(phi: GridFunction, s: float = 0.0, t: float = 0.0) -> float:
-    """Weighted norm ||<P>^s <Q>^t phi|| with <u> = (1 + u^2)^(1/2).
+def sobolev_norm(phi: GridFunction, s: float = 0.0) -> float:
+    """Momentum-weighted norm ||<P>^s phi|| with <u> = (1 + u^2)^(1/2).
 
-    The operators are applied right to left: position weight first, then the
-    momentum weight in the transformed representation.  With s = t = 0 this
-    is exactly the plain discrete L2 norm.
+    With s = 0 this is exactly the plain discrete L2 norm.
     """
-    if s == 0.0 and t == 0.0:
+    if s == 0.0:
         return norm(phi)
     g = phi.grid
-    work = phi
-    if t != 0.0:
-        if work.representation is not Representation.POSITION:
-            work = transform(work)
-        x = g.position_nodes()
-        work = GridFunction(g, Representation.POSITION,
-                            work.samples * (1.0 + x * x) ** (t / 2.0))
-    if s != 0.0:
-        if work.representation is not Representation.MOMENTUM:
-            work = transform(work)
-        k = g.momentum_nodes()
-        work = GridFunction(g, Representation.MOMENTUM,
-                            work.samples * (1.0 + k * k) ** (s / 2.0))
-    return norm(work)
+    k = g.momentum_nodes()
+    return norm(GridFunction(g, Representation.MOMENTUM,
+                             _as_momentum(phi) * (1.0 + k * k) ** (s / 2.0)))
 
 
 def evaluation_matrix(grid: GridSpec, taus) -> np.ndarray:
@@ -195,8 +183,9 @@ def evaluation_matrix(grid: GridSpec, taus) -> np.ndarray:
     band-limited interpolant of phi at the taus; exact at grid nodes.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(np.abs(taus) >= grid.half_width):
-        raise ValidationError("evaluation point outside (-L, L)")
+    inside = np.abs(taus) < grid.half_width                 # false for NaN too
+    if not inside.all():
+        raise ValidationError(f"evaluation point {taus[~inside][0]:g} outside (-L, L)")
     k = grid.momentum_nodes()
     return (grid.momentum_spacing / _SQRT_2PI) * np.exp(1j * np.outer(taus, k))
 
@@ -231,10 +220,10 @@ def derivative(phi: GridFunction, order: int = 1) -> GridFunction:
     return out
 
 
-def boundary_decay(phi: GridFunction, edge: int = 8) -> float:
-    """Largest |sample| among the outermost `edge` nodes on each side."""
+def boundary_decay(phi: GridFunction) -> float:
+    """Largest |sample| among the outermost _EDGE_NODES nodes on each side."""
     s = np.abs(phi.samples)
-    return float(max(s[:edge].max(), s[-edge:].max()))
+    return float(max(s[:_EDGE_NODES].max(), s[-_EDGE_NODES:].max()))
 
 
 @dataclass(frozen=True)
@@ -275,7 +264,7 @@ def certify_support(phi: GridFunction, support, s: float = 3.0,
         if a - radius < e < b + radius:
             raise StateNotAdmissible(
                 f"support [{a}, {b}] meets excluded energy {e} (radius {radius})")
-    value = sobolev_norm(phi, s, 0.0)
+    value = sobolev_norm(phi, s)
     if not math.isfinite(value):
         raise StateNotAdmissible(f"Sobolev norm at s = {s} is not finite")
     return CompactSupportCertificate((a, b), s, value, tuple(excluded))

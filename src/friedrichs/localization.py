@@ -69,7 +69,6 @@ class IndicatorProfile(LocalizationProfile):
     half_width: float
 
     kind = "indicator"
-    nonnegative = True
 
     def __post_init__(self):
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
@@ -78,10 +77,6 @@ class IndicatorProfile(LocalizationProfile):
     @property
     def delta(self):
         return self.half_width
-
-    @property
-    def rho(self):
-        return math.inf
 
     @property
     def support_radius(self):
@@ -105,7 +100,6 @@ class SmoothBumpProfile(LocalizationProfile):
     decay: float
 
     kind = "smooth_bump"
-    nonnegative = True
 
     def __post_init__(self):
         if self.plateau <= 0:
@@ -185,10 +179,9 @@ class CustomProfile(LocalizationProfile):
 
     def antiderivative(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        cut = min(self._support_radius, np.inf)
         out = np.empty(u.shape, dtype=complex)
         for i, ui in enumerate(u.ravel()):
-            hi = math.copysign(min(abs(ui), cut), ui)
+            hi = math.copysign(min(abs(ui), self._support_radius), ui)
             re = quad(lambda s: np.real(self._fn(s)), 0.0, hi, limit=200)[0]
             im = quad(lambda s: np.imag(self._fn(s)), 0.0, hi, limit=200)[0]
             out.ravel()[i] = re + 1j * im

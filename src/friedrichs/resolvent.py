@@ -73,6 +73,7 @@ _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
+_LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
 
 
 class Side(Enum):
@@ -289,7 +290,7 @@ def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) 
                 f"vector {j} does not decay at the grid boundary "
                 f"(level {boundary_decay(v):.2e} > {_DECAY_TOL:.0e})")
         s_chk = min(mu, 8.0)
-        if not math.isfinite(sobolev_norm(v, s_chk, 0.0)):
+        if not math.isfinite(sobolev_norm(v, s_chk)):
             raise ValidationError(f"vector {j} has non-finite smoothness norm")
     for j in range(len(vectors)):
         for k in range(j, len(vectors)):
@@ -328,11 +329,14 @@ class PointSpectrum:
 # the one-sided projection
 
 def _interior(grid: GridSpec, xs) -> np.ndarray:
-    """xs as a 1-D array, refused if any lies within the boundary margin."""
+    """xs as a 1-D array, refused if any is not finite or lies within the
+    boundary margin."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     L, h = grid.half_width, grid.spacing
-    if np.any(L - np.abs(xs) < _BOUNDARY_MARGIN * h):
-        worst = xs[np.argmax(np.abs(xs))]
+    if not np.all(L - np.abs(xs) >= _BOUNDARY_MARGIN * h):     # false for NaN too
+        worst = xs[np.argmax(np.abs(xs))]                       # a NaN if there is one
+        if not math.isfinite(worst):
+            raise ValidationError(f"energy {worst:g} is not finite")
         raise ValidationError(
             f"energy {worst:g} is within {_BOUNDARY_MARGIN} grid spacings "
             f"of the box edge +-{L:g}")
@@ -582,8 +586,7 @@ def _eigenvector_window(model: FiniteRankModel) -> tuple:
     return lo - pad, hi + pad
 
 
-def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
-                   localization: float = 0.99) -> PointSpectrum:
+def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -> PointSpectrum:
     """Two-stage eigenvalue search: determinant dips, then matrix cross-check.
 
     A real eigenvalue needs D(x0 + i0) = 0, which forces the Plemelj part
@@ -655,7 +658,7 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6,
             continue
         vec = U[:, near[np.argmin(np.abs(E[near] - x0))]]
         frac = float(np.sum(np.abs(vec[inside]) ** 2) / np.sum(np.abs(vec) ** 2))
-        if frac >= localization:
+        if frac >= _LOCALIZED_SHARE:
             confirmed.append(x0)
             # exclusion ball: where |D| climbs back above 100x threshold,
             # probed on the scan step and kept clear of the box edge

@@ -252,15 +252,15 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
 # ---------------------------------------------------------------------------
 # acting on states
 
-def state_support(phi: GridFunction, rel: float = _SUPPORT_REL) -> tuple:
-    """Smallest closed interval holding every sample above rel * max."""
+def state_support(phi: GridFunction) -> tuple:
+    """Smallest closed interval holding every sample above _SUPPORT_REL * max."""
     if phi.representation is not Representation.POSITION:
         raise StateNotAdmissible("support detection needs a position-representation state")
     amp = np.abs(phi.samples)
     scale = float(amp.max())
     if scale == 0.0:
         raise StateNotAdmissible("zero state has no support")
-    idx = np.nonzero(amp > rel * scale)[0]
+    idx = np.nonzero(amp > _SUPPORT_REL * scale)[0]
     x = phi.grid.position_nodes()
     h = phi.grid.spacing
     return (float(x[idx[0]] - 0.5 * h), float(x[idx[-1]] + 0.5 * h))

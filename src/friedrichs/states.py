@@ -35,7 +35,7 @@ _BUMP_EXPONENT_AT_EDGE = 34.0
 
 
 def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0,
-                   momentum: float = 0.0, normalize: bool = False) -> GridFunction:
+                   momentum: float = 0.0) -> GridFunction:
     """Coherent-state Gaussian, unit L2 norm in the continuum normalization."""
     if width <= 0:
         raise ValidationError("gaussian width must be positive")
@@ -44,10 +44,7 @@ def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0,
     s = math.pi ** -0.25 / math.sqrt(width) * np.exp(-0.5 * u * u)
     if momentum != 0.0:
         s = s * np.exp(1j * momentum * x)
-    phi = GridFunction(grid, Representation.POSITION, s)
-    if normalize:
-        phi = GridFunction(grid, Representation.POSITION, phi.samples / norm(phi))
-    return phi
+    return GridFunction(grid, Representation.POSITION, s)
 
 
 def hermite_state(grid: GridSpec, n: int, center: float = 0.0,

@@ -123,6 +123,23 @@ def _route_gap(grid, model, phi):
         info["tail_estimate"], stat
 
 
+@pytest.mark.parametrize("momentum", [-8.0, 8.0])
+def test_cook_probes_the_direction_it_integrates(gaussian_model, gaussian_propagator, grid,
+                                                momentum):
+    # a boosted state meets the coupling vector on one side of tau = 0 only:
+    # W- integrates c_j(-tau) and W+ c_j(+tau), so a horizon probed on the
+    # other side stops while the integrand is still alive.  Both are held
+    # to the stationary W- phi; with real v, W+ phi = conj(W- conj(phi))
+    phi = fr.gaussian_state(grid, 0.5, 0.3, momentum=momentum)
+    refs = {"minus": _state_scattering(gaussian_model, phi, ())[3].samples,
+            "plus": np.conj(_state_scattering(
+                gaussian_model, fr.grid_function(grid, np.conj(phi.samples)), ())[3].samples)}
+    for sign, ref in refs.items():
+        w, info = fr.wave_operator(gaussian_propagator, phi, sign, return_info=True)
+        gap = fr.norm(fr.grid_function(grid, w.samples - ref))
+        assert gap <= 1e-12, (sign, info)
+
+
 def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
     # Cook's time integral against the stationary resolvent formula, which
     # shares no code with it but the vectors: a narrow Gaussian at the AC-10
@@ -395,6 +412,45 @@ def test_propagation_functional_routes_agree(grid, f_ind):
     dens = fr.gaussian_momentum_density(momentum=1.5, width=1.0)
     with pytest.raises(ValidationError):
         fr.propagation_functional(dens, f_ind, 4.0, "direct")
+
+
+@pytest.mark.parametrize("r", [4.0, 16.0])
+def test_direct_route_tails_match_the_halved_horizon(grid, f_ind, r):
+    # the closed-form one-sided tails beyond T/2, less those beyond T, must
+    # be what the trapezoid sums of g- and g+ gain from T/2 to T; a power
+    # law fitted to |g- - g+| reads 5.5e-2 for 1.6e-3 at r = 4, inf at 16
+    phi = fr.gaussian_state(grid, 0.0, 1.0, momentum=1.5)
+    dens = dynamics._momentum_density(phi)
+    radius, _, T = dynamics._sojourn_horizon(dens, grid, f_ind, r, 1e-8)
+    sums, tails = [], []
+    for horizon in (T, 0.5 * T):
+        t = dynamics._free_time_grid(0.0, horizon, r)
+        sums.append([np.trapezoid(dynamics._sliding_sum(dens, grid, f_ind, r, c, radius), t)
+                     for c in (t, -t)])
+        hi, lo = dynamics._free_tails(dens, grid, f_ind, r, horizon)
+        tails.append((hi, lo, hi - lo))
+    (m1, p1), (m2, p2) = sums
+    for gained, tail_change in zip((m1 - m2, p1 - p2, (m1 - p1) - (m2 - p2)),
+                                   np.subtract(tails[1], tails[0])):
+        assert abs(gained - tail_change) <= 5e-3 * abs(gained) + 1e-14
+
+
+def test_direct_route_refuses_exactly_past_its_tail_bound(grid, f_ind, monkeypatch):
+    # with the horizon halved, |hi - lo| = 1.58e-3 at r = 4 is 5.27e-4 of the
+    # value: a tolerance just above that returns it, one just below refuses
+    phi = fr.gaussian_state(grid, 0.0, 1.0, momentum=1.5)
+    full = fr.propagation_functional(phi, f_ind, 4.0, "direct")
+    horizon = dynamics._sojourn_horizon
+
+    def halved(*args):
+        radius, K, T = horizon(*args)
+        return radius, K, 0.5 * T
+
+    monkeypatch.setattr(dynamics, "_sojourn_horizon", halved)
+    value = fr.propagation_functional(phi, f_ind, 4.0, "direct", tol=5.3e-4)
+    assert full - value == pytest.approx(1.58e-3, rel=1e-2)
+    with pytest.raises(ToleranceError):
+        fr.propagation_functional(phi, f_ind, 4.0, "direct", tol=5.2e-4)
 
 
 # ---------------------------------------------------------------------------

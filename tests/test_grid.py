@@ -98,17 +98,15 @@ def test_parseval(grid):
 
 def test_sobolev_norm_reduces_to_plain_norm(grid):
     phi = fr.gaussian_state(grid)
-    assert math.isclose(fr.sobolev_norm(phi, 0.0, 0.0), fr.norm(phi), rel_tol=1e-13)
+    assert math.isclose(fr.sobolev_norm(phi, 0.0), fr.norm(phi), rel_tol=1e-13)
 
 
 def test_sobolev_norm_gaussian_value(grid):
-    # <P^2> = <Q^2> = 1/2 for the unit Gaussian, so
-    # ||phi||_{1,0}^2 = <phi, (1+P^2) phi> = 3/2
+    # <P^2> = 1/2 for the unit Gaussian, so
+    # ||phi||_1^2 = <phi, (1+P^2) phi> = 3/2
     phi = fr.gaussian_state(grid)
-    val = fr.sobolev_norm(phi, 1.0, 0.0)
+    val = fr.sobolev_norm(phi, 1.0)
     assert math.isclose(val, math.sqrt(1.5), rel_tol=1e-12)
-    val_t = fr.sobolev_norm(phi, 0.0, 1.0)
-    assert math.isclose(val_t, math.sqrt(1.5), rel_tol=1e-12)
 
 
 def test_evaluate_at_between_nodes(grid):

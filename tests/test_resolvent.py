@@ -459,6 +459,21 @@ def test_boundary_margin_guard(gaussian_model, grid):
         fr.pv_integral(g, edge_x)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, x: fr.s_matrix(m, x),
+    lambda m, x: fr.s_matrix_chain(m, x),
+    lambda m, x: fr.boundary_matrix(m, x, "plus"),
+    lambda m, x: fr.pv_integral(m.vectors[0], x),
+    lambda m, x: fr.perturbation_determinant(m, [0.1, x], "plus"),
+    lambda m, x: fr.evaluate_at(m.vectors[0], x),
+], ids=["s_matrix", "s_matrix_chain", "boundary_matrix", "pv_integral",
+        "perturbation_determinant", "evaluate_at"])
+def test_non_finite_energies_are_refused_by_name(gaussian_model, call, bad):
+    with pytest.raises(ValidationError, match=f"{bad:g}"):
+        call(gaussian_model, bad)
+
+
 def test_side_and_order_validation(gaussian_model):
     with pytest.raises(ValidationError):
         fr.boundary_matrix(gaussian_model, 0.5, "up")
