@@ -48,11 +48,11 @@ Exit status: 0 on success, 2 when a named precondition fails, 3 when a
 tolerance cannot be met.  Rerunning the same config at the same BLAS
 thread count reproduces every output byte for byte; nothing here depends
 on wall-clock or ordering.  Across thread counts every experiment but
-timedelay-sweep stays byte-identical.  On the demo config the sweep
-differs between 1 and 2 threads only in tail_est and tail_estimate_max,
-from the 12th significant digit, and in wave_operator_route_gap, from the
-11th, as Cook's W- phi moves with the thread count; its sojourns, tau
-columns and fit values are byte-identical.
+timedelay-sweep stays byte-identical.  On the demo config the sweep's
+CSV rows and wave_operator_route_gap are byte-identical between 1 and 2
+threads; fit_residual, abs_gap, rel_gap and tau_free_gap_at_largest_r
+differ by at most 2e-14, as the full sojourns move at round-off with the
+thread count.
 """
 
 from __future__ import annotations

@@ -31,6 +31,11 @@ Discretization choices worth knowing about:
   almost none of it.  The lightest modes are dropped while the most they
   can move the integral by stays within 1e-3 tol, and that bound is
   charged to the tail estimate.
+
+* Cook's W+- phi = phi + i s int_0^T e^{i s tau H} V e^{-i s tau H0} phi dtau
+  is exact on H's eigenmodes and the grid nodes, so its cost does not
+  depend on T, which is always the revival cap pi/h - _MARGIN.  Only the
+  integrand beyond the cap, probed and fitted, is left as error.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ __all__ = [
     "propagation_functional",
 ]
 
-_T_BLOCK = 2048        # free-route times (Cook: panels) per batch (memory control)
+_T_BLOCK = 2048        # free-route times, or Cook's support nodes, per batch
+                       # (memory control)
 _TAIL_SAMPLES = 128    # full-sojourn integrand samples a side for the tail fit
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
 _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
@@ -125,9 +131,7 @@ class Propagator:
         return (U.conj().T if adjoint else U) @ z
 
 
-def build_propagator(model: FiniteRankModel, spec: GridSpec | None = None) -> Propagator:
-    if spec is not None and spec != model.grid:
-        raise ValidationError("model vectors do not live on the requested grid")
+def build_propagator(model: FiniteRankModel) -> Propagator:
     if model.rank == 0 or not np.any(model.coupling_array()):
         return Propagator(model, model.grid.position_nodes().copy(), None)
     return Propagator(model, *model.eigendecomposition)
@@ -234,46 +238,39 @@ def _cook_couplings(prop: Propagator, phi: GridFunction, taus: np.ndarray) -> np
     return g.spacing * (vm.conj() @ (phases * phi.samples[on, None]))
 
 
-def _wave_horizon(prop: Propagator, phi: GridFunction, s: float) -> tuple:
-    """Probe |c_j(s tau)|, the couplings Cook integrates, coarsely; return
-    (horizon, tail, zeta).
+def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tuple:
+    """(tail, zeta): Cook's integrand sum_j |lambda_j| |c_j(s tau)| beyond
+    the cap, from a coarse probe of the couplings Cook integrates.
 
-    The probe stops at half the discrete revival period 2 pi / h: beyond
-    that the trigonometric-polynomial couplings alias back up and no
-    longer approximate the continuum integrand.  tail(T) estimates Cook's
-    integrand sum_j |lambda_j| |c_j| beyond T: the probed amplitudes from
-    the probe interval holding T on (a left-endpoint sum), plus a power law
-    C tau^-zeta, fitted over the probe's tail half, past the probe's end.
+    The probe stops at the cap, half the discrete revival period 2 pi / h
+    less _MARGIN: beyond it the trigonometric-polynomial couplings alias
+    back up and no longer approximate the continuum integrand.  The tail
+    is the last probed amplitude over the probe interval holding the cap
+    (a left-endpoint sum), plus a power law C tau^-zeta, fitted over the
+    probe's tail half, past the probe's end.
     """
-    g = prop.grid
-    t_cap = g.momentum_cutoff - _MARGIN
     step = 0.5
-    probe = np.arange(step, t_cap, step)
+    probe = np.arange(step, cap, step)
+    if probe.size == 0:
+        raise ValidationError(
+            f"grid too coarse for the wave operator: its revival cap pi/h - {_MARGIN:g} "
+            f"= {cap:.3g} leaves no probe step; raise grid.M")
     amps = np.abs(_cook_couplings(prop, phi, s * probe)).max(axis=0)
-    cut = max(amps.max() * 1e-11, 1e-300)
-    alive = np.nonzero(amps > cut)[0]
-    T = probe[alive[-1]] + _MARGIN if alive.size else _MARGIN
     beyond, zeta = _fitted_tail(probe, amps)
     lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
-
-    def tail(horizon: float) -> float:
-        return lam_sum * float(step * amps[probe > horizon - step].sum() + beyond)
-
-    return min(float(T), t_cap), tail, zeta
+    return lam_sum * float(step * amps[-1] + beyond), zeta
 
 
 def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
-                  horizon: float | None = None, tol: float = 1e-4,
-                  return_info: bool = False):
-    """W+- phi by Cook's integral over [0, horizon], with Gauss-Legendre
-    panels; while the tail estimate beyond the horizon exceeds tol the
-    horizon grows by 1.5x, up to the revival cap.  The independent check of
-    W- phi is the stationary formula in scattering._state_scattering.
+                  tol: float = 1e-4, return_info: bool = False):
+    """W+- phi by Cook's integral over [0, T], exact on H's eigenmodes, with
+    T the revival cap pi/h - _MARGIN; the probed tail of the integrand
+    beyond T is held to tol.  The independent check of W- phi is the
+    stationary formula in scattering._state_scattering.
 
-    With return_info the result comes with a dict: "horizon" (the Cook
-    horizon), "tail_estimate" (the error estimate held to tol), "zeta" (the
-    decay exponent of the integrand) and "attempts" (the number of horizons
-    tried, 0 when V = 0).
+    With return_info the result comes with a dict: "horizon" (T, 0 when
+    V = 0), "tail_estimate" (the error estimate held to tol) and "zeta"
+    (the decay exponent of the integrand).
     """
     sign = _canon(sign, {"minus", "plus"}, "wave-operator sign")
     if phi.representation is not Representation.POSITION:
@@ -281,59 +278,48 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     if phi.grid != prop.grid:
         raise ValidationError("state lives on a different grid than the propagator")
     if prop.is_diagonal:
-        info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf, "attempts": 0}
+        info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf}
         return (phi, info) if return_info else phi
 
     s = -1.0 if sign == "minus" else 1.0
-    probe_T, tail, zeta = _wave_horizon(prop, phi, s)
     g = prop.grid
     cap = g.momentum_cutoff - _MARGIN
-    if horizon is None:
-        horizon = probe_T
-    if not 0.0 < horizon <= cap:
-        raise ValidationError(
-            f"horizon must lie in (0, {cap:g}] on this grid: beyond "
-            "that the discrete couplings recur and the tail estimate "
-            "is void")
-    attempts = 1
-    while tail(horizon) > max(tol, 1e-12):
-        if 1.5 * horizon > cap:
-            raise ToleranceError(
-                f"wave-operator tail estimate {tail(horizon):.2e} exceeds "
-                f"tolerance {tol:g}; increase horizon or enlarge the grid")
-        horizon = 1.5 * horizon
-        attempts += 1
+    tail, zeta = _cook_tail(prop, phi, s, cap)
+    if tail > max(tol, 1e-12):
+        raise ToleranceError(
+            f"wave-operator tail estimate {tail:.2e} beyond the revival cap "
+            f"{cap:g} exceeds tolerance {tol:g}; raise grid.M")
     if zeta <= 2.0:
         warnings.warn(
             f"measured integrand decay zeta = {zeta:.2f} <= 2; wave-operator "
             "convergence is outside the certified regime", stacklevel=2)
-    result = GridFunction(g, Representation.POSITION, _cook_integral(prop, phi, s, horizon))
-    info = {"horizon": horizon, "tail_estimate": tail(horizon), "zeta": zeta,
-            "attempts": attempts}
+    result = GridFunction(g, Representation.POSITION, _cook_integral(prop, phi, s, cap))
+    info = {"horizon": cap, "tail_estimate": tail, "zeta": zeta}
     return (result, info) if return_info else result
 
 
 def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
                    horizon: float) -> np.ndarray:
-    """phi + i s int_0^horizon e^{i s tau H} V e^{-i s tau H0} phi dtau."""
+    """phi + i s int_0^T e^{i s tau H} V e^{-i s tau H0} phi dtau, T = horizon.
+
+    H is diagonal on its eigenmodes and H0 on the grid, so on mode m and
+    node x the time integral is exact: int_0^T e^{i s tau (E_m - x)} dtau
+    = T e^{i theta/2} sinc(theta/2pi), theta = s T (E_m - x).  Nodes where
+    phi vanishes add nothing; the kernel is built _T_BLOCK of phi's
+    support nodes at a time.
+    """
+    g = prop.grid
     lam = prop.model.coupling_array()
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    n_panels = max(int(math.ceil(horizon / 0.2)), 1)
-    edges = np.linspace(0.0, horizon, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1] - edges[0])
-    E = prop.eigenvalues
-    W_eig = prop._apply((lam[:, None] * prop.model.vector_matrix()).T, adjoint=True)  # (M, N)
-    # e^{iE tau} at tau = s (mid + hw node) factors into a panel phase and
-    # a node phase, so the exponentials number M per panel, not per node
-    acc = np.zeros((E.size, nodes.size), dtype=complex)
-    for lo in range(0, n_panels, _T_BLOCK):
-        mb = mid[lo:lo + _T_BLOCK]
-        cc = _cook_couplings(prop, phi, s * (mb[:, None] + hw * nodes).ravel())
-        summed = np.exp(1j * s * np.outer(E, mb)) @ cc.reshape(lam.size, mb.size, nodes.size)
-        acc += np.einsum("mj,jmq->mq", W_eig, summed)
-    node_phase = np.exp(1j * s * hw * np.outer(E, nodes))
-    return phi.samples + 1j * s * prop._apply(node_phase * acc @ (hw * weights))
+    vm = prop.model.vector_matrix()
+    on = np.flatnonzero(phi.samples)
+    x, E = g.position_nodes()[on], prop.eigenvalues
+    b = (g.spacing * vm[:, on].conj() * phi.samples[on]).T  # (n, N): h conj(v_j) phi
+    kb = np.zeros((E.size, lam.size), dtype=complex)
+    for lo in range(0, on.size, _T_BLOCK):
+        theta = (s * horizon) * np.subtract.outer(E, x[lo:lo + _T_BLOCK])
+        kb += (np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))) @ b[lo:lo + _T_BLOCK]
+    W_eig = prop._apply((lam[:, None] * vm).T, adjoint=True)  # (M, N): U^* lambda_j v_j
+    return phi.samples + 1j * s * horizon * prop._apply(np.sum(W_eig * kb, axis=1))
 
 
 # ---------------------------------------------------------------------------

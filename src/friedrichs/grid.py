@@ -48,6 +48,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EDGE_NODES = 8  # nodes a side that boundary_decay reads
+_SUPPORT_TOL = 1e-14  # largest sample outside a certified support, relative
 
 
 class Representation(enum.Enum):
@@ -243,7 +244,7 @@ class CompactSupportCertificate:
 
 
 def certify_support(phi: GridFunction, support, s: float = 3.0,
-                    excluded=(), tol: float = 1e-14) -> CompactSupportCertificate:
+                    excluded=()) -> CompactSupportCertificate:
     """Check support, smoothness and spectral exclusions; raise if any fails."""
     if phi.representation is not Representation.POSITION:
         raise StateNotAdmissible("certificate requires a position-representation state")
@@ -257,9 +258,9 @@ def certify_support(phi: GridFunction, support, s: float = 3.0,
     scale = float(np.abs(phi.samples).max())
     if scale == 0.0:
         raise StateNotAdmissible("zero state cannot be certified")
-    if worst > tol * scale:
+    if worst > _SUPPORT_TOL * scale:
         raise StateNotAdmissible(
-            f"samples outside [{a}, {b}] reach {worst:.3e}, above {tol:.1e} relative")
+            f"samples outside [{a}, {b}] reach {worst:.3e}, above {_SUPPORT_TOL:.1e} relative")
     for (e, radius) in excluded:
         if a - radius < e < b + radius:
             raise StateNotAdmissible(

@@ -282,6 +282,29 @@ experiment.tolerance = 1e-15
     assert "tolerance" in capsys.readouterr().err
 
 
+def test_grid_too_coarse_for_the_wave_operator_exits_2(tmp_path, capsys):
+    # h = 1 puts the revival cap pi/h - 5 below zero: a named refusal,
+    # not a traceback
+    cfg = write_cfg(tmp_path, """
+grid.L = 32
+grid.M = 64
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = gaussian(0, 3)
+localization.kind = indicator
+localization.J = -1, 1
+state.family = bump
+state.support = -4, 4
+experiment.r-list = 4, 8
+experiment.energy-grid = -6, 6, 101
+experiment.exclusions = none
+""")
+    assert main(["timedelay-sweep", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "revival cap" in err and "grid.M" in err
+
+
 @pytest.mark.parametrize("mu", [2.5, 1.5])
 def test_low_mu_warning_lands_in_summary(tmp_path, mu):
     cfg = write_cfg(tmp_path, f"""

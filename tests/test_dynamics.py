@@ -127,9 +127,9 @@ def _route_gap(grid, model, phi):
 def test_cook_probes_the_direction_it_integrates(gaussian_model, gaussian_propagator, grid,
                                                 momentum):
     # a boosted state meets the coupling vector on one side of tau = 0 only:
-    # W- integrates c_j(-tau) and W+ c_j(+tau), so a horizon probed on the
-    # other side stops while the integrand is still alive.  Both are held
-    # to the stationary W- phi; with real v, W+ phi = conj(W- conj(phi))
+    # W- integrates c_j(-tau) and W+ c_j(+tau), and so does the probe of the
+    # tail.  Both are held to the stationary W- phi; with real v,
+    # W+ phi = conj(W- conj(phi))
     phi = fr.gaussian_state(grid, 0.5, 0.3, momentum=momentum)
     refs = {"minus": _state_scattering(gaussian_model, phi, ())[3].samples,
             "plus": np.conj(_state_scattering(
@@ -166,23 +166,6 @@ def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
         assert abs(fr.norm(stat) - fr.norm(wide)) <= 1e-12  # measured 1.1e-16 / 0
 
 
-@pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0, 4.0])
-def test_cook_tail_estimate_charges_the_probe_beyond_the_horizon(gaussian_model, grid,
-                                                                 horizon):
-    # the Gaussian's couplings are dead over the probe's tail half, so the
-    # fitted power law alone reads 0 at every horizon; the probed amplitudes
-    # from the interval holding a short horizon on must drive the retries to
-    # an accurate W- phi and bound its distance to the stationary route
-    psi = fr.gaussian_state(grid, 0.5, 0.4)
-    w, info = fr.wave_operator(fr.build_propagator(gaussian_model), psi, "minus",
-                               horizon=horizon, return_info=True)
-    stat = _state_scattering(gaussian_model, psi, ())[3]
-    gap = fr.norm(fr.grid_function(grid, w.samples - stat.samples))
-    assert info["attempts"] > 1
-    assert 0.0 < info["tail_estimate"] <= 1e-4
-    assert gap <= info["tail_estimate"]
-
-
 def test_wave_operator_isometry_on_bump(gaussian_propagator, grid):
     phi = fr.bump_state(grid, (0.25, 0.75))
     w, info = fr.wave_operator(gaussian_propagator, phi, "minus", return_info=True)
@@ -213,29 +196,39 @@ def test_plus_and_minus_differ_by_scattering(gaussian_propagator, gaussian_curve
     assert diff < 1e-4
 
 
-def test_wave_operator_retries_in_one_loop(coarse_grid):
-    # from horizon 1.0 the tail estimate needs seven 1.5x extensions; the
-    # loop counts every try and ends where a direct call at 1.5^7 starts
-    model = fr.finite_rank_model(coarse_grid, [fr.gaussian_state(coarse_grid)], [1.0])
-    prop = fr.build_propagator(model)
-    psi = fr.gaussian_state(coarse_grid, 0.5, 0.4)
-    grown, info = fr.wave_operator(prop, psi, "minus", horizon=1.0, return_info=True)
-    direct, direct_info = fr.wave_operator(prop, psi, "minus", horizon=17.0859375,
-                                           return_info=True)
-    assert info["attempts"] == 8
-    assert direct_info["attempts"] == 1
-    assert info["horizon"] == direct_info["horizon"] == 17.0859375
-    assert info["tail_estimate"] == direct_info["tail_estimate"] <= 1e-4
-    assert np.array_equal(grown.samples, direct.samples)
-
-
 def test_wave_operator_validation(gaussian_propagator, grid):
     phi = fr.gaussian_state(grid, 0.5, 0.4)
     with pytest.raises(ValidationError):
         fr.wave_operator(gaussian_propagator, phi, "backwards")
-    cap = grid.momentum_cutoff
-    with pytest.raises(ValidationError):
-        fr.wave_operator(gaussian_propagator, phi, "minus", horizon=cap + 50.0)
+
+
+def test_wave_operator_refuses_a_grid_with_no_probe_step():
+    # at h = 1 the revival cap pi/h - 5 is negative: there is no time to
+    # integrate over, and the refusal names the cap instead of crashing
+    g = fr.make_grid(32.0, 64)
+    prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g, 0.0, 3.0)], [1.0]))
+    with pytest.raises(ValidationError, match=r"revival cap pi/h - 5 = -1\.86"):
+        fr.wave_operator(prop, fr.gaussian_state(g, 0.0, 3.0), "minus")
+
+
+def test_wave_operator_tail_beyond_tol_is_refused_by_name(coarse_grid):
+    # on M = 512 the bump's couplings still ring at the cap (45.3): their
+    # fitted decay, zeta = 0.45, is not integrable, so the tail estimate is inf
+    model = fr.finite_rank_model(coarse_grid, [fr.gaussian_state(coarse_grid)], [1.0])
+    phi = fr.bump_state(coarse_grid, (0.25, 0.75))
+    with pytest.raises(ToleranceError, match=r"tail estimate inf beyond the revival cap 45\.2655"):
+        fr.wave_operator(fr.build_propagator(model), phi, "minus")
+
+
+def test_cook_integral_is_settled_long_before_the_cap(gaussian_propagator, grid):
+    # the Gaussian's couplings die by tau ~ 20, so stopping at 30 or at the
+    # cap (196) gives the same W+- phi; the closed form costs the same at both
+    psi = fr.gaussian_state(grid, 0.5, 0.4)
+    cap = grid.momentum_cutoff - dynamics._MARGIN
+    for s in (-1.0, 1.0):
+        short = dynamics._cook_integral(gaussian_propagator, psi, s, 30.0)
+        full = dynamics._cook_integral(gaussian_propagator, psi, s, cap)
+        assert np.max(np.abs(short - full)) <= 1e-14  # measured 2.1e-15 (9.9e-15 in norm)
 
 
 @pytest.mark.parametrize("compact", [True, False])
@@ -250,9 +243,10 @@ def test_cook_couplings_on_the_support_match_the_full_grid(gaussian_propagator, 
     assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
 
 
-def test_cook_panels_match_the_per_node_quadrature(coarse_grid):
-    # one exponential per panel and node, summed node by node, as reference
-    # for the panel-factored phases; rank 2 exercises the sum over vectors
+def test_cook_closed_form_matches_the_per_node_quadrature(coarse_grid):
+    # Gauss-Legendre in time, one exponential per panel and node, summed
+    # node by node up to the cap, as an independent reference for the
+    # closed-form time integral; rank 2 exercises the sum over vectors
     g = coarse_grid
     lam = np.array([0.8, -0.5])
     model = fr.finite_rank_model(g, [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], lam)
