@@ -15,13 +15,11 @@ error; lists are comma separated.  Recognized keys:
     model.vector.<j>                gaussian(center, width) | hermite(n) |
                                     file(path), 1-based j; file() points at a
                                     whitespace-separated table x re [im]
-    model.mu                        decay certificate exponent (default inf)
     localization.kind               indicator | smooth_bump
     localization.J                  indicator window a, b  (a = -b)
     localization.delta              smooth_bump plateau half width
-    localization.width              smooth_bump shoulder width
-    localization.rho                smooth_bump declared decay exponent (> 1);
-                                    the support radius is delta + width
+    localization.width              smooth_bump shoulder width; the support
+                                    radius is delta + width
     state.family                    gaussian | bump | hermite |
                                     momentum-indicator | gaussian-density |
                                     indicator-density (densities are for the
@@ -29,12 +27,12 @@ error; lists are comma separated.  Recognized keys:
     state.center, state.width       gaussian / hermite shape
     state.momentum                  gaussian boost
     state.support                   bump support a, b
-    state.power                     bump flatness exponent (default 1)
     state.n                         hermite index
     state.band                      momentum band a, b
     experiment.name                 optional; must match the subcommand
     experiment.energy-grid          lo, hi, n (default: widened state support)
-    experiment.r-list               dilation scales for sweeps / propagation
+    experiment.r-list               dilation scales for sweeps / propagation,
+                                    each 0 < r < inf
     experiment.tolerance            sojourn / propagation tolerance
     experiment.exclusions           auto | none (default: auto for the
                                     time-delay sweep, none elsewhere)
@@ -92,11 +90,11 @@ _SWEEP_COLUMNS = ("r", "T0", "T0_S", "T_full", "tau_in", "tau_sym",
 
 _KNOWN_KEYS = {
     "grid.L", "grid.M",
-    "model.N", "model.lambdas", "model.mu",
+    "model.N", "model.lambdas",
     "localization.kind", "localization.J", "localization.delta",
-    "localization.width", "localization.rho",
+    "localization.width",
     "state.family", "state.center", "state.width", "state.momentum",
-    "state.support", "state.power", "state.n", "state.band",
+    "state.support", "state.n", "state.band",
     "experiment.name", "experiment.energy-grid", "experiment.r-list",
     "experiment.tolerance", "experiment.exclusions", "experiment.route",
     "experiment.scan", "experiment.threshold",
@@ -232,8 +230,6 @@ def _build_model(cfg: dict, grid, base: Path):
     N = _as_int("model.N", _need(cfg, "model.N"))
     if N < 0:
         raise ValidationError("model.N: rank must be nonnegative")
-    mu = _as_float("model.mu", cfg.get("model.mu", "inf"))
-
     if N == 0:
         if "model.lambdas" in cfg:
             raise ValidationError("model.lambdas: must be absent when model.N = 0")
@@ -252,14 +248,9 @@ def _build_model(cfg: dict, grid, base: Path):
             raise ValidationError(f"{key}: index exceeds model.N = {N}")
 
     try:
-        model = finite_rank_model(grid, vectors, lambdas, mu=mu)
+        return finite_rank_model(grid, vectors, lambdas)
     except ValidationError as exc:
         raise ValidationError(f"model: {exc}") from None
-    if model.rank > 0 and mu < 5.0:
-        warnings.warn(
-            f"model.mu = {mu:g} is below the sweep hypothesis mu >= 5; "
-            "tail bounds may be optimistic", stacklevel=2)
-    return model
 
 
 def _build_localization(cfg: dict):
@@ -274,8 +265,7 @@ def _build_localization(cfg: dict):
         return make_localization(
             "smooth_bump",
             delta=_as_float("localization.delta", _need(cfg, "localization.delta")),
-            width=_as_float("localization.width", _need(cfg, "localization.width")),
-            rho=_as_float("localization.rho", _need(cfg, "localization.rho")))
+            width=_as_float("localization.width", _need(cfg, "localization.width")))
     except ValidationError as exc:
         msg = str(exc)
         if msg.startswith("localization."):
@@ -302,9 +292,8 @@ def _build_state(cfg: dict, grid, densities: bool):
             return gaussian_state(grid, center=c, width=w, momentum=k0)
         if family == "bump":
             a, b = _float_list("state.support", _need(cfg, "state.support"), count=2)
-            power = _as_int("state.power", cfg.get("state.power", "1"))
             _require_inside_box("state.support", a, b, L)
-            return bump_state(grid, (a, b), power=power)
+            return bump_state(grid, (a, b))
         if family == "hermite":
             n = _as_int("state.n", _need(cfg, "state.n"))
             c = _as_float("state.center", cfg.get("state.center", "0"))
@@ -369,8 +358,8 @@ def _exclusions(cfg: dict, model, default: str):
 
 def _r_list(cfg: dict) -> list:
     rs = _float_list("experiment.r-list", _need(cfg, "experiment.r-list"))
-    if not rs or any(r <= 0 for r in rs):
-        raise ValidationError("experiment.r-list: scales must be positive")
+    if not rs or not all(0.0 < r < math.inf for r in rs):
+        raise ValidationError("experiment.r-list: scales must be positive and finite")
     return sorted(rs)
 
 

@@ -1,13 +1,15 @@
 """Time-domain quantities: propagation, wave operators, sojourn times.
 
-The free Hamiltonian is multiplication by x, so free evolution translates
-momentum content downward at unit speed; all sojourn integrands therefore
-live naturally in the momentum representation, where the localization
-f(P/r) is diagonal.  The full evolution uses a one-time eigendecomposition
-of H = Q + V, from the secular equation of diag(x) plus rank N, never
-forming H; it is real when every vector is.  On its eigenmodes a full
-sojourn over [-T, T] is an exact quadratic form, so no time quadrature is
-left to err: only truncation at +-T and the spectral window remain.
+Every entry point evolves the state it is given under the propagator it is
+given; free evolution is the diagonal (rank-0) propagator of H0 = Q.  H0
+translates momentum content downward at unit speed, so all sojourn
+integrands live naturally in the momentum representation, where the
+localization f(P/r) is diagonal.  The full evolution uses a one-time
+eigendecomposition of H = Q + V, from the secular equation of diag(x) plus
+rank N, never forming H; it is real when every vector is.  On its
+eigenmodes a full sojourn over [-T, T] is an exact quadratic form, so no
+time quadrature is left to err: only truncation at +-T and the spectral
+window remain.
 
 Discretization choices worth knowing about:
 
@@ -139,13 +141,18 @@ def build_propagator(model: FiniteRankModel) -> Propagator:
     return Propagator(model, *model.eigendecomposition)
 
 
-def evolve(prop: Propagator, phi: GridFunction, t: float, which: str = "full") -> GridFunction:
-    which = _canon(which, {"free", "full"}, "evolution kind")
+def _require_position_state(prop: Propagator, phi: GridFunction, what: str) -> None:
+    if phi.representation is not Representation.POSITION:
+        raise ValidationError(f"{what} expects a position-representation state")
     if phi.grid != prop.grid:
         raise ValidationError("state lives on a different grid than the propagator")
-    if phi.representation is not Representation.POSITION:
-        raise ValidationError("evolve expects a position-representation state")
-    if which == "free" or prop.is_diagonal:
+
+
+def evolve(prop: Propagator, phi: GridFunction, t: float) -> GridFunction:
+    """e^{-itH} phi under the propagator's H: a phase per node when the
+    propagator is diagonal (H = H0 = Q), else a phase per eigenmode."""
+    _require_position_state(prop, phi, "evolve")
+    if prop.is_diagonal:
         out = np.exp(-1j * t * prop.grid.position_nodes()) * phi.samples
     else:
         c = prop.coefficients(phi)
@@ -204,9 +211,10 @@ def _f_cell_averages(f: LocalizationProfile, grid: GridSpec, r: float) -> np.nda
     return f.window_average(k - half, k + half, r)
 
 
-def _require_sojourn_profile(f: LocalizationProfile):
-    if not getattr(f, "nonnegative", False):
-        raise ValidationError("sojourn times require a nonnegative localization profile")
+def _require_scales(rs) -> None:
+    bad = [r for r in rs if not 0.0 < r < math.inf]
+    if bad:
+        raise ValidationError(f"localization scale r must be positive and finite, got {bad[0]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +273,7 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     (the decay exponent of the integrand).
     """
     sign = _canon(sign, {"minus", "plus"}, "wave-operator sign")
-    if phi.representation is not Representation.POSITION:
-        raise ValidationError("wave_operator expects a position-representation state")
-    if phi.grid != prop.grid:
-        raise ValidationError("state lives on a different grid than the propagator")
+    _require_position_state(prop, phi, "wave_operator")
     if prop.is_diagonal:
         info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf}
         return (phi, info) if return_info else phi
@@ -439,41 +444,27 @@ def _spectral_window(c: np.ndarray, h: float, span: float, tol: float) -> tuple:
     return np.sort(order[n_drop:]), float(dropped[n_drop]), float(charges[n_drop])
 
 
-def sojourn(prop: Propagator, phi: GridFunction, f: LocalizationProfile, r: float,
-            which: str = "full", w_minus_phi: GridFunction | None = None,
+def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: float,
             tol: float = 1e-6, return_info: bool = False):
-    """Sojourn time of the localized evolution at scale r.
+    """Sojourn time int ||f(P/r) e^{-itH} psi||^2 dt of psi under the
+    propagator's H at scale r: the free sojourn of phi when the propagator
+    is diagonal (H = H0), the full one when psi = W- phi and H = Q + V.
 
     With return_info the result comes with a dict: "tail_estimate" (the
     error estimate held to tol, the spectral-window charge included),
     "zeta" (the measured decay exponent of the integrand), "modes_kept"
-    (the eigenmodes the full evolution ran on; M for the free routes,
-    which drop none) and "discarded_mass" (the part of ||W- phi||^2 on the
+    (the eigenmodes the evolution ran on; M for a diagonal propagator,
+    which drops none) and "discarded_mass" (the part of ||psi||^2 on the
     dropped modes).
     """
-    which = _canon(which, {"freeanalytic", "freenumeric", "full"}, "sojourn kind")
-    _require_sojourn_profile(f)
-    if r <= 0:
-        raise ValidationError("localization scale r must be positive")
-    modes, discarded = phi.grid.points, 0.0
-    if which == "freeanalytic":
-        value = r * norm(phi) ** 2 * f.integral()
-        tail, zeta = 0.0, math.inf
-    elif which == "freenumeric":
-        value, tail, zeta = _free_numeric(phi, f, r)
+    _require_scales((r,))
+    _require_position_state(prop, psi, "sojourn")
+    if prop.is_diagonal:
+        value, tail, zeta = _free_numeric(psi, f, r)
+        modes, discarded = psi.grid.points, 0.0
     else:
-        psi = w_minus_phi
-        if psi is None:
-            if not prop.is_diagonal:
-                raise ValidationError(
-                    "full sojourn needs w_minus_phi (the incoming wave-operator image)")
-            psi = phi
-        if prop.is_diagonal:
-            # V = 0: the full evolution is the free one, bit for bit
-            value, tail, zeta = _free_numeric(psi, f, r)
-        else:
-            value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol)
-    if tail > max(tol, 1e-12) * max(abs(value), 1.0):
+        value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol)
+    if not tail <= max(tol, 1e-12) * max(abs(value), 1.0):
         raise ToleranceError(
             f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
     info = {"tail_estimate": tail, "zeta": zeta, "modes_kept": modes,
@@ -542,6 +533,7 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
     to tol.
     """
     half = _canon(half, {"closedform", "direct"}, "functional route")
+    _require_scales((r,))
     if half == "closedform":
         if isinstance(phi, MomentumDensity):
             return _closed_form_density(phi, f, r)
@@ -571,7 +563,9 @@ class SojournRecord:
 def _fit_power_law(rs: np.ndarray, taus: np.ndarray, floor: float) -> dict:
     """tau(r) = tau_inf + c r^-beta through the last three points.
 
-    beta solves a one-dimensional root problem on the gap ratio; the
+    beta solves a one-dimensional root problem on the gap ratio, any
+    spacing of the scales; a ratio no beta in [1e-3, 16] reaches (gaps of
+    opposite sign among them) falls back to the largest-r value.  The
     residual is evaluated at the earliest fitted-adjacent point when one
     exists (three points determine the model exactly).  A final gap at or
     below ``floor`` counts as converged rather than as a fit failure: once
@@ -584,12 +578,6 @@ def _fit_power_law(rs: np.ndarray, taus: np.ndarray, floor: float) -> dict:
     if abs(g23) <= floor:
         return {"tau_inf": float(t3), "beta": math.inf,
                 "fit_residual": float(max(abs(g12), abs(g23))), "fit_ok": True}
-    if g12 / g23 <= 1.0:
-        warnings.warn("time-delay sweep gaps are not contracting; extrapolation "
-                      "falls back to the largest-r value", stacklevel=3)
-        return {"tau_inf": float(t3), "beta": math.nan,
-                "fit_residual": math.nan, "fit_ok": False}
-
     target = g12 / g23
 
     def h(beta):
@@ -598,8 +586,10 @@ def _fit_power_law(rs: np.ndarray, taus: np.ndarray, floor: float) -> dict:
     try:
         beta = brentq(h, 1e-3, 16.0)
     except ValueError:
-        warnings.warn("power-law exponent out of bracket; extrapolation falls "
-                      "back to the largest-r value", stacklevel=3)
+        warnings.warn(
+            f"time-delay sweep gap ratio {target:.3g} fits no power law r^-beta with "
+            "beta in [1e-3, 16]; extrapolation falls back to the largest-r value",
+            stacklevel=3)
         return {"tau_inf": float(t3), "beta": math.nan,
                 "fit_residual": math.nan, "fit_ok": False}
     c = g23 / (r2 ** -beta - r3 ** -beta)
@@ -622,10 +612,12 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     measured integrand decay exponent and wave_operator_route_gap, the
     norm of Cook's W- phi less the stationary one.
     """
-    _require_sojourn_profile(f)
     rs = np.asarray(sorted(float(r) for r in r_list))
-    if rs.size == 0 or rs[0] <= 0:
-        raise ValidationError("r_list must contain positive scales")
+    if rs.size == 0:
+        raise ValidationError("r_list must contain at least one scale")
+    _require_scales(rs)
+    if np.any(rs[1:] == rs[:-1]):
+        raise ValidationError("r_list must not repeat a scale")
 
     if curve.model is not prop.model:
         raise ValidationError("the scattering curve was tabulated for another model "
@@ -639,17 +631,18 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
                                   w_phi.samples - w_stat.samples))
 
     int_f = f.integral()
-    # V = 0 collapses the full sojourn to the free one as an operator
-    # identity; take the analytic route so the tau columns are exact zeros
-    # rather than quadrature residue
-    which = "freeanalytic" if prop.is_diagonal else "full"
     records = []
     zetas = []
     for r in rs:
         T0 = r * norm(phi) ** 2 * int_f
         T0_S = r * norm(s_phi) ** 2 * int_f
-        T, info = sojourn(prop, phi, f, r, which, w_minus_phi=w_phi,
-                          tol=tol, return_info=True)
+        if prop.is_diagonal:
+            # V = 0: W- phi = phi and the full sojourn is the free one,
+            # r ||phi||^2 int(f) exactly, so the tau columns are exact
+            # zeros rather than quadrature residue
+            T, info = T0, {"tail_estimate": 0.0, "zeta": math.inf}
+        else:
+            T, info = sojourn(prop, w_phi, f, r, tol=tol, return_info=True)
         zetas.append(info["zeta"])
         tau_in = T - T0
         tau_sym = T - 0.5 * (T0 + T0_S)

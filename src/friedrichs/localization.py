@@ -2,12 +2,12 @@
 
 Admissible profiles are even, bounded by C <x>^-rho with rho > 1, and equal
 to one on a plateau (-delta, delta).  Two closed-form families are shipped,
-both real, nonnegative and compactly supported:
+both real, nonnegative and compactly supported, so the decay bound holds
+for every rho:
 
   indicator    characteristic function of a symmetric interval [-b, b]
   smooth_bump  plateau on (-delta, delta), linear ramp to zero at
-               delta + width, zero beyond; rho is the declared decay
-               exponent (witnessed trivially by the compact support)
+               delta + width, zero beyond
 
 Both expose the signed antiderivative A(u) = integral_0^u f in closed form,
 which the quadratures use to average f over momentum cells exactly.  Cell
@@ -38,9 +38,6 @@ class LocalizationProfile:
     A family also defines its plateau half-width delta and the finite
     support_radius beyond which it vanishes.
     """
-
-    nonnegative = True
-    rho = math.inf
 
     def __call__(self, x):
         raise NotImplementedError
@@ -90,23 +87,16 @@ class IndicatorProfile(LocalizationProfile):
 class SmoothBumpProfile(LocalizationProfile):
     plateau: float
     width: float
-    decay: float
 
     def __post_init__(self):
         if self.plateau <= 0:
             raise ValidationError("smooth_bump plateau half-width delta must be positive")
         if self.width <= 0:
             raise ValidationError("smooth_bump ramp width must be positive")
-        if self.decay <= 1:
-            raise ValidationError("smooth_bump decay exponent rho must exceed 1")
 
     @property
     def delta(self):
         return self.plateau
-
-    @property
-    def rho(self):
-        return self.decay
 
     @property
     def support_radius(self):
@@ -129,11 +119,11 @@ class SmoothBumpProfile(LocalizationProfile):
         return 2.0 * self.plateau + self.width
 
 
-def make_localization(kind: str, *, J=None, delta=None, width=None, rho=None):
+def make_localization(kind: str, *, J=None, delta=None, width=None):
     """Build a validated localization profile.
 
     indicator:   J = (a, b) with a = -b
-    smooth_bump: delta, width, rho
+    smooth_bump: delta, width
     """
     if kind == "indicator":
         if J is None:
@@ -143,7 +133,7 @@ def make_localization(kind: str, *, J=None, delta=None, width=None, rho=None):
             raise ValidationError(f"indicator interval must be symmetric, got [{a}, {b}]")
         return IndicatorProfile(b)
     if kind == "smooth_bump":
-        if delta is None or width is None or rho is None:
-            raise ValidationError("smooth_bump profile needs delta, width and rho")
-        return SmoothBumpProfile(float(delta), float(width), float(rho))
+        if delta is None or width is None:
+            raise ValidationError("smooth_bump profile needs delta and width")
+        return SmoothBumpProfile(float(delta), float(width))
     raise ValidationError(f"unknown localization kind {kind!r}")

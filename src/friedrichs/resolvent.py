@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -96,15 +95,13 @@ def _as_side(side) -> Side:
 class FiniteRankModel:
     """Rank-N perturbation V = sum_j lambda_j |v_j><v_j| of H0 = Q.
 
-    mu is the declared regularity of the vectors; it gates warnings for
-    derivative orders, not evaluation.  Arrays derived from the vectors are
-    computed on first use and kept for the model's lifetime.
+    Arrays derived from the vectors are computed on first use and kept for
+    the model's lifetime.
     """
 
     grid: GridSpec
     couplings: tuple
     vectors: tuple
-    mu: float = math.inf
 
     @property
     def rank(self) -> int:
@@ -268,7 +265,7 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
     return mu, (Q if phase is None else phase[:, None] * Q)
 
 
-def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) -> FiniteRankModel:
+def finite_rank_model(grid: GridSpec, vectors, couplings) -> FiniteRankModel:
     vectors = tuple(vectors)
     couplings = tuple(float(c) for c in couplings)
     if len(vectors) != len(couplings):
@@ -276,8 +273,6 @@ def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) 
             f"got {len(vectors)} vectors but {len(couplings)} couplings")
     if not all(math.isfinite(c) for c in couplings):
         raise ValidationError("couplings must be finite reals")
-    if not mu > 0:
-        raise ValidationError("mu must be positive (inf is fine for Schwartz-class vectors)")
     for j, v in enumerate(vectors):
         if not isinstance(v, GridFunction):
             raise ValidationError(f"vector {j} is not a GridFunction")
@@ -289,8 +284,7 @@ def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) 
             raise ValidationError(
                 f"vector {j} does not decay at the grid boundary "
                 f"(level {boundary_decay(v):.2e} > {_DECAY_TOL:.0e})")
-        s_chk = min(mu, 8.0)
-        if not math.isfinite(sobolev_norm(v, s_chk)):
+        if not math.isfinite(sobolev_norm(v, 8.0)):
             raise ValidationError(f"vector {j} has non-finite smoothness norm")
     for j in range(len(vectors)):
         for k in range(j, len(vectors)):
@@ -300,7 +294,7 @@ def finite_rank_model(grid: GridSpec, vectors, couplings, mu: float = math.inf) 
                 raise ValidationError(
                     f"vectors {j},{k} violate orthonormality: "
                     f"|<v{j},v{k}> - {target:g}| = {abs(ip - target):.2e}")
-    return FiniteRankModel(grid, couplings, vectors, float(mu))
+    return FiniteRankModel(grid, couplings, vectors)
 
 
 @dataclass(frozen=True)
@@ -464,14 +458,6 @@ def _dense_blocks(grid: GridSpec, xs: np.ndarray):
         yield rows, _Projection(grid, xs[rows])
 
 
-def _warn_regularity(model: FiniteRankModel, orders) -> None:
-    """Warn the caller's caller of each order n that mu < n + 1 leaves uncertified."""
-    for n in (n for n in sorted(orders) if model.mu < n + 1):
-        warnings.warn(f"declared regularity mu = {model.mu:g} is below n + 1 = {n + 1}; "
-                      "boundary values of this order are outside the vectors' certified "
-                      "class", stacklevel=4)
-
-
 def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
     """r^(n)(x +- i0) at every energy of proj (a _Projection or a
     _ChirpProjection), one (Nx, N, N) array per n in orders: the
@@ -479,7 +465,6 @@ def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> li
     side = _as_side(side)
     if min(orders) < 1:
         raise ValidationError("derivative order n must be >= 1")
-    _warn_regularity(model, orders)
     N = model.rank
     mask = _projection_mask(model.grid, side)[:, None]
     outs = []
@@ -546,7 +531,6 @@ def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
     the order-0 pair coefficients, x + i0 the k > 0 sum plus half the k = 0
     term (P+), x - i0 minus the k < 0 sum and minus that half (P+ - 1).
     Neither side is formed from the other through the jump 2 pi i g(x)."""
-    _warn_regularity(model, (1,))
     proj = _Projection(model.grid, float(x))
     samples, coeffs = model.pair_densities(0)
     row, half, N = proj.eval_mat[0], model.grid.points // 2, model.rank

@@ -64,26 +64,23 @@ def hermite_state(grid: GridSpec, n: int, center: float = 0.0,
     return GridFunction(grid, Representation.POSITION, s)
 
 
-def bump_state(grid: GridSpec, support=(0.25, 0.75), power: int = 1) -> GridFunction:
-    """Smooth bump supported on [a, b]: a super-Gaussian window, unit norm.
+def bump_state(grid: GridSpec, support=(0.25, 0.75)) -> GridFunction:
+    """Smooth bump supported on [a, b]: a truncated Gaussian, unit norm.
 
-    power p gives exp(-(u/w)^(2p)); the width is set so the profile reaches
-    ~1e-15 at the endpoints, and values outside [a, b] are exactly 0.
-    Larger p flattens the top but, with the endpoint level pinned, pushes
-    far more content into high momenta (the far tail decays like
-    exp(-c |k|^(2p/(2p-1))), slowest for large p), so the default stays
-    with the plain truncated Gaussian.
+    The profile is exp(-(u/w)^2), its width set so that it reaches ~1e-15
+    at the endpoints, and values outside [a, b] are exactly 0.  A flatter
+    super-Gaussian exp(-(u/w)^(2p)) with the same endpoint level would push
+    far more content into high momenta (its far tail decays like
+    exp(-c |k|^(2p/(2p-1)))).
     """
     a, b = float(support[0]), float(support[1])
     if not (b > a):
         raise ValidationError("bump support must satisfy a < b")
-    if power < 1:
-        raise ValidationError("bump power must be a positive integer")
     x = grid.position_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    w = half / _BUMP_EXPONENT_AT_EDGE ** (1.0 / (2 * power))
-    s = np.exp(-((x - mid) / w) ** (2 * power))
+    w = half / _BUMP_EXPONENT_AT_EDGE ** 0.5
+    s = np.exp(-((x - mid) / w) ** 2)
     s[(x < a) | (x > b)] = 0.0
     phi = GridFunction(grid, Representation.POSITION, s)
     return GridFunction(grid, Representation.POSITION, phi.samples / norm(phi))

@@ -47,5 +47,14 @@ def gaussian_propagator(gaussian_model):
     return build_propagator(gaussian_model)
 
 
+@pytest.fixture(scope="session")
+def free_propagator(grid):
+    """The rank-0 propagator: free evolution under H0 = Q."""
+    from friedrichs.dynamics import build_propagator
+    from friedrichs.resolvent import finite_rank_model
+
+    return build_propagator(finite_rank_model(grid, [], []))
+
+
 def rng(seed):
     return np.random.default_rng(seed)

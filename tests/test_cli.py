@@ -136,7 +136,10 @@ experiment.energy-grid = -2, 2, 201
 
 @pytest.mark.parametrize("line, field", [
     ("grid.M = 2049", "grid"),
+    # retired keys are refused as unknown
     ("model.mu = -1", "model"),
+    ("localization.rho = 3", "unknown config key 'localization.rho'"),
+    ("state.power = 1", "unknown config key 'state.power'"),
     ("experiment.energy-grid = 2, -2, 201", "experiment.energy-grid"),
     ("experiment.energy-grid = -6, 6, , 1001",
      "experiment.energy-grid: expected 3 entries, got 4"),
@@ -305,28 +308,22 @@ experiment.exclusions = none
     assert "revival cap" in err and "grid.M" in err
 
 
-@pytest.mark.parametrize("mu", [2.5, 1.5])
-def test_low_mu_warning_lands_in_summary(tmp_path, mu):
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_r_list_outside_the_positive_reals_exits_2(tmp_path, capsys, scale):
+    # a NaN scale used to exit 0 with a NaN row
     cfg = write_cfg(tmp_path, f"""
 grid.L = 16
 grid.M = 2048
-model.N = 1
-model.lambdas = 1.0
-model.vector.1 = gaussian(0, 1)
-model.mu = {mu}
-experiment.energy-grid = -2, 2, 101
+model.N = 0
+localization.kind = indicator
+localization.J = -1, 1
+state.family = bump
+state.support = 0.25, 0.75
+experiment.r-list = 4, 8, {scale}
+experiment.energy-grid = -1, 2, 301
 """)
-    out = tmp_path / "out"
-    assert main(["smatrix", "--config", cfg, "--out", str(out)]) == 0
-    summary = (out / "summary.txt").read_text()
-    assert "warning:" in summary and "mu >= 5" in summary
-    # one line per boundary-value order the vectors do not certify, ascending
-    assert [ln for ln in summary.splitlines() if ln.startswith("warning:")] == [
-        f"warning: model.mu = {mu:g} is below the sweep hypothesis mu >= 5; "
-        "tail bounds may be optimistic",
-    ] + [f"warning: declared regularity mu = {mu:g} is below n + 1 = {m}; boundary "
-         "values of this order are outside the vectors' certified class"
-         for m in (2, 3) if mu < m]
+    assert main(["timedelay-sweep", "--config", cfg, "--check"]) == 2
+    assert "experiment.r-list: scales must be positive and finite" in capsys.readouterr().err
 
 
 def test_file_tabulated_vector_matches_builtin(tmp_path):

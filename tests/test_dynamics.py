@@ -10,6 +10,7 @@ of Cook's time integral with the stationary resolvent formula for W-.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,28 +27,28 @@ def f_ind():
 
 @pytest.fixture(scope="module")
 def f_smooth():
-    return fr.make_localization("smooth_bump", delta=1.0, width=1.0, rho=3.0)
+    return fr.make_localization("smooth_bump", delta=1.0, width=1.0)
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
 
-def test_free_evolution_is_position_phase(gaussian_propagator, grid):
+def test_free_evolution_is_position_phase(free_propagator, grid):
     phi = fr.gaussian_state(grid, 0.3, 0.7)
     t = 1.37
-    out = fr.evolve(gaussian_propagator, phi, t, "free")
+    out = fr.evolve(free_propagator, phi, t)
     ref = np.exp(-1j * t * grid.position_nodes()) * phi.samples
     assert np.max(np.abs(out.samples - ref)) < 1e-14
 
 
-def test_free_evolution_translates_momentum(gaussian_propagator, grid):
+def test_free_evolution_translates_momentum(free_propagator, grid):
     # t = n momentum cells: the transform shifts down by exactly n bins
     n = 10
     t = n * grid.momentum_spacing
     phi = fr.gaussian_state(grid, 0.0, 0.5, momentum=1.0)
     before = fr.transform(phi).samples
-    after = fr.transform(fr.evolve(gaussian_propagator, phi, t, "free")).samples
+    after = fr.transform(fr.evolve(free_propagator, phi, t)).samples
     assert np.max(np.abs(after - np.roll(before, -n))) < 1e-12
 
 
@@ -58,7 +59,7 @@ def test_full_evolution_unitary_and_energy_conserving(gaussian_propagator, grid)
         raw = gen.standard_normal(grid.points) * np.exp(
             -0.1 * np.abs(grid.position_nodes()))
         phi = fr.grid_function(grid, raw / np.linalg.norm(raw) / math.sqrt(grid.spacing))
-        out = fr.evolve(gaussian_propagator, phi, 3.7, "full")
+        out = fr.evolve(gaussian_propagator, phi, 3.7)
         assert abs(fr.norm(out) - fr.norm(phi)) < 1e-12
         # <phi, H phi> through the eigenbasis before and after
         c0 = U.conj().T @ phi.samples
@@ -80,24 +81,23 @@ def test_eigenvalue_interlacing_small_grid():
     assert np.all(E[:-1] <= x[1:] + 1e-12)
 
 
-def test_zero_coupling_propagator_is_diagonal(grid):
+def test_zero_coupling_propagator_is_diagonal(free_propagator, grid):
     model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [0.0])
     prop = fr.build_propagator(model)
-    assert prop.is_diagonal
+    assert prop.is_diagonal and free_propagator.is_diagonal
     phi = fr.gaussian_state(grid, 0.2, 0.6)
-    full = fr.evolve(prop, phi, 2.2, "full")
-    free = fr.evolve(prop, phi, 2.2, "free")
+    full = fr.evolve(prop, phi, 2.2)
+    free = fr.evolve(free_propagator, phi, 2.2)
     assert np.array_equal(full.samples, free.samples)
 
 
-def test_evolve_which_validation(gaussian_propagator, grid):
+def test_evolve_validation(gaussian_propagator, grid):
     phi = fr.gaussian_state(grid)
-    with pytest.raises(ValidationError):
-        fr.evolve(gaussian_propagator, phi, 1.0, "sideways")
-    # spelling variants canonicalize
-    a = fr.evolve(gaussian_propagator, phi, 0.5, "FREE")
-    b = fr.evolve(gaussian_propagator, phi, 0.5, "free")
-    assert np.array_equal(a.samples, b.samples)
+    with pytest.raises(ValidationError, match="position-representation"):
+        fr.evolve(gaussian_propagator, fr.transform(phi), 1.0)
+    other = fr.gaussian_state(fr.make_grid(12.0, 2048))
+    with pytest.raises(ValidationError, match="different grid"):
+        fr.evolve(gaussian_propagator, other, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +177,14 @@ def test_wave_operator_isometry_on_bump(gaussian_propagator, grid):
     assert info["zeta"] > 2.0
 
 
-def test_wave_operator_intertwines_evolutions(gaussian_propagator, grid):
+def test_wave_operator_intertwines_evolutions(gaussian_propagator, free_propagator, grid):
     # W_- e^{-itH0} = e^{-itH} W_-
     psi = fr.gaussian_state(grid, 0.5, 0.4)
     t = 1.0
     lhs = fr.wave_operator(gaussian_propagator,
-                           fr.evolve(gaussian_propagator, psi, t, "free"), "minus")
+                           fr.evolve(free_propagator, psi, t), "minus")
     w = fr.wave_operator(gaussian_propagator, psi, "minus")
-    rhs = fr.evolve(gaussian_propagator, w, t, "full")
+    rhs = fr.evolve(gaussian_propagator, w, t)
     res = fr.norm(fr.grid_function(grid, lhs.samples - rhs.samples))
     assert res < 1e-4  # measured ~1e-14
 
@@ -281,45 +281,70 @@ def _momentum_columns(prop, cols):
                      for j in cols], axis=1)
 
 
-def test_free_sojourn_identity(gaussian_propagator, grid, f_ind, f_smooth):
+def test_free_sojourn_identity(free_propagator, grid, f_ind, f_smooth):
     # T0_r = r ||phi||^2 integral(f), checked through the numeric route
     states = [fr.gaussian_state(grid, 0.0, 1.0, momentum=1.5),
               fr.bump_state(grid, (0.25, 0.75))]
     for phi in states:
         for f in (f_ind, f_smooth):
             for r in (1.0, 8.0, 64.0):
-                got = fr.sojourn(gaussian_propagator, phi, f, r, "freenumeric")
+                got = fr.sojourn(free_propagator, phi, f, r)
                 ref = r * fr.norm(phi) ** 2 * f.integral()
                 assert abs(got - ref) < 1e-4 * ref
 
 
-def test_free_analytic_route(gaussian_propagator, grid, f_ind):
-    phi = fr.bump_state(grid, (0.25, 0.75))
-    got = fr.sojourn(gaussian_propagator, phi, f_ind, 16.0, "freeanalytic")
-    assert got == pytest.approx(16.0 * fr.norm(phi) ** 2 * 2.0, rel=1e-12)
-
-
-def test_full_sojourn_reduces_to_free_for_zero_coupling(grid, f_ind):
+def test_full_sojourn_reduces_to_free_for_zero_coupling(free_propagator, grid, f_ind):
     model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [0.0])
     prop = fr.build_propagator(model)
     phi = fr.bump_state(grid, (0.25, 0.75))
-    full = fr.sojourn(prop, phi, f_ind, 8.0, "full")
-    free = fr.sojourn(prop, phi, f_ind, 8.0, "freenumeric")
+    full = fr.sojourn(prop, phi, f_ind, 8.0)
+    free = fr.sojourn(free_propagator, phi, f_ind, 8.0)
     assert full == free  # same code path, bit for bit
-
-
-def test_full_sojourn_requires_dressed_state(gaussian_propagator, grid, f_ind):
-    phi = fr.bump_state(grid, (0.25, 0.75))
-    with pytest.raises(ValidationError):
-        fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, "full")
 
 
 def test_sojourn_tolerance_failure_is_loud(gaussian_propagator, grid, f_ind):
     phi = fr.bump_state(grid, (0.25, 0.75))
     w = fr.wave_operator(gaussian_propagator, phi, "minus")
     with pytest.raises(ToleranceError):
-        fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, "full",
-                   w_minus_phi=w, tol=1e-15)
+        fr.sojourn(gaussian_propagator, w, f_ind, 8.0, tol=1e-15)
+
+
+def test_sojourn_refuses_a_state_it_cannot_read(gaussian_propagator, grid, f_ind):
+    # read as position samples, a momentum-representation W- phi returned
+    # 1.2703 for 14.5691 at r = 8; a state on another grid was read as is
+    w = fr.wave_operator(gaussian_propagator, fr.bump_state(grid, (0.25, 0.75)), "minus")
+    with pytest.raises(ValidationError, match="position-representation"):
+        fr.sojourn(gaussian_propagator, fr.transform(w), f_ind, 8.0)
+    other = fr.bump_state(fr.make_grid(12.0, 2048), (0.25, 0.75))
+    with pytest.raises(ValidationError, match="different grid"):
+        fr.sojourn(gaussian_propagator, other, f_ind, 8.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -4.0])
+@pytest.mark.parametrize("call", [
+    lambda props, phi, f, r: fr.sojourn(props[0], phi, f, r),
+    lambda props, phi, f, r: fr.sojourn(props[1], phi, f, r),
+    lambda props, phi, f, r: fr.propagation_functional(phi, f, r, "closedform"),
+    lambda props, phi, f, r: fr.propagation_functional(phi, f, r, "direct"),
+], ids=["free_sojourn", "full_sojourn", "closedform_functional", "direct_functional"])
+def test_a_scale_outside_the_positive_reals_is_refused(free_propagator, gaussian_propagator,
+                                                       grid, f_ind, call, r):
+    # a NaN scale gave (nan, tail nan) on the full sojourn, since
+    # nan > bound is False, and a bare numpy error on the free one; the
+    # closed-form functional returned nan, and for a Gaussian at momentum
+    # 1.5 read 2.80 at r = -2 where the direct one read 1.20
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    with pytest.raises(ValidationError, match="positive and finite"):
+        call((free_propagator, gaussian_propagator), phi, f_ind, r)
+
+
+def test_sojourn_refuses_a_nan_tail_estimate(gaussian_propagator, grid, f_ind,
+                                             monkeypatch):
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    monkeypatch.setattr(dynamics, "_full_sojourn",
+                        lambda *args: (1.0, math.nan, math.inf, grid.points, 0.0))
+    with pytest.raises(ToleranceError, match="nan"):
+        fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0])
@@ -332,9 +357,8 @@ def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, pro
     prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [lam]))
     phi = fr.gaussian_state(g, 0.5, 0.6)
     w = fr.wave_operator(prop, phi, "minus")
-    value, info = fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol,
-                             return_info=True)
-    assert value == fr.sojourn(prop, phi, f, r, "full", w_minus_phi=w, tol=tol)
+    value, info = fr.sojourn(prop, w, f, r, tol=tol, return_info=True)
+    assert value == fr.sojourn(prop, w, f, r, tol=tol)
     _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), g, f, r)
     E = prop.eigenvalues
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
@@ -360,7 +384,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     prop, tol = gaussian_propagator, 1e-6
     phi = fr.bump_state(grid, (0.25, 0.75))
     w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
-    value = fr.sojourn(prop, phi, f_ind, r, "full", w_minus_phi=w, tol=tol)
+    value = fr.sojourn(prop, w, f_ind, r, tol=tol)
     _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r)
     fbar = dynamics._f_cell_averages(f_ind, grid, r)
     c = prop.coefficients(w)
@@ -375,12 +399,11 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     assert abs(value - ref) <= 1e-12 * abs(value)
 
 
-def test_free_sojourn_routes_keep_every_mode(gaussian_propagator, grid, f_ind):
+def test_free_sojourn_routes_keep_every_mode(free_propagator, grid, f_ind):
     phi = fr.bump_state(grid, (0.25, 0.75))
-    for which in ("freeanalytic", "freenumeric"):
-        _, info = fr.sojourn(gaussian_propagator, phi, f_ind, 8.0, which, return_info=True)
-        assert info["modes_kept"] == grid.points
-        assert info["discarded_mass"] == 0.0
+    _, info = fr.sojourn(free_propagator, phi, f_ind, 8.0, return_info=True)
+    assert info["modes_kept"] == grid.points
+    assert info["discarded_mass"] == 0.0
 
 
 def test_propagation_functional_exact_regime(f_ind):
@@ -530,3 +553,46 @@ def test_sweep_validates_r_list(gaussian_propagator, gaussian_curve, grid, f_ind
         fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [])
     with pytest.raises(ValidationError):
         fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [-2.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind,
+                                [4.0, 8.0, bad])
+    # a repeated scale would leave a zero gap for the power-law fit to read
+    with pytest.raises(ValidationError, match="repeat"):
+        fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind,
+                            [4.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("rs, beta", [
+    ((4.0, 8.0, 16.0, 32.0, 64.0), 1.5),
+    ((3.0, 5.0, 9.0, 20.0), 2.7),
+    # gap ratio 0.78 < 1 on an exact power law: this spacing's beta -> 0
+    # limit is ln(3/2)/ln(7/3) = 0.478, so the ratio is no sign of stalling
+    ((2.0, 3.0, 7.0), 0.8),
+])
+def test_power_law_fit_recovers_beta_on_any_spacing(rs, beta):
+    rs = np.array(rs)
+    taus = -1.43 + 0.3 * rs ** -beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = dynamics._fit_power_law(rs, taus, floor=1e-14)
+    assert fit["fit_ok"]
+    assert abs(fit["beta"] - beta) <= 1e-12 * beta
+    assert abs(fit["tau_inf"] + 1.43) <= 1e-12
+    if rs.size >= 4:
+        assert fit["fit_residual"] <= 1e-13
+    else:
+        assert math.isnan(fit["fit_residual"])
+
+
+def test_power_law_fit_converged_and_fallback_branches():
+    rs = np.array([4.0, 8.0, 16.0])
+    fit = dynamics._fit_power_law(rs, np.array([1.0, 1.0 + 3e-9, 1.0 + 3e-9 + 1e-13]),
+                                  floor=1e-12)
+    assert fit == {"tau_inf": 1.0 + 3e-9 + 1e-13, "beta": math.inf,
+                   "fit_residual": pytest.approx(3e-9), "fit_ok": True}
+    # gaps of opposite sign: no beta makes the ratio negative
+    with pytest.warns(UserWarning, match="gap ratio -2 fits no power law"):
+        fit = dynamics._fit_power_law(rs, np.array([1.0, 0.8, 0.9]), floor=1e-12)
+    assert fit["tau_inf"] == 0.9 and not fit["fit_ok"]
+    assert math.isnan(fit["beta"]) and math.isnan(fit["fit_residual"])

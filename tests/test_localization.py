@@ -45,7 +45,7 @@ def test_indicator_window_average_matches_quadrature():
 
 
 def test_smooth_bump_shape():
-    f = make_localization("smooth_bump", delta=1.0, width=1.0, rho=3.0)
+    f = make_localization("smooth_bump", delta=1.0, width=1.0)
     assert f(np.array([0.0]))[0] == 1.0
     assert f(np.array([0.99]))[0] == 1.0  # plateau
     assert abs(f(np.array([1.5]))[0] - 0.5) < 1e-14  # mid-ramp
@@ -55,7 +55,7 @@ def test_smooth_bump_shape():
 
 
 def test_smooth_bump_antiderivative_is_odd_and_consistent():
-    f = make_localization("smooth_bump", delta=0.7, width=0.6, rho=2.5)
+    f = make_localization("smooth_bump", delta=0.7, width=0.6)
     u = np.linspace(-3, 3, 31)
     A = f.antiderivative(u)
     assert np.allclose(A, -f.antiderivative(-u), atol=1e-14)
@@ -67,7 +67,7 @@ def test_smooth_bump_antiderivative_is_odd_and_consistent():
 
 
 def test_smooth_bump_window_average():
-    f = make_localization("smooth_bump", delta=1.0, width=1.0, rho=3.0)
+    f = make_localization("smooth_bump", delta=1.0, width=1.0)
     gen = np.random.default_rng(11)
     for _ in range(20):
         lo = gen.uniform(-4, 3.5)
@@ -86,11 +86,9 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         make_localization("indicator")  # interval missing
     with pytest.raises(ValidationError):
-        make_localization("smooth_bump", delta=1.0, width=0.0, rho=3.0)
-    with pytest.raises(ValidationError):
-        make_localization("smooth_bump", delta=1.0, width=1.0, rho=0.5)
+        make_localization("smooth_bump", delta=1.0, width=0.0)
     with pytest.raises(ValidationError, match="unknown localization kind"):
-        make_localization("custom", delta=0.5, rho=2.0)
+        make_localization("custom", delta=0.5)
     with pytest.raises(ValidationError):
         make_localization("no-such-kind", J=(-1.0, 1.0))
 

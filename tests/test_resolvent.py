@@ -437,8 +437,6 @@ def test_model_validation(grid):
         fr.finite_rank_model(grid, [g1, g1], [1.0, 1.0])  # not orthonormal
     with pytest.raises(ValidationError):
         fr.finite_rank_model(grid, [g1], [math.nan])
-    with pytest.raises(ValidationError):
-        fr.finite_rank_model(grid, [g1], [1.0], mu=0.0)
     wide = fr.gaussian_state(grid, width=8.0)  # leaks at the box edge
     with pytest.raises(ValidationError):
         fr.finite_rank_model(grid, [wide], [1.0])
@@ -482,9 +480,3 @@ def test_side_and_order_validation(gaussian_model):
     bd2 = fr.boundary_matrix(gaussian_model, 0.5, "plus", n=2)
     with pytest.raises(ValidationError):
         fr.resolvent_matrix(gaussian_model, bd2)
-
-
-def test_low_regularity_warning(grid):
-    model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [1.0], mu=2.5)
-    with pytest.warns(UserWarning, match="regularity"):
-        fr.boundary_matrix(model, 0.5, "plus", n=2)
