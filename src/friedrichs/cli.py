@@ -557,18 +557,12 @@ def _execute_sweep(ctx: dict, outdir: Path, prec: int):
     records, summary = time_delay_sweep(prop, curve, ctx["phi"], ctx["f"],
                                         ctx["rs"], tol=ctx["tol"])
     footer = [f"# {key} = {_fmt(summary[key], prec)}"
-              for key in ("tau_inf", "beta", "fit_residual", "ew_value",
-                          "rel_gap")]
+              for key in ("tau_inf", "fit_residual", "ew_value", "rel_gap")]
     rows = [(rec.r, rec.T0, rec.T0_S, rec.T, rec.tau_in, rec.tau_sym,
              rec.tau_free, rec.tail_estimate) for rec in records]
     path = outdir / "timedelay-sweep.csv"
     _write_csv(path, _SWEEP_COLUMNS, rows, prec, footer=footer)
 
-    # definitional identities are exact by construction; state them with
-    # their measured residuals anyway so the summary is self-auditing
-    def_in = max(abs(rec.T - rec.T0 - rec.tau_in) for rec in records)
-    def_sym = max(abs(rec.T - 0.5 * (rec.T0 + rec.T0_S) - rec.tau_sym)
-                  for rec in records)
     sym = max(abs(rec.T0_S - rec.T0) for rec in records)
     free_gap = abs(records[-1].tau_free - records[-1].tau_in)
     lines = [
@@ -580,15 +574,12 @@ def _execute_sweep(ctx: dict, outdir: Path, prec: int):
     ]
     lines += [f"{k} = {_fmt(v, prec)}" for k, v in curve.residuals().items()]
     lines += [
-        f"tau_in_identity_residual = {_fmt(def_in, prec)}",
-        f"tau_sym_identity_residual = {_fmt(def_sym, prec)}",
         f"free_sojourn_symmetry_residual = {_fmt(sym, prec)}",
         f"tau_free_gap_at_largest_r = {_fmt(free_gap, prec)}",
         f"tail_estimate_max = {_fmt(max(rec.tail_estimate for rec in records), prec)}",
         f"zeta_measured = {_fmt(summary['zeta_measured'], prec)}",
         f"wave_operator_route_gap = {_fmt(summary['wave_operator_route_gap'], prec)}",
         f"tau_inf = {_fmt(summary['tau_inf'], prec)}",
-        f"beta = {_fmt(summary['beta'], prec)}",
         f"fit_residual = {_fmt(summary['fit_residual'], prec)}",
         f"fit_ok = {summary['fit_ok']}",
         f"ew_value = {_fmt(summary['ew_value'], prec)}",

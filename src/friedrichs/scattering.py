@@ -257,6 +257,9 @@ def state_support(phi: GridFunction) -> tuple:
     if phi.representation is not Representation.POSITION:
         raise StateNotAdmissible("support detection needs a position-representation state")
     amp = np.abs(phi.samples)
+    bad = np.flatnonzero(~np.isfinite(amp))
+    if bad.size:
+        raise StateNotAdmissible(f"state sample {bad[0]} is not finite")
     scale = float(amp.max())
     if scale == 0.0:
         raise StateNotAdmissible("zero state has no support")

@@ -193,7 +193,7 @@ experiment.energy-grid = -1, 2, 301
     for row in rows:
         assert row[4] == 0.0 and row[5] == 0.0 and row[6] == 0.0
     assert any(ln.startswith("# tau_inf = 0") for ln in footer)
-    assert any(ln.startswith("# beta") for ln in footer)
+    assert any(ln.startswith("# fit_residual = 0") for ln in footer)
     assert any(ln.startswith("# ew_value = 0") for ln in footer)
     assert "wave_operator_route_gap = 0\n" in (out / "summary.txt").read_text()
 
@@ -283,6 +283,32 @@ experiment.tolerance = 1e-15
     assert main(["timedelay-sweep", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 3
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_unsettled_sweep_warns_in_the_summary_and_on_stderr(tmp_path, capsys):
+    # r = 4, 8 on the flagship model: the last gap 4.4e-5 lies far above
+    # the 4.4e-7 floor of its two sojourns' tails
+    cfg = write_cfg(tmp_path, """
+grid.L = 16
+grid.M = 2048
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = gaussian(0, 1)
+localization.kind = indicator
+localization.J = -1, 1
+state.family = bump
+state.support = 0.25, 0.75
+experiment.r-list = 4, 8
+experiment.energy-grid = -1, 2, 301
+""")
+    out = tmp_path / "out"
+    assert main(["timedelay-sweep", "--config", cfg, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "fit_ok = False" in summary
+    notes = [ln for ln in summary if ln.startswith("warning: ")]
+    assert len(notes) == 1
+    assert notes[0].startswith("warning: time-delay sweep has not settled: its last gap")
+    assert notes[0] in capsys.readouterr().err.splitlines()
 
 
 def test_grid_too_coarse_for_the_wave_operator_exits_2(tmp_path, capsys):

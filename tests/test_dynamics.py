@@ -508,7 +508,8 @@ def test_sweep_reads_the_support_nodes_once(gaussian_propagator, gaussian_curve,
         init(self, grid, xs)
 
     monkeypatch.setattr(resolvent._Projection, "__init__", counted)
-    fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4])
+    with pytest.warns(UserWarning, match="single scale"):
+        fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4])
     assert reads == [_support_nodes(phi).size]
 
 
@@ -557,42 +558,52 @@ def test_sweep_validates_r_list(gaussian_propagator, gaussian_curve, grid, f_ind
         with pytest.raises(ValidationError, match="positive and finite"):
             fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind,
                                 [4.0, 8.0, bad])
-    # a repeated scale would leave a zero gap for the power-law fit to read
+    # a repeated scale would leave a zero gap, certifying a convergence
+    # never shown
     with pytest.raises(ValidationError, match="repeat"):
         fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind,
                             [4.0, 4.0, 8.0])
 
 
-@pytest.mark.parametrize("rs, beta", [
-    ((4.0, 8.0, 16.0, 32.0, 64.0), 1.5),
-    ((3.0, 5.0, 9.0, 20.0), 2.7),
-    # gap ratio 0.78 < 1 on an exact power law: this spacing's beta -> 0
-    # limit is ln(3/2)/ln(7/3) = 0.478, so the ratio is no sign of stalling
-    ((2.0, 3.0, 7.0), 0.8),
-])
-def test_power_law_fit_recovers_beta_on_any_spacing(rs, beta):
-    rs = np.array(rs)
-    taus = -1.43 + 0.3 * rs ** -beta
+def test_sweep_settles_on_its_last_gap(gaussian_propagator, gaussian_curve, grid, f_ind):
+    # tau_inf is tau_in at the largest r, never an extrapolation; fit_ok
+    # says the last gap lies within twice the larger tail of its two
+    # sojourns (plus round-off), and a sweep that has not settled warns
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    with pytest.warns(UserWarning, match=r"not settled: its last gap 0\.00973 "
+                                         r"exceeds the floor 2\.08e-07"):
+        records, summary = fr.time_delay_sweep(
+            gaussian_propagator, gaussian_curve, phi, f_ind, [1.0, 2.0, 3.0])
+    assert not summary["fit_ok"]
+    assert summary["tau_inf"] == records[-1].tau_in
+    assert summary["fit_residual"] == abs(records[-1].tau_in - records[-2].tau_in)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = dynamics._fit_power_law(rs, taus, floor=1e-14)
-    assert fit["fit_ok"]
-    assert abs(fit["beta"] - beta) <= 1e-12 * beta
-    assert abs(fit["tau_inf"] + 1.43) <= 1e-12
-    if rs.size >= 4:
-        assert fit["fit_residual"] <= 1e-13
-    else:
-        assert math.isnan(fit["fit_residual"])
+        records, summary = fr.time_delay_sweep(
+            gaussian_propagator, gaussian_curve, phi, f_ind, [4.0, 8.0, 16.0])
+    assert summary["fit_ok"]
+    assert summary["tau_inf"] == records[-1].tau_in
+    assert summary["fit_residual"] <= 2.0 * records[-1].tail_estimate
+
+    with pytest.warns(UserWarning, match="a single scale shows no gap"):
+        records, summary = fr.time_delay_sweep(
+            gaussian_propagator, gaussian_curve, phi, f_ind, [4.0])
+    assert not summary["fit_ok"] and math.isnan(summary["fit_residual"])
+    assert summary["tau_inf"] == records[-1].tau_in
 
 
-def test_power_law_fit_converged_and_fallback_branches():
-    rs = np.array([4.0, 8.0, 16.0])
-    fit = dynamics._fit_power_law(rs, np.array([1.0, 1.0 + 3e-9, 1.0 + 3e-9 + 1e-13]),
-                                  floor=1e-12)
-    assert fit == {"tau_inf": 1.0 + 3e-9 + 1e-13, "beta": math.inf,
-                   "fit_residual": pytest.approx(3e-9), "fit_ok": True}
-    # gaps of opposite sign: no beta makes the ratio negative
-    with pytest.warns(UserWarning, match="gap ratio -2 fits no power law"):
-        fit = dynamics._fit_power_law(rs, np.array([1.0, 0.8, 0.9]), floor=1e-12)
-    assert fit["tau_inf"] == 0.9 and not fit["fit_ok"]
-    assert math.isnan(fit["beta"]) and math.isnan(fit["fit_residual"])
+def test_a_non_finite_state_sample_is_refused_by_name(gaussian_propagator,
+                                                      gaussian_curve, grid, f_ind):
+    # a NaN sample is refused by name, not left to a bare IndexError
+    samples = fr.bump_state(grid, (0.25, 0.75)).samples.copy()
+    k = int(np.flatnonzero(samples)[3])
+    samples[k] = math.nan
+    phi = fr.GridFunction(grid, Representation.POSITION, samples)
+    match = f"state sample {k} is not finite"
+    with pytest.raises(fr.StateNotAdmissible, match=match):
+        fr.state_support(phi)
+    with pytest.raises(fr.StateNotAdmissible, match=match):
+        fr.ew_time_delay(gaussian_curve, phi)
+    with pytest.raises(fr.StateNotAdmissible, match=match):
+        fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4.0])
