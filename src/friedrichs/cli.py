@@ -66,7 +66,7 @@ import numpy as np
 
 from ._errors import PointSpectrumProximity, ToleranceError, ValidationError
 from .dynamics import build_propagator, propagation_functional, time_delay_sweep
-from .grid import Representation, grid_function, transform
+from .grid import Representation, grid_function, make_grid, transform
 from .localization import make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
 from .scattering import _state_scattering, compute_curve, state_support
@@ -170,8 +170,6 @@ def _float_list(key: str, text: str, count: int | None = None) -> list:
 # assembling package objects from config values
 
 def _build_grid(cfg: dict):
-    from .grid import make_grid
-
     L = _as_float("grid.L", _need(cfg, "grid.L"))
     M = _as_int("grid.M", _need(cfg, "grid.M"))
     try:

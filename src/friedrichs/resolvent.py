@@ -38,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dlasd4
-from scipy.optimize import minimize_scalar
 
 from ._errors import PointSpectrumProximity, ValidationError
 from .grid import (
@@ -75,6 +74,7 @@ _DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor of the root refine
 
 
 class Side(Enum):
@@ -575,8 +575,11 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -
 
     A real eigenvalue needs D(x0 + i0) = 0, which forces the Plemelj part
     pi * sum_j lambda_j^2 |v_j(x0)|^2-type content to vanish: that joint
-    condition filters scan minima before refinement.  Survivors must also
-    reproduce as localized eigenvectors of the discretized Hamiltonian.
+    condition filters scan minima before refinement.  Each survivor is
+    refined by golden-section search on |D(x + i0)| over the three scan
+    steps around it, until the bracket is at most 1e-10 wide, and is kept
+    if |D| there is below threshold.  Survivors must also reproduce as
+    localized eigenvectors of the discretized Hamiltonian.
 
     scan is the (lo, hi, n) triple of the uniform energy grid searched,
     (-0.8 L, 0.8 L, 4001) by default; its step also sets how close two
@@ -609,12 +612,21 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -
         plemelj = math.pi * float(np.sum(lam ** 2 * np.abs(vx) ** 2))
         if plemelj > 1e-3:
             continue
-        res = minimize_scalar(
-            lambda t: abs(perturbation_determinant(model, t, Side.PLUS)),
-            bounds=(xs[max(i - 1, 0)], xs[min(i + 2, n - 1)]),
-            method="bounded", options={"xatol": 1e-10})
-        if res.fun < threshold:
-            candidates.append(float(res.x))
+        # golden section on |D| over the bracket, to a 1e-10 wide one
+        a, b = xs[max(i - 1, 0)], xs[min(i + 2, n - 1)]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = (abs(perturbation_determinant(model, t, Side.PLUS)) for t in (c, d))
+        while b - a > 1e-10:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = abs(perturbation_determinant(model, c, Side.PLUS))
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = abs(perturbation_determinant(model, d, Side.PLUS))
+        if min(fc, fd) < threshold:
+            candidates.append(float(c if fc < fd else d))
 
     if not candidates:
         return PointSpectrum((), ())

@@ -10,11 +10,19 @@ Two counts, each of which only a deliberate change should move:
 
 A change that moves either count updates its pin here and says why in
 CHANGES.md.
+
+The import footprint is held too: the CLI loads no scipy module that only
+an optional path needs, and the point-spectrum search adds none.
 """
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import friedrichs
 from friedrichs import cli
 
 _MODULES = ("grid", "localization", "states", "resolvent", "scattering", "dynamics")
@@ -38,3 +46,32 @@ def test_public_default_count_is_pinned():
 
 def test_cli_key_count_is_pinned():
     assert len(cli._KNOWN_KEYS) == 25
+
+
+_OPTIONAL_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+
+_IMPORT_PROBE = """
+import math, sys
+import numpy as np
+import friedrichs.cli
+import friedrichs as fr
+print(sorted(m for m in {optional} if m in sys.modules))
+print('scipy.linalg.lapack' in sys.modules)
+grid = fr.make_grid(16.0, 512)
+x = grid.position_nodes()
+v = fr.grid_function(grid, (1.5 * math.sqrt(math.pi)) ** -0.5 * (x - 1.0) * np.exp(-0.5 * x * x))
+print(len(fr.point_spectrum(fr.finite_rank_model(grid, [v], [1.5])).eigenvalues))
+print('scipy.optimize' in sys.modules)
+"""
+
+
+def test_import_leaves_optional_scipy_unloaded():
+    # dlasd4 is the only scipy every path needs; quad (analytic momentum
+    # densities) and CubicSpline (file() vectors) load where they are used,
+    # and the point-spectrum refine is in-repo, so its cost is gone rather
+    # than moved from start-up into the first search
+    env = dict(os.environ, PYTHONPATH=str(Path(friedrichs.__file__).parents[1]))
+    code = _IMPORT_PROBE.format(optional=_OPTIONAL_SCIPY)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split("\n")[:4] == ["[]", "True", "1", "False"]

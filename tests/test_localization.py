@@ -5,15 +5,9 @@ profile itself, so the signed-antiderivative bookkeeping is exercised
 independently of its closed form.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import friedrichs
 from friedrichs import ValidationError, make_localization
 
 
@@ -92,12 +86,3 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         make_localization("no-such-kind", J=(-1.0, 1.0))
 
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # both shipped families are closed-form, so nothing on import needs
-    # quadrature; only an analytic momentum density's functional loads it
-    env = dict(os.environ, PYTHONPATH=str(Path(friedrichs.__file__).parents[1]))
-    code = "import sys, friedrichs; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"

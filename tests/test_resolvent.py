@@ -218,14 +218,19 @@ def test_point_spectrum_trivial_for_zero_coupling(grid):
     assert fr.point_spectrum(model).eigenvalues == ()
 
 
-def _embedded_model(grid):
-    """v(x) = c (x-1) e^{-x^2/2}, lambda = 3/2: the determinant has a real
-    zero exactly at x0 = 1 because v(1) = 0 and
-    P.V. integral of |v|^2/(k-1) = -2/3 there."""
+def _planted_model(grid, a):
+    """v(x) = c (x-a) e^{-x^2/2}, lambda = (1/2 + a^2)/a: the determinant
+    has a real zero exactly at x0 = a because v(a) = 0 and
+    P.V. integral of |v|^2/(k-a) = -a/(1/2 + a^2) there."""
     x = grid.position_nodes()
-    c = (1.5 * math.sqrt(math.pi)) ** -0.5
-    v = fr.grid_function(grid, c * (x - 1.0) * np.exp(-0.5 * x * x))
-    return fr.finite_rank_model(grid, [v], [1.5])
+    c = (math.sqrt(math.pi) * (0.5 + a * a)) ** -0.5
+    v = fr.grid_function(grid, c * (x - a) * np.exp(-0.5 * x * x))
+    return fr.finite_rank_model(grid, [v], [(0.5 + a * a) / a])
+
+
+def _embedded_model(grid):
+    """The planted model at a = 1, lambda = 3/2."""
+    return _planted_model(grid, 1.0)
 
 
 def test_point_spectrum_embedded_eigenvalue(grid):
@@ -234,6 +239,15 @@ def test_point_spectrum_embedded_eigenvalue(grid):
     assert len(ps.eigenvalues) == 1
     assert abs(ps.eigenvalues[0] - 1.0) < 1e-4
     assert ps.radii[0] > 0.0
+
+
+@pytest.mark.parametrize("a", np.linspace(0.6, 1.7, 12)[[0, 3, 7, 11]])
+def test_point_spectrum_refines_planted_roots_to_1e10(grid, a):
+    # the refine narrows its bracket to 1e-10, so the root it returns lies
+    # that close to the planted one, well inside AC-11's 1e-4
+    ps = fr.point_spectrum(_planted_model(grid, a))
+    assert len(ps.eigenvalues) == 1
+    assert abs(ps.eigenvalues[0] - a) <= 1e-10
 
 
 def test_exclusion_probes_stay_inside_the_box(coarse_grid):
