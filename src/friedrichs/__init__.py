@@ -22,12 +22,7 @@ from .grid import (
     sobolev_norm,
     transform,
 )
-from .localization import (
-    IndicatorProfile,
-    LocalizationProfile,
-    SmoothBumpProfile,
-    make_localization,
-)
+from .localization import LocalizationProfile, make_localization
 from .states import (
     MomentumDensity,
     bump_state,

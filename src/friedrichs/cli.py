@@ -15,11 +15,11 @@ error; lists are comma separated.  Recognized keys:
     model.vector.<j>                gaussian(center, width) | hermite(n) |
                                     file(path), 1-based j; file() points at a
                                     whitespace-separated table x re [im]
-    localization.kind               indicator | smooth_bump
-    localization.J                  indicator window a, b  (a = -b)
-    localization.delta              smooth_bump plateau half width
-    localization.width              smooth_bump shoulder width; the support
-                                    radius is delta + width
+    localization.kind               indicator | smooth_bump: the even trapezoid,
+                                    one on |x| <= delta, zero beyond delta + width
+    localization.J                  indicator window a, b (a = -b; delta = b, width 0)
+    localization.delta              smooth_bump plateau half width, 0 < delta < inf
+    localization.width              smooth_bump ramp width, 0 < width < inf
     state.family                    gaussian | bump | hermite |
                                     momentum-indicator | gaussian-density |
                                     indicator-density (densities are for the
@@ -33,12 +33,12 @@ error; lists are comma separated.  Recognized keys:
     experiment.energy-grid          lo, hi, n (default: widened state support)
     experiment.r-list               dilation scales for sweeps / propagation,
                                     each 0 < r < inf
-    experiment.tolerance            sojourn / propagation tolerance
+    experiment.tolerance            sojourn / propagation tolerance, 0 < tol < inf
     experiment.exclusions           auto | none (default: auto for the
                                     time-delay sweep, none elsewhere)
     experiment.route                propagation route: closedform | direct
     experiment.scan                 point-spectrum scan lo, hi, n
-    experiment.threshold            point-spectrum determinant threshold
+    experiment.threshold            point-spectrum determinant threshold, 0 < t < inf
     output.directory                artifact directory (--out overrides)
     output.precision                significant digits (default 12)
 
@@ -150,6 +150,13 @@ def _as_float(key: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ValidationError(f"{key}: expected a number, got {text!r}") from None
+
+
+def _positive(key: str, text: str) -> float:
+    value = _as_float(key, text)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{key}: must be positive and finite, got {text!r}")
+    return value
 
 
 def _as_int(key: str, text: str) -> int:
@@ -476,16 +483,12 @@ def _assemble_propagation(cfg: dict, base: Path) -> dict:
         raise ValidationError(
             "experiment.route: direct integration needs a grid state, "
             "not a momentum density")
-    tol = cfg.get("experiment.tolerance")
-    if tol is not None:
-        tol = _as_float("experiment.tolerance", tol)
+    tol = _positive("experiment.tolerance", cfg.get("experiment.tolerance", "1e-8"))
     return {"f": f, "state": state, "rs": rs, "route": route, "tol": tol}
 
 
 def _execute_propagation(ctx: dict, outdir: Path, prec: int):
-    kwargs = {} if ctx["tol"] is None else {"tol": ctx["tol"]}
-    rows = [(r, propagation_functional(ctx["state"], ctx["f"], r,
-                                       ctx["route"], **kwargs))
+    rows = [(r, propagation_functional(ctx["state"], ctx["f"], r, ctx["route"], ctx["tol"]))
             for r in ctx["rs"]]
     path = outdir / "propagation.csv"
     _write_csv(path, ("r", "I_r"), rows, prec)
@@ -511,10 +514,7 @@ def _assemble_point_spectrum(cfg: dict, base: Path) -> dict:
             _scan_triple(grid, scan)
         except ValidationError as exc:
             raise ValidationError(f"experiment.scan: {exc}") from None
-    threshold = _as_float("experiment.threshold",
-                          cfg.get("experiment.threshold", "1e-6"))
-    if not threshold > 0:
-        raise ValidationError("experiment.threshold: must be positive")
+    threshold = _positive("experiment.threshold", cfg.get("experiment.threshold", "1e-6"))
     return {"model": model, "scan": scan, "threshold": threshold}
 
 
@@ -539,9 +539,7 @@ def _assemble_sweep(cfg: dict, base: Path) -> dict:
     f = _build_localization(cfg)
     phi = _build_state(cfg, grid, densities=False)
     rs = _r_list(cfg)
-    tol = _as_float("experiment.tolerance", cfg.get("experiment.tolerance", "1e-6"))
-    if not tol > 0:
-        raise ValidationError("experiment.tolerance: must be positive")
+    tol = _positive("experiment.tolerance", cfg.get("experiment.tolerance", "1e-6"))
     span, npts = _energy_grid(cfg, grid, phi)
     excl = _exclusions(cfg, model, default="auto")
     return {"model": model, "f": f, "phi": phi, "rs": rs,

@@ -171,14 +171,13 @@ def _momentum_extent(dens: np.ndarray, grid: GridSpec, mass_eps: float) -> float
 
 def _sojourn_horizon(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
                      r: float) -> tuple:
-    """(radius, K, T): window radius, momentum extent, time horizon.
+    """(K, T): momentum extent and time horizon.
 
     T covers the state's momentum extent K plus the window f(./r) out to
     its support radius, with a fixed margin.
     """
-    radius = float(f.support_radius)
     K = _momentum_extent(dens, grid, _MASS_EPS * max(dens.sum() * grid.momentum_spacing, 1e-30))
-    return radius, K, K + r * radius + _MARGIN
+    return K, K + r * f.support_radius + _MARGIN
 
 
 def _fitted_tail(tax: np.ndarray, gabs: np.ndarray) -> tuple:
@@ -318,17 +317,17 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
 # sojourn times
 
 def _sliding_sum(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
-                 r: float, tgrid: np.ndarray, radius: float) -> np.ndarray:
+                 r: float, tgrid: np.ndarray) -> np.ndarray:
     """g(t) = dk * sum_j dens_j fbar((k_j - t)/r) over a t grid.
 
     fbar is the cell average of f(./r); only cells meeting the window
-    support [t - r radius, t + r radius] are touched.
+    support [t - r rho, t + r rho], rho = f.support_radius, are touched.
     """
     k = grid.momentum_nodes()
     dk = grid.momentum_spacing
     half = 0.5 * dk
     out = np.zeros(tgrid.size)
-    span = r * radius + dk
+    span = r * f.support_radius + dk
     for lo in range(0, tgrid.size, _T_BLOCK):
         tb = tgrid[lo:lo + _T_BLOCK]
         i0 = np.searchsorted(k, tb.min() - span)
@@ -375,9 +374,9 @@ def _free_time_grid(t0: float, T: float, r: float) -> np.ndarray:
 def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float) -> tuple:
     g = phi.grid
     dens = _momentum_density(phi)
-    radius, _, T = _sojourn_horizon(dens, g, f, r)
+    _, T = _sojourn_horizon(dens, g, f, r)
     tgrid = _free_time_grid(-T, T, r)
-    value = float(np.trapezoid(_sliding_sum(dens, g, f, r, tgrid, radius), tgrid))
+    value = float(np.trapezoid(_sliding_sum(dens, g, f, r, tgrid), tgrid))
     return value, sum(_free_tails(dens, g, f, r, T)), math.inf
 
 
@@ -386,7 +385,7 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     g = prop.grid
     dk = g.momentum_spacing
     dens_psi = _momentum_density(psi)
-    radius, K, T = _sojourn_horizon(dens_psi, g, f, r)
+    K, T = _sojourn_horizon(dens_psi, g, f, r)
 
     fbar = _f_cell_averages(f, g, r)
     fmax = float(np.abs(fbar).max())
@@ -413,7 +412,7 @@ def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     # and stays in it for at most one full window transit.  Charge that
     # occupancy, and the mass beyond the truncation extent K, to the tail.
     kn = np.abs(g.momentum_nodes())
-    reach = r * radius
+    reach = r * f.support_radius
     overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
     tail += float((dens_psi * overlap).sum() * dk)
     tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
@@ -484,10 +483,6 @@ def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float
     from scipy.integrate import quad
 
     lo, hi = dens.support
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        span = 30.0
-        lo = dens.mean - span if not math.isfinite(lo) else lo
-        hi = dens.mean + span if not math.isfinite(hi) else hi
     pts = [p for p in (-r * f.delta, r * f.delta,
                        -r * f.support_radius, r * f.support_radius) if lo < p < hi]
 
@@ -504,10 +499,9 @@ def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
     +-t; the part beyond T is exactly hi - lo of _free_tails."""
     g = phi.grid
     dens = _momentum_density(phi)
-    radius, _, T = _sojourn_horizon(dens, g, f, r)
+    _, T = _sojourn_horizon(dens, g, f, r)
     tgrid = _free_time_grid(0.0, T, r)
-    diff = (_sliding_sum(dens, g, f, r, tgrid, radius)
-            - _sliding_sum(dens, g, f, r, -tgrid, radius))
+    diff = _sliding_sum(dens, g, f, r, tgrid) - _sliding_sum(dens, g, f, r, -tgrid)
     value = float(np.trapezoid(diff, tgrid))
     hi, lo = _free_tails(dens, g, f, r, T)
     if abs(hi - lo) > max(tol, 1e-12) * max(abs(value), 1.0):

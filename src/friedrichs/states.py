@@ -86,11 +86,16 @@ def bump_state(grid: GridSpec, support=(0.25, 0.75)) -> GridFunction:
     return GridFunction(grid, Representation.POSITION, phi.samples / norm(phi))
 
 
+def _band(band) -> tuple:
+    a, b = float(band[0]), float(band[1])
+    if not -math.inf < a < b < math.inf:
+        raise ValidationError(f"momentum band must be finite with a < b, got [{a:g}, {b:g}]")
+    return a, b
+
+
 def momentum_indicator_state(grid: GridSpec, band=(1.0, 2.0)) -> GridFunction:
     """State with flat momentum content on [a, b), unit discrete norm."""
-    a, b = float(band[0]), float(band[1])
-    if not (b > a):
-        raise ValidationError("momentum band must satisfy a < b")
+    a, b = _band(band)
     k = grid.momentum_nodes()
     s = ((k >= a) & (k < b)).astype(complex)
     if not s.any():
@@ -101,7 +106,7 @@ def momentum_indicator_state(grid: GridSpec, band=(1.0, 2.0)) -> GridFunction:
 
 @dataclass(frozen=True)
 class MomentumDensity:
-    """Analytic |(F phi)(k)|^2 with unit mass: density, support, first moment."""
+    """Analytic |(F phi)(k)|^2 with unit mass: density, finite support, first moment."""
 
     fn: object
     support: tuple
@@ -112,19 +117,22 @@ class MomentumDensity:
 
 
 def gaussian_momentum_density(momentum: float = 0.0, width: float = 1.0) -> MomentumDensity:
-    """Density of gaussian_state(center, width, momentum); width is in position."""
-    w = float(width)
+    """Density of gaussian_state(center, width, momentum); width is in position.
+    Its support is momentum +- 6/width, beyond which lies erfc(6) ~ 2e-17."""
+    w, m = float(width), float(momentum)
+    if not 0.0 < w < math.inf:
+        raise ValidationError(f"gaussian density width must be positive and finite, got {w:g}")
+    if not math.isfinite(m):
+        raise ValidationError(f"gaussian density momentum must be finite, got {m:g}")
 
     def dens(k):
-        return w / math.sqrt(math.pi) * np.exp(-(w * (k - momentum)) ** 2)
+        return w / math.sqrt(math.pi) * np.exp(-(w * (k - m)) ** 2)
 
-    return MomentumDensity(dens, (-math.inf, math.inf), float(momentum))
+    return MomentumDensity(dens, (m - 6.0 / w, m + 6.0 / w), m)
 
 
 def indicator_momentum_density(band=(1.0, 2.0)) -> MomentumDensity:
-    a, b = float(band[0]), float(band[1])
-    if not (b > a):
-        raise ValidationError("momentum band must satisfy a < b")
+    a, b = _band(band)
     c = 1.0 / (b - a)
 
     def dens(k):

@@ -352,6 +352,83 @@ experiment.energy-grid = -1, 2, 301
     assert "experiment.r-list: scales must be positive and finite" in capsys.readouterr().err
 
 
+_REFUSAL_BASES = {
+    "propagation": """
+grid.L = 16
+grid.M = 512
+localization.kind = smooth_bump
+localization.delta = 1
+localization.width = 0.5
+state.family = gaussian
+state.momentum = 1.5
+experiment.r-list = 4
+""",
+    "timedelay-sweep": """
+grid.L = 16
+grid.M = 512
+model.N = 0
+localization.kind = indicator
+localization.J = -1, 1
+state.family = bump
+state.support = 0.25, 0.75
+experiment.r-list = 4, 8
+experiment.energy-grid = -1, 2, 101
+""",
+    "point-spectrum": """
+grid.L = 16
+grid.M = 512
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = gaussian(0, 1)
+""",
+}
+
+
+@pytest.mark.parametrize("name, lines, cause", [
+    # a non-finite profile parameter wrote NaN rows on the closed-form
+    # route and died in a traceback on the direct one
+    ("propagation", ["localization.delta = nan"], "delta must be positive and finite"),
+    ("propagation", ["localization.delta = nan", "experiment.route = direct"],
+     "delta must be positive and finite"),
+    ("propagation", ["localization.delta = inf"], "delta must be positive and finite"),
+    ("propagation", ["localization.width = nan"], "width must be nonnegative and finite"),
+    ("propagation", ["localization.width = inf"], "width must be nonnegative and finite"),
+    ("propagation", ["localization.kind = indicator", "localization.J = -inf, inf"],
+     "delta must be positive and finite"),
+    # analytic densities: I_r = 0 for width -1, NaN rows for the others,
+    # and a traceback from the quadrature for an unbounded band
+    ("propagation", ["state.family = gaussian-density", "state.width = -1"],
+     "gaussian density width must be positive and finite"),
+    ("propagation", ["state.family = gaussian-density", "state.width = nan"],
+     "gaussian density width must be positive and finite"),
+    ("propagation", ["state.family = gaussian-density", "state.width = inf"],
+     "gaussian density width must be positive and finite"),
+    ("propagation", ["state.family = gaussian-density", "state.momentum = nan"],
+     "gaussian density momentum must be finite"),
+    ("propagation", ["state.family = gaussian-density", "state.momentum = -inf"],
+     "gaussian density momentum must be finite"),
+    ("propagation", ["state.family = indicator-density", "state.band = 1, inf"],
+     "momentum band must be finite"),
+    ("propagation", ["state.family = momentum-indicator", "state.band = -inf, 1"],
+     "momentum band must be finite"),
+    # a NaN or infinite tolerance switched the tail refusals off
+    *[("propagation", [f"experiment.tolerance = {v}", "experiment.route = direct"],
+       "experiment.tolerance: must be positive and finite") for v in ("-1", "0", "nan", "inf")],
+    *[("timedelay-sweep", [f"experiment.tolerance = {v}"],
+       "experiment.tolerance: must be positive and finite") for v in ("nan", "inf")],
+    *[("point-spectrum", [f"experiment.threshold = {v}"],
+       "experiment.threshold: must be positive and finite") for v in ("-1", "0", "nan", "inf")],
+])
+def test_bad_parameters_are_refused_by_name(tmp_path, capsys, name, lines, cause):
+    keys = {ln.split("=")[0].strip() for ln in lines}
+    kept = [ln for ln in _REFUSAL_BASES[name].splitlines()
+            if ln.split("=")[0].strip() not in keys]
+    cfg = write_cfg(tmp_path, "\n".join(kept + lines) + "\n")
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert cause in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_file_tabulated_vector_matches_builtin(tmp_path):
     x = np.linspace(-12, 12, 4001)
     v = np.pi ** -0.25 * np.exp(-0.5 * x * x)

@@ -359,7 +359,7 @@ def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, pro
     w = fr.wave_operator(prop, phi, "minus")
     value, info = fr.sojourn(prop, w, f, r, tol=tol, return_info=True)
     assert value == fr.sojourn(prop, w, f, r, tol=tol)
-    _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), g, f, r)
+    _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), g, f, r)
     E = prop.eigenvalues
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
     tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
@@ -385,7 +385,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     phi = fr.bump_state(grid, (0.25, 0.75))
     w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
     value = fr.sojourn(prop, w, f_ind, r, tol=tol)
-    _, _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r)
+    _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r)
     fbar = dynamics._f_cell_averages(f_ind, grid, r)
     c = prop.coefficients(w)
     kept, _, _ = dynamics._spectral_window(c, grid.spacing, 2.0 * T * fbar.max(), tol)
@@ -415,6 +415,15 @@ def test_propagation_functional_exact_regime(f_ind):
         assert abs(val - 3.0) < 1e-8
 
 
+@pytest.mark.parametrize("width", [1.0, 0.05, 0.02])
+def test_gaussian_density_support_holds_all_its_mass(f_ind, width):
+    # the window covers the density's whole support at r = 1e5, leaving
+    # I_r = 2 <P> = 3; a fixed span of +-30 about the mean read 2.898 and
+    # 1.812 for the two narrow widths
+    dens = fr.gaussian_momentum_density(momentum=1.5, width=width)
+    assert abs(fr.propagation_functional(dens, f_ind, 1e5) - 3.0) <= 1e-9
+
+
 def test_propagation_functional_gaussian_monotone(f_ind):
     dens = fr.gaussian_momentum_density(momentum=1.5, width=0.9)
     devs = [abs(fr.propagation_functional(dens, f_ind, r) - 3.0)
@@ -441,11 +450,11 @@ def test_direct_route_tails_match_the_halved_horizon(grid, f_ind, r):
     # law fitted to |g- - g+| reads 5.5e-2 for 1.6e-3 at r = 4, inf at 16
     phi = fr.gaussian_state(grid, 0.0, 1.0, momentum=1.5)
     dens = dynamics._momentum_density(phi)
-    radius, _, T = dynamics._sojourn_horizon(dens, grid, f_ind, r)
+    _, T = dynamics._sojourn_horizon(dens, grid, f_ind, r)
     sums, tails = [], []
     for horizon in (T, 0.5 * T):
         t = dynamics._free_time_grid(0.0, horizon, r)
-        sums.append([np.trapezoid(dynamics._sliding_sum(dens, grid, f_ind, r, c, radius), t)
+        sums.append([np.trapezoid(dynamics._sliding_sum(dens, grid, f_ind, r, c), t)
                      for c in (t, -t)])
         hi, lo = dynamics._free_tails(dens, grid, f_ind, r, horizon)
         tails.append((hi, lo, hi - lo))
@@ -463,8 +472,8 @@ def test_direct_route_refuses_exactly_past_its_tail_bound(grid, f_ind, monkeypat
     horizon = dynamics._sojourn_horizon
 
     def halved(*args):
-        radius, K, T = horizon(*args)
-        return radius, K, 0.5 * T
+        K, T = horizon(*args)
+        return K, 0.5 * T
 
     monkeypatch.setattr(dynamics, "_sojourn_horizon", halved)
     value = fr.propagation_functional(phi, f_ind, 4.0, "direct", tol=5.3e-4)

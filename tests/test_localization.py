@@ -38,6 +38,19 @@ def test_indicator_window_average_matches_quadrature():
         assert abs(got - ref) < 5e-4  # trapezoid ref has kink error
 
 
+def test_zero_width_antiderivative_is_clip_bit_for_bit():
+    # the indicator is the trapezoid with zero ramp; its antiderivative
+    # must stay np.clip to the last bit, signed zeros included
+    d = 1.3
+    f = make_localization("indicator", J=(-d, d))
+    u = np.concatenate((np.random.default_rng(5).uniform(-4.0, 4.0, 2000),
+                        [0.0, -0.0, d, -d, np.nextafter(d, 9.0), -np.nextafter(d, 9.0),
+                         7.0, -7.0, 1e300, -1e300, np.inf, -np.inf]))
+    got = f.antiderivative(u)
+    assert np.array_equal(got.view(np.int64), np.clip(u, -d, d).view(np.int64))
+    assert np.signbit(got[-11]) and not np.signbit(got[-12])
+
+
 def test_smooth_bump_shape():
     f = make_localization("smooth_bump", delta=1.0, width=1.0)
     assert f(np.array([0.0]))[0] == 1.0
@@ -81,6 +94,15 @@ def test_validation_errors():
         make_localization("indicator")  # interval missing
     with pytest.raises(ValidationError):
         make_localization("smooth_bump", delta=1.0, width=0.0)
+    for bad in (np.nan, np.inf):
+        # a non-finite delta or width is refused by name: NaN rows or a
+        # traceback were all it could lead to
+        with pytest.raises(ValidationError, match="delta must be positive and finite"):
+            make_localization("smooth_bump", delta=bad, width=1.0)
+        with pytest.raises(ValidationError, match="width must be nonnegative and finite"):
+            make_localization("smooth_bump", delta=1.0, width=bad)
+    with pytest.raises(ValidationError, match="delta must be positive and finite"):
+        make_localization("indicator", J=(-np.inf, np.inf))
     with pytest.raises(ValidationError, match="unknown localization kind"):
         make_localization("custom", delta=0.5)
     with pytest.raises(ValidationError):
