@@ -24,8 +24,8 @@ error; lists are comma separated.  Recognized keys:
                                     momentum-indicator | gaussian-density |
                                     indicator-density (densities are for the
                                     propagation experiment only)
-    state.center, state.width       gaussian / hermite shape
-    state.momentum                  gaussian boost
+    state.center, state.width       gaussian / hermite shape, finite, 0 < width
+    state.momentum                  gaussian boost, finite
     state.support                   bump support a, b
     state.n                         hermite index
     state.band                      momentum band a, b
@@ -71,6 +71,7 @@ from .localization import make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
 from .scattering import _state_scattering, compute_curve, state_support
 from .states import (
+    MomentumDensity,
     bump_state,
     gaussian_momentum_density,
     gaussian_state,
@@ -156,6 +157,13 @@ def _positive(key: str, text: str) -> float:
     value = _as_float(key, text)
     if not 0.0 < value < math.inf:
         raise ValidationError(f"{key}: must be positive and finite, got {text!r}")
+    return value
+
+
+def _finite(key: str, text: str) -> float:
+    value = _as_float(key, text)
+    if not math.isfinite(value):
+        raise ValidationError(f"{key}: must be finite, got {text!r}")
     return value
 
 
@@ -290,9 +298,9 @@ def _build_state(cfg: dict, grid, densities: bool):
     L = grid.half_width
     try:
         if family == "gaussian":
-            c = _as_float("state.center", cfg.get("state.center", "0"))
-            w = _as_float("state.width", cfg.get("state.width", "1"))
-            k0 = _as_float("state.momentum", cfg.get("state.momentum", "0"))
+            c = _finite("state.center", cfg.get("state.center", "0"))
+            w = _positive("state.width", cfg.get("state.width", "1"))
+            k0 = _finite("state.momentum", cfg.get("state.momentum", "0"))
             _require_inside_box("state.center", c - 6 * w, c + 6 * w, L)
             return gaussian_state(grid, center=c, width=w, momentum=k0)
         if family == "bump":
@@ -301,8 +309,8 @@ def _build_state(cfg: dict, grid, densities: bool):
             return bump_state(grid, (a, b))
         if family == "hermite":
             n = _as_int("state.n", _need(cfg, "state.n"))
-            c = _as_float("state.center", cfg.get("state.center", "0"))
-            w = _as_float("state.width", cfg.get("state.width", "1"))
+            c = _finite("state.center", cfg.get("state.center", "0"))
+            w = _positive("state.width", cfg.get("state.width", "1"))
             reach = 6 * w * math.sqrt(2 * n + 1)
             _require_inside_box("state.center", c - reach, c + reach, L)
             return hermite_state(grid, n, center=c, width=w)
@@ -399,7 +407,7 @@ def _describe_exclusions(excl, prec: int) -> str:
 
 def _mean_momentum(state) -> float:
     """2<P> reference for the propagation functional."""
-    if hasattr(state, "mean"):
+    if isinstance(state, MomentumDensity):
         return 2.0 * float(state.mean)
     ft = state if state.representation is Representation.MOMENTUM else transform(state)
     k = state.grid.momentum_nodes()
@@ -479,7 +487,7 @@ def _assemble_propagation(cfg: dict, base: Path) -> dict:
     if route not in ("closedform", "direct"):
         raise ValidationError(
             f"experiment.route: expected closedform or direct, got {route!r}")
-    if route == "direct" and hasattr(state, "mean"):
+    if route == "direct" and isinstance(state, MomentumDensity):
         raise ValidationError(
             "experiment.route: direct integration needs a grid state, "
             "not a momentum density")

@@ -479,18 +479,27 @@ def _closed_form_grid(phi: GridFunction, f: LocalizationProfile, r: float) -> fl
     return 2.0 * r * g.momentum_spacing * float(dens @ A)
 
 
+def _hinge_moment(dens: MomentumDensity, sign: float, q: float, n: int) -> float:
+    """E[(sign X - q)_+^n] for X distributed as dens, n = 1 or 2."""
+    a, s = sign * dens.mean - q, dens.scale
+    if dens.family == "band":
+        return (max(a + s, 0.0) ** (n + 1) - max(a - s, 0.0) ** (n + 1)) / (2 * (n + 1) * s)
+    cdf = 0.5 * math.erfc(-a / (math.sqrt(2.0) * s))
+    pdf = s * math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
+    return a * cdf + pdf if n == 1 else (a * a + s * s) * cdf + a * pdf
+
+
 def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float) -> float:
-    from scipy.integrate import quad
-
-    lo, hi = dens.support
-    pts = [p for p in (-r * f.delta, r * f.delta,
-                       -r * f.support_radius, r * f.support_radius) if lo < p < hi]
-
-    def integrand(k):
-        return float(dens.fn(np.array([k]))[0] * f.antiderivative(np.array([k / r]))[0])
-
-    val, _ = quad(integrand, lo, hi, points=sorted(set(pts)) or None, limit=200)
-    return 2.0 * r * val
+    """I_r = 2 (<P> - cut), cut = E[k - r A(k/r)]: hinge moments of dens and
+    its mirror at r delta, and for a ramp at r (delta + width) too."""
+    q = r * f.delta
+    if f.width == 0.0:
+        cut = _hinge_moment(dens, 1.0, q, 1) - _hinge_moment(dens, -1.0, q, 1)
+    else:
+        q2 = r * f.support_radius
+        cut = sum(sign * (_hinge_moment(dens, sign, q, 2) - _hinge_moment(dens, sign, q2, 2))
+                  for sign in (1.0, -1.0)) / (2.0 * r * f.width)
+    return 2.0 * (dens.mean - cut)
 
 
 def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
@@ -516,7 +525,8 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
 
     half = ClosedForm evaluates the momentum-space reduction
     I_r = 2r int dens(k) A(k/r) dk (A the signed antiderivative of f);
-    it accepts either a GridFunction or an analytic MomentumDensity.
+    it accepts either a GridFunction or an analytic MomentumDensity, whose
+    I_r = 2<P> - cut is closed form (cut: what the window f(./r) removes).
     half = Direct integrates the commutator expression over time and is
     grid-only; the part beyond its horizon, known in closed form, is held
     to tol.

@@ -6,8 +6,8 @@ set to zero; the window profile is already below 1e-14 there), so compact
 support certificates hold exactly.
 
 For propagation-formula experiments two families also carry an analytic
-momentum density |(F phi)(k)|^2, which the closed-form functional can
-integrate without grid error.
+momentum density |(F phi)(k)|^2, a mean and a scale, from which the
+closed-form functional reads I_r = 2<P> - cut with no quadrature.
 """
 
 from __future__ import annotations
@@ -34,11 +34,19 @@ __all__ = [
 _BUMP_EXPONENT_AT_EDGE = 34.0
 
 
+def _check_placement(family: str, center: float, width: float, momentum: float = 0.0) -> None:
+    """Refuse, by name, a width outside (0, inf) or a non-finite center or momentum."""
+    if not 0.0 < width < math.inf:
+        raise ValidationError(f"{family} width must be positive and finite, got {width:g}")
+    for name, value in (("center", center), ("momentum", momentum)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{family} {name} must be finite, got {value:g}")
+
+
 def gaussian_state(grid: GridSpec, center: float = 0.0, width: float = 1.0,
                    momentum: float = 0.0) -> GridFunction:
     """Coherent-state Gaussian, unit L2 norm in the continuum normalization."""
-    if width <= 0:
-        raise ValidationError("gaussian width must be positive")
+    _check_placement("gaussian", center, width, momentum)
     x = grid.position_nodes()
     u = (x - center) / width
     s = math.pi ** -0.25 / math.sqrt(width) * np.exp(-0.5 * u * u)
@@ -52,8 +60,7 @@ def hermite_state(grid: GridSpec, n: int, center: float = 0.0,
     """Orthonormal Hermite function h_n scaled to the given center/width."""
     if n < 0:
         raise ValidationError("hermite index must be nonnegative")
-    if width <= 0:
-        raise ValidationError("hermite width must be positive")
+    _check_placement("hermite", center, width)
     x = grid.position_nodes()
     xi = (x - center) / width
     coeffs = np.zeros(n + 1)
@@ -74,8 +81,8 @@ def bump_state(grid: GridSpec, support=(0.25, 0.75)) -> GridFunction:
     exp(-c |k|^(2p/(2p-1)))).
     """
     a, b = float(support[0]), float(support[1])
-    if not (b > a):
-        raise ValidationError("bump support must satisfy a < b")
+    if not -math.inf < a < b < math.inf:
+        raise ValidationError(f"bump support must be finite with a < b, got [{a:g}, {b:g}]")
     x = grid.position_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -106,37 +113,22 @@ def momentum_indicator_state(grid: GridSpec, band=(1.0, 2.0)) -> GridFunction:
 
 @dataclass(frozen=True)
 class MomentumDensity:
-    """Analytic |(F phi)(k)|^2 with unit mass: density, finite support, first moment."""
+    """Analytic |(F phi)(k)|^2 with unit mass, by family: "gaussian" with
+    standard deviation `scale`, or "band", flat on mean +- scale."""
 
-    fn: object
-    support: tuple
+    family: str
     mean: float
-
-    def __call__(self, k):
-        return self.fn(np.asarray(k, dtype=float))
+    scale: float
 
 
 def gaussian_momentum_density(momentum: float = 0.0, width: float = 1.0) -> MomentumDensity:
-    """Density of gaussian_state(center, width, momentum); width is in position.
-    Its support is momentum +- 6/width, beyond which lies erfc(6) ~ 2e-17."""
+    """Density of gaussian_state(center, width, momentum); width is in position,
+    so the density is N(momentum, 1 / (2 width^2))."""
     w, m = float(width), float(momentum)
-    if not 0.0 < w < math.inf:
-        raise ValidationError(f"gaussian density width must be positive and finite, got {w:g}")
-    if not math.isfinite(m):
-        raise ValidationError(f"gaussian density momentum must be finite, got {m:g}")
-
-    def dens(k):
-        return w / math.sqrt(math.pi) * np.exp(-(w * (k - m)) ** 2)
-
-    return MomentumDensity(dens, (m - 6.0 / w, m + 6.0 / w), m)
+    _check_placement("gaussian density", 0.0, w, m)
+    return MomentumDensity("gaussian", m, 1.0 / (math.sqrt(2.0) * w))
 
 
 def indicator_momentum_density(band=(1.0, 2.0)) -> MomentumDensity:
     a, b = _band(band)
-    c = 1.0 / (b - a)
-
-    def dens(k):
-        k = np.asarray(k, dtype=float)
-        return np.where((k >= a) & (k <= b), c, 0.0)
-
-    return MomentumDensity(dens, (a, b), 0.5 * (a + b))
+    return MomentumDensity("band", 0.5 * (a + b), 0.5 * (b - a))

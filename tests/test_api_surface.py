@@ -12,7 +12,8 @@ A change that moves either count updates its pin here and says why in
 CHANGES.md.
 
 The import footprint is held too: the CLI loads no scipy module that only
-an optional path needs, and the point-spectrum search adds none.
+an optional path needs, and neither the point-spectrum search nor the
+analytic-density functional adds one.
 """
 
 import importlib
@@ -62,16 +63,20 @@ x = grid.position_nodes()
 v = fr.grid_function(grid, (1.5 * math.sqrt(math.pi)) ** -0.5 * (x - 1.0) * np.exp(-0.5 * x * x))
 print(len(fr.point_spectrum(fr.finite_rank_model(grid, [v], [1.5])).eigenvalues))
 print('scipy.optimize' in sys.modules)
+bump = fr.make_localization('smooth_bump', delta=0.5, width=0.5)
+for dens in (fr.gaussian_momentum_density(1.5, 0.05), fr.indicator_momentum_density((1.0, 2.0))):
+    fr.propagation_functional(dens, bump, 4.0)
+print('scipy.integrate' in sys.modules)
 """
 
 
 def test_import_leaves_optional_scipy_unloaded():
-    # dlasd4 is the only scipy every path needs; quad (analytic momentum
-    # densities) and CubicSpline (file() vectors) load where they are used,
-    # and the point-spectrum refine is in-repo, so its cost is gone rather
-    # than moved from start-up into the first search
+    # dlasd4 is the only scipy every path needs; CubicSpline (file()
+    # vectors) loads where it is used, and the point-spectrum refine and the
+    # analytic-density functional are in-repo, so their cost is gone rather
+    # than moved from start-up into the first call
     env = dict(os.environ, PYTHONPATH=str(Path(friedrichs.__file__).parents[1]))
     code = _IMPORT_PROBE.format(optional=_OPTIONAL_SCIPY)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:4] == ["[]", "True", "1", "False"]
+    assert out.stdout.split("\n")[:5] == ["[]", "True", "1", "False", "False"]

@@ -396,7 +396,7 @@ model.vector.1 = gaussian(0, 1)
     ("propagation", ["localization.kind = indicator", "localization.J = -inf, inf"],
      "delta must be positive and finite"),
     # analytic densities: I_r = 0 for width -1, NaN rows for the others,
-    # and a traceback from the quadrature for an unbounded band
+    # and a traceback from the (since retired) quadrature for an unbounded band
     ("propagation", ["state.family = gaussian-density", "state.width = -1"],
      "gaussian density width must be positive and finite"),
     ("propagation", ["state.family = gaussian-density", "state.width = nan"],
@@ -418,15 +418,21 @@ model.vector.1 = gaussian(0, 1)
        "experiment.tolerance: must be positive and finite") for v in ("nan", "inf")],
     *[("point-spectrum", [f"experiment.threshold = {v}"],
        "experiment.threshold: must be positive and finite") for v in ("-1", "0", "nan", "inf")],
+    # a non-finite momentum passed --check, then refused as a rough state
+    # after the output directory was made
+    *[("propagation", ["state.family = gaussian", f"state.momentum = {v}"],
+       "state.momentum: must be finite") for v in ("nan", "inf")],
 ])
 def test_bad_parameters_are_refused_by_name(tmp_path, capsys, name, lines, cause):
     keys = {ln.split("=")[0].strip() for ln in lines}
     kept = [ln for ln in _REFUSAL_BASES[name].splitlines()
             if ln.split("=")[0].strip() not in keys]
     cfg = write_cfg(tmp_path, "\n".join(kept + lines) + "\n")
+    assert main([name, "--config", cfg, "--check"]) == 2
+    assert cause in capsys.readouterr().err
     assert main([name, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert cause in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_file_tabulated_vector_matches_builtin(tmp_path):

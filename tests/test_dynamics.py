@@ -417,11 +417,52 @@ def test_propagation_functional_exact_regime(f_ind):
 
 @pytest.mark.parametrize("width", [1.0, 0.05, 0.02])
 def test_gaussian_density_support_holds_all_its_mass(f_ind, width):
-    # the window covers the density's whole support at r = 1e5, leaving
-    # I_r = 2 <P> = 3; a fixed span of +-30 about the mean read 2.898 and
-    # 1.812 for the two narrow widths
+    # at r = 1e5 the window cuts off nothing, leaving I_r = 2 <P> = 3; a
+    # fixed quadrature span of +-30 about the mean once read 2.898 and
+    # 1.812 for the two narrow widths, and quad over m +- 6/width was off
+    # by 2.8e-13 and 8.7e-11 at widths 1 and 0.02
     dens = fr.gaussian_momentum_density(momentum=1.5, width=width)
-    assert abs(fr.propagation_functional(dens, f_ind, 1e5) - 3.0) <= 1e-9
+    assert abs(fr.propagation_functional(dens, f_ind, 1e5) - 3.0) <= 1e-13
+
+
+def _density_by_quad(dens, f, r):
+    """2r int rho(k) A(k/r) dk by adaptive quadrature, rho built from the
+    density's own mean and scale."""
+    from scipy.integrate import quad
+
+    m, s = dens.mean, dens.scale
+    if dens.family == "gaussian":
+        lo, hi = m - 12.0 * s, m + 12.0 * s
+
+        def rho(k):
+            return math.exp(-0.5 * ((k - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+    else:
+        lo, hi = m - s, m + s
+
+        def rho(k):
+            return 0.5 / s
+
+    kinks = (r * f.delta, r * f.support_radius)
+    pts = sorted({p for q in kinks for p in (-q, q) if lo < p < hi})
+    val, _ = quad(lambda k: rho(k) * float(f.antiderivative(k / r)), lo, hi,
+                  points=pts or None, limit=200)
+    return 2.0 * r * val
+
+
+@pytest.mark.parametrize("dens", [
+    fr.gaussian_momentum_density(1.5, 1.0), fr.gaussian_momentum_density(1.5, 0.05),
+    fr.gaussian_momentum_density(1.5, 0.02), fr.indicator_momentum_density((1.0, 2.0)),
+    fr.indicator_momentum_density((-0.7, 0.4)), fr.indicator_momentum_density((0.5, 3.0)),
+], ids=["gauss1", "gauss0.05", "gauss0.02", "band1-2", "band-0.7-0.4", "band0.5-3"])
+@pytest.mark.parametrize("kind", ["indicator", "smooth_bump"])
+@pytest.mark.parametrize("r", [0.5, 2.0, 4.0, 32.0])
+def test_density_closed_form_matches_quad(dens, kind, r):
+    # worst case 6.0e-13 (smooth bump, width 0.02, r = 0.5), where the
+    # squared-hinge moments of size scale^2 ~ 1250 cancel; a 40-digit
+    # reference puts quad within 1e-17 of the truth there
+    f = (fr.make_localization("indicator", J=(-1.0, 1.0)) if kind == "indicator"
+         else fr.make_localization("smooth_bump", delta=0.5, width=0.5))
+    assert abs(fr.propagation_functional(dens, f, r) - _density_by_quad(dens, f, r)) <= 1e-12
 
 
 def test_propagation_functional_gaussian_monotone(f_ind):

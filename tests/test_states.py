@@ -20,12 +20,18 @@ def test_gaussian_norm_and_moment(grid):
 
 
 def test_gaussian_momentum_density_matches_grid(grid):
-    phi = fr.gaussian_state(grid, momentum=1.5, width=0.9)
+    # the grid density of the state has the analytic density's mass, mean
+    # and variance scale^2
     dens = fr.gaussian_momentum_density(momentum=1.5, width=0.9)
-    k = grid.momentum_nodes()
-    ongrid = np.abs(fr.transform(phi).samples) ** 2
-    assert np.max(np.abs(ongrid - dens(k))) < 1e-13
-    assert dens.mean == 1.5
+    ongrid = np.abs(fr.transform(fr.gaussian_state(grid, 0.0, 0.9, 1.5)).samples) ** 2
+    k, dk = grid.momentum_nodes(), grid.momentum_spacing
+    mass = dk * np.sum(ongrid)
+    mean = dk * np.sum(k * ongrid)
+    var = dk * np.sum((k - dens.mean) ** 2 * ongrid)
+    assert dens.family == "gaussian"
+    assert abs(mass - 1.0) < 1e-14
+    assert abs(mean - dens.mean) < 1e-14 and dens.mean == 1.5
+    assert abs(var - dens.scale ** 2) < 1e-14
 
 
 def test_hermite_orthonormal(grid):
@@ -82,19 +88,11 @@ def test_momentum_indicator(grid):
 
 
 def test_indicator_momentum_density():
+    # a band is flat on mean +- scale
     dens = fr.indicator_momentum_density((1.0, 2.0))
-    assert dens.mean == 1.5
-    assert dens.support == (1.0, 2.0)
-    k = np.linspace(0, 3, 301)
-    vals = dens(k)
-    assert np.max(vals) == 1.0
-    assert vals[(k < 1.0) | (k > 2.0)].max() == 0.0
-    # trapezoid overshoots unit mass by dk/2 at each jump edge
-    assert np.trapezoid(vals, k) == pytest.approx(1.0, abs=2e-2)
-    # non-unit width: height 1/(b-a) keeps the mass at one
+    assert (dens.family, dens.mean, dens.scale) == ("band", 1.5, 0.5)
     wide = fr.indicator_momentum_density((0.5, 3.0))
-    assert wide((1.0,))[0] == pytest.approx(0.4)
-    assert (wide.support[1] - wide.support[0]) * wide((1.0,))[0] == pytest.approx(1.0)
+    assert (wide.mean, wide.scale) == (1.75, 1.25)
 
 
 def test_state_validation(grid):
@@ -106,3 +104,19 @@ def test_state_validation(grid):
         fr.bump_state(grid, (1.0, 0.5))
     with pytest.raises(ValidationError):
         fr.momentum_indicator_state(grid, (2.0, 1.0))
+    # a NaN width passed the old width <= 0 test and the momentum went
+    # unchecked: both built NaN samples
+    for build, cause in [
+        (lambda: fr.gaussian_state(grid, momentum=math.nan), "gaussian momentum must be finite"),
+        (lambda: fr.gaussian_state(grid, momentum=-math.inf), "gaussian momentum must be finite"),
+        (lambda: fr.gaussian_state(grid, center=math.inf), "gaussian center must be finite"),
+        (lambda: fr.gaussian_state(grid, width=math.nan), "gaussian width must be positive"),
+        (lambda: fr.gaussian_state(grid, width=math.inf), "gaussian width must be positive"),
+        (lambda: fr.hermite_state(grid, 1, center=math.nan), "hermite center must be finite"),
+        (lambda: fr.hermite_state(grid, 1, width=math.nan), "hermite width must be positive"),
+        (lambda: fr.bump_state(grid, (0.25, math.inf)), "bump support must be finite"),
+        (lambda: fr.bump_state(grid, (math.nan, 0.75)), "bump support must be finite"),
+    ]:
+        with pytest.raises(ValidationError, match=cause):
+            build()
+
