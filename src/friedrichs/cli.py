@@ -318,8 +318,8 @@ def _build_state(cfg: dict, grid, densities: bool):
             a, b = _float_list("state.band", _need(cfg, "state.band"), count=2)
             return momentum_indicator_state(grid, (a, b))
         if densities and family == "gaussian-density":
-            k0 = _as_float("state.momentum", cfg.get("state.momentum", "0"))
-            w = _as_float("state.width", cfg.get("state.width", "1"))
+            k0 = _finite("state.momentum", cfg.get("state.momentum", "0"))
+            w = _positive("state.width", cfg.get("state.width", "1"))
             return gaussian_momentum_density(momentum=k0, width=w)
         if densities and family == "indicator-density":
             a, b = _float_list("state.band", _need(cfg, "state.band"), count=2)

@@ -19,9 +19,10 @@ Discretization choices worth knowing about:
   would break it at O(dk/r).
 
 * A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
-  with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.
-  The fitted decay tail reads the integrand only at _TAIL_SAMPLES times a
-  side on T/2 <= |t| <= T.
+  with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.  A
+  sweep transforms the union of its scales' kept columns once; each scale
+  reads its window rows and kept columns from it.  The fitted decay tail
+  reads the integrand only at _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
@@ -380,47 +381,52 @@ def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float) -> tuple:
     return value, sum(_free_tails(dens, g, f, r, T)), math.inf
 
 
-def _full_sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
-                  r: float, tol: float) -> tuple:
+def _full_sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
+                   rs, tol: float) -> list:
+    """(value, tail, zeta, modes kept, discarded mass) of the full sojourn at
+    each r in rs; what depends on psi alone is formed once for all of them."""
     g = prop.grid
-    dk = g.momentum_spacing
+    dk, M = g.momentum_spacing, g.points
     dens_psi = _momentum_density(psi)
-    K, T = _sojourn_horizon(dens_psi, g, f, r)
-
-    fbar = _f_cell_averages(f, g, r)
-    fmax = float(np.abs(fbar).max())
-    win = np.nonzero(np.abs(fbar) > 1e-16 * max(fmax, 1e-300))[0]
-    c = prop.coefficients(psi)
-    kept, discarded, window_term = _spectral_window(c, g.spacing, 2.0 * T * fmax, tol)
-    Bw = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(prop.eigenvectors[:, kept], axes=0),
-                                    axis=0), axes=0)[win]
-    Bw *= g.spacing / math.sqrt(2.0 * math.pi)
-    c, E = c[kept], prop.eigenvalues[kept]
-    G = dk * (Bw.conj().T * fbar[win]) @ Bw
-    kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
-    value = float(np.real(c.conj() @ (G * kernel) @ c))
-
-    half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
-    times = np.concatenate((-half[::-1], half))
-    hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
-    gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
-    tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
-    tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
-    tail, zeta = tail_hi + tail_lo, min(z_hi, z_lo)
-    # The momentum box is periodic with period 2*cutoff: content at node k
-    # re-enters the window spuriously once |t| reaches period - |k| - r*rho,
-    # and stays in it for at most one full window transit.  Charge that
-    # occupancy, and the mass beyond the truncation extent K, to the tail.
+    c_all = prop.coefficients(psi)
+    horizons = [_sojourn_horizon(dens_psi, g, f, r) for r in rs]
+    fbars = [_f_cell_averages(f, g, r) for r in rs]
+    spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
+    windows = _spectral_windows(c_all, g.spacing, spans, tol)
+    union = np.unique(np.concatenate([kept for kept, _, _ in windows]))
+    # fftshift(fft(ifftshift(.))) with the two shifts as index gathers
+    B = np.fft.fft(prop.eigenvectors[np.ix_((np.arange(M) + M // 2) % M, union)], axis=0)
+    B *= g.spacing / math.sqrt(2.0 * math.pi)
     kn = np.abs(g.momentum_nodes())
-    reach = r * f.support_radius
-    overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
-    tail += float((dens_psi * overlap).sum() * dk)
-    tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
-    return value, tail + window_term, zeta, kept.size, discarded
+    out = []
+    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
+        win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
+        Bw = B[np.ix_((win - M // 2) % M, np.searchsorted(union, kept))]
+        c, E = c_all[kept], prop.eigenvalues[kept]
+        G = dk * (Bw.conj().T * fbar[win]) @ Bw
+        kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
+        value = float(np.real(c.conj() @ (G * kernel) @ c))
+        half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
+        times = np.concatenate((-half[::-1], half))
+        hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
+        gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
+        tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
+        tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
+        tail, zeta = tail_hi + tail_lo, min(z_hi, z_lo)
+        # The momentum box is periodic with period 2*cutoff: content at node k
+        # re-enters the window spuriously once |t| reaches period - |k| - r*rho,
+        # and stays in it for at most one full window transit.  Charge that
+        # occupancy, and the mass beyond the truncation extent K, to the tail.
+        reach = r * f.support_radius
+        overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
+        tail += float((dens_psi * overlap).sum() * dk)
+        tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
+        out.append((value, tail + window_term, zeta, kept.size, discarded))
+    return out
 
 
-def _spectral_window(c: np.ndarray, h: float, span: float, tol: float) -> tuple:
-    """(kept, discarded mass, charge) of the eigenmodes a sojourn runs on.
+def _spectral_windows(c: np.ndarray, h: float, spans, tol: float) -> list:
+    """(kept, discarded mass, charge) of the eigenmodes a sojourn runs on, per span.
 
     Dropping modes that hold a share delta of ||psi||^2 moves each sample
     dk sum_k fbar_k |psi_t(k)|^2 by at most max|fbar| ||psi||^2 (2 sqrt(delta)
@@ -433,9 +439,19 @@ def _spectral_window(c: np.ndarray, h: float, span: float, tol: float) -> tuple:
     dropped = np.concatenate(([0.0], np.cumsum(mass[order])))  # the i lightest
     total = float(dropped[-1])
     share = dropped / max(total, 1e-300)
-    charges = span * total * (2.0 * np.sqrt(share) + share)
-    n_drop = int(np.searchsorted(charges, 1e-3 * tol, side="right")) - 1
-    return np.sort(order[n_drop:]), float(dropped[n_drop]), float(charges[n_drop])
+    growth = 2.0 * np.sqrt(share) + share
+    out = []
+    for span in spans:
+        charges = span * total * growth
+        n_drop = int(np.searchsorted(charges, 1e-3 * tol, side="right")) - 1
+        out.append((np.sort(order[n_drop:]), float(dropped[n_drop]), float(charges[n_drop])))
+    return out
+
+
+def _require_tail(value: float, tail: float, tol: float) -> None:
+    if not tail <= max(tol, 1e-12) * max(abs(value), 1.0):
+        raise ToleranceError(
+            f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
 
 
 def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: float,
@@ -457,10 +473,8 @@ def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: floa
         value, tail, zeta = _free_numeric(psi, f, r)
         modes, discarded = psi.grid.points, 0.0
     else:
-        value, tail, zeta, modes, discarded = _full_sojourn(prop, psi, f, r, tol)
-    if not tail <= max(tol, 1e-12) * max(abs(value), 1.0):
-        raise ToleranceError(
-            f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
+        value, tail, zeta, modes, discarded = _full_sojourns(prop, psi, f, (r,), tol)[0]
+    _require_tail(value, tail, tol)
     info = {"tail_estimate": tail, "zeta": zeta, "modes_kept": modes,
             "discarded_mass": discarded}
     return (value, info) if return_info else value
@@ -594,26 +608,26 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
                                   w_phi.samples - w_stat.samples))
 
     int_f = f.integral()
+    # V = 0: W- phi = phi and the full sojourn is the free one, r ||phi||^2
+    # int(f) exactly, so the tau columns are exact zeros, not quadrature residue
+    full = None if prop.is_diagonal else _full_sojourns(prop, w_phi, f, rs, tol)
     records = []
     zetas = []
-    for r in rs:
+    for i, r in enumerate(rs):
         T0 = r * norm(phi) ** 2 * int_f
         T0_S = r * norm(s_phi) ** 2 * int_f
-        if prop.is_diagonal:
-            # V = 0: W- phi = phi and the full sojourn is the free one,
-            # r ||phi||^2 int(f) exactly, so the tau columns are exact
-            # zeros rather than quadrature residue
-            T, info = T0, {"tail_estimate": 0.0, "zeta": math.inf}
+        if full is None:
+            T, tail, zeta = T0, 0.0, math.inf
         else:
-            T, info = sojourn(prop, w_phi, f, r, tol=tol, return_info=True)
-        zetas.append(info["zeta"])
+            T, tail, zeta = full[i][:3]
+            _require_tail(T, tail, tol)
+        zetas.append(zeta)
         tau_in = T - T0
         tau_sym = T - 0.5 * (T0 + T0_S)
         i_phi = propagation_functional(phi, f, r, "closedform")
         i_s = propagation_functional(s_phi, f, r, "closedform")
         tau_free = 0.5 * (i_s - i_phi)
-        records.append(SojournRecord(float(r), T0, T0_S, T, tau_in, tau_sym,
-                                     tau_free, info["tail_estimate"]))
+        records.append(SojournRecord(float(r), T0, T0_S, T, tau_in, tau_sym, tau_free, tail))
 
     taus = np.array([rec.tau_in for rec in records])
     gap, floor, reason = math.nan, 0.0, "a single scale shows no gap"

@@ -397,16 +397,10 @@ model.vector.1 = gaussian(0, 1)
      "delta must be positive and finite"),
     # analytic densities: I_r = 0 for width -1, NaN rows for the others,
     # and a traceback from the (since retired) quadrature for an unbounded band
-    ("propagation", ["state.family = gaussian-density", "state.width = -1"],
-     "gaussian density width must be positive and finite"),
-    ("propagation", ["state.family = gaussian-density", "state.width = nan"],
-     "gaussian density width must be positive and finite"),
-    ("propagation", ["state.family = gaussian-density", "state.width = inf"],
-     "gaussian density width must be positive and finite"),
-    ("propagation", ["state.family = gaussian-density", "state.momentum = nan"],
-     "gaussian density momentum must be finite"),
-    ("propagation", ["state.family = gaussian-density", "state.momentum = -inf"],
-     "gaussian density momentum must be finite"),
+    *[("propagation", ["state.family = gaussian-density", f"state.width = {v}"],
+       "state.width: must be positive and finite") for v in ("-1", "nan", "inf")],
+    *[("propagation", ["state.family = gaussian-density", f"state.momentum = {v}"],
+       "state.momentum: must be finite") for v in ("nan", "-inf")],
     ("propagation", ["state.family = indicator-density", "state.band = 1, inf"],
      "momentum band must be finite"),
     ("propagation", ["state.family = momentum-indicator", "state.band = -inf, 1"],

@@ -10,6 +10,7 @@ of Cook's time integral with the stationary resolvent formula for W-.
 """
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -341,8 +342,8 @@ def test_a_scale_outside_the_positive_reals_is_refused(free_propagator, gaussian
 def test_sojourn_refuses_a_nan_tail_estimate(gaussian_propagator, grid, f_ind,
                                              monkeypatch):
     phi = fr.bump_state(grid, (0.25, 0.75))
-    monkeypatch.setattr(dynamics, "_full_sojourn",
-                        lambda *args: (1.0, math.nan, math.inf, grid.points, 0.0))
+    monkeypatch.setattr(dynamics, "_full_sojourns",
+                        lambda *args: [(1.0, math.nan, math.inf, grid.points, 0.0)])
     with pytest.raises(ToleranceError, match="nan"):
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
 
@@ -388,7 +389,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r)
     fbar = dynamics._f_cell_averages(f_ind, grid, r)
     c = prop.coefficients(w)
-    kept, _, _ = dynamics._spectral_window(c, grid.spacing, 2.0 * T * fbar.max(), tol)
+    kept, _, _ = dynamics._spectral_windows(c, grid.spacing, [2.0 * T * fbar.max()], tol)[0]
     E = prop.eigenvalues
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
     tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
@@ -561,6 +562,67 @@ def test_sweep_reads_the_support_nodes_once(gaussian_propagator, gaussian_curve,
     with pytest.warns(UserWarning, match="single scale"):
         fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4])
     assert reads == [_support_nodes(phi).size]
+
+
+@pytest.fixture(scope="module")
+def demo_models(grid, gaussian_propagator, gaussian_curve):
+    """(propagator, curve) of the demo model at coupling +1 and -1."""
+    model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [-1.0])
+    return {1.0: (gaussian_propagator, gaussian_curve),
+            -1.0: (fr.build_propagator(model), fr.compute_curve(model, (-6.0, 6.0), 1001))}
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("kind, params", [("indicator", {"J": (-1.0, 1.0)}),
+                                          ("smooth_bump", {"delta": 0.5, "width": 0.5})])
+def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, grid, lam, kind, params):
+    # the sweep reads every scale's window rows and kept columns from one
+    # transform of their union, sojourn from a transform of its own; a
+    # bump of reach 1, like the indicator's, keeps r = 64 inside the box
+    prop, curve = demo_models[lam]
+    f = fr.make_localization(kind, **params)
+    phi, tol = fr.bump_state(grid, (0.25, 0.75)), 1e-6
+    records, _ = fr.time_delay_sweep(prop, curve, phi, f, [4, 8, 16, 32, 64], tol=tol)
+    w = fr.wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))
+    for rec in records:
+        T, info = fr.sojourn(prop, w, f, rec.r, tol=tol, return_info=True)
+        assert rec.T == T
+        assert rec.tail_estimate == info["tail_estimate"]
+
+
+def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaussian_curve,
+                                                       grid, f_ind, monkeypatch):
+    # numpy as dynamics sees it, with np.fft.fft counted: the five scales
+    # used to transform their kept columns one scale at a time
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return np.fft.fft(a, *args, **kwargs)
+
+    view = types.ModuleType("numpy")
+    view.__dict__.update(vars(np))
+    view.fft = types.SimpleNamespace(**{**vars(np.fft), "fft": counted})
+    monkeypatch.setattr(dynamics, "np", view)
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4, 8, 16, 32, 64])
+    assert len(shapes) == 1
+    assert shapes[0][0] == grid.points
+
+
+def test_sweep_refuses_as_sojourn_does_at_the_scale_that_fails(gaussian_propagator,
+                                                              gaussian_curve, grid, f_ind):
+    # the tail over |T| is 1.15e-8 at r = 32 and 1.19e-8 at r = 64, so
+    # tol = 1.17e-8 passes the first scale and refuses the second
+    prop, tol = gaussian_propagator, 1.17e-8
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
+    fr.sojourn(prop, w, f_ind, 32.0, tol=tol)
+    with pytest.raises(ToleranceError) as alone:
+        fr.sojourn(prop, w, f_ind, 64.0, tol=tol)
+    with pytest.raises(ToleranceError) as swept:
+        fr.time_delay_sweep(prop, gaussian_curve, phi, f_ind, [64.0, 32.0], tol=tol)
+    assert str(swept.value) == str(alone.value)
 
 
 def test_sweep_free_route_converges_to_full(gaussian_propagator, gaussian_curve,
