@@ -448,10 +448,16 @@ def _spectral_windows(c: np.ndarray, h: float, spans, tol: float) -> list:
     return out
 
 
-def _require_tail(value: float, tail: float, tol: float) -> None:
-    if not tail <= max(tol, 1e-12) * max(abs(value), 1.0):
-        raise ToleranceError(
-            f"sojourn tail estimate {tail:.2e} exceeds tolerance; increase horizon")
+def _require_tail(value: float, tail: float, tol: float, psi: GridFunction,
+                  f: LocalizationProfile, r: float) -> None:
+    """Refuse a tail beyond tol, naming a horizon past the momentum cutoff
+    (the periodic box wraps psi back into the window) when that is the cause."""
+    if tail <= max(tol, 1e-12) * max(abs(value), 1.0):
+        return
+    T, cut = _sojourn_horizon(_momentum_density(psi), psi.grid, f, r)[1], psi.grid.momentum_cutoff
+    cause = (f"its horizon {T:.4g} exceeds the momentum cutoff pi/h = {cut:.4g}; raise grid.M"
+             if T > cut else f"it exceeds tolerance {tol:g}")
+    raise ToleranceError(f"sojourn tail estimate {tail:.2e} at r = {r:g}: {cause}")
 
 
 def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: float,
@@ -474,7 +480,7 @@ def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: floa
         modes, discarded = psi.grid.points, 0.0
     else:
         value, tail, zeta, modes, discarded = _full_sojourns(prop, psi, f, (r,), tol)[0]
-    _require_tail(value, tail, tol)
+    _require_tail(value, tail, tol, psi, f, r)
     info = {"tail_estimate": tail, "zeta": zeta, "modes_kept": modes,
             "discarded_mass": discarded}
     return (value, info) if return_info else value
@@ -620,7 +626,7 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
             T, tail, zeta = T0, 0.0, math.inf
         else:
             T, tail, zeta = full[i][:3]
-            _require_tail(T, tail, tol)
+            _require_tail(T, tail, tol, w_phi, f, r)
         zetas.append(zeta)
         tau_in = T - T0
         tau_sym = T - 0.5 * (T0 + T0_S)

@@ -21,7 +21,9 @@ subtract; near u = 0 c is summed as its odd series.  The other side is
 r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation; a single
-energy or an arbitrary array of them uses the dense projection, and
+energy or an arbitrary array of them uses the dense projection, whose
+plane-wave row is the outer product of two sqrt(M)-long phase tables
+(grid.evaluation_matrix, 96 exponentials an energy at M = 2048), and
 _dense_blocks is the one loop that serves an array _DET_BLOCK energies
 at a time.  The chain route's two determinants at one energy share a
 single dense projection (_cut_determinants), each side slicing out its own
@@ -452,8 +454,10 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 
 def _dense_blocks(grid: GridSpec, xs: np.ndarray):
     """(rows, _Projection at xs[rows]) for each block of _DET_BLOCK energies
-    of the 1-D array xs, so memory stays bounded for any number of them."""
-    for lo in range(0, xs.size, _DET_BLOCK):
+    of the 1-D array xs, one empty block for none: memory stays bounded."""
+    if xs.ndim > 1:
+        raise ValidationError("energies must be a number or a 1-D array")
+    for lo in range(0, max(xs.size, 1), _DET_BLOCK):
         rows = slice(lo, lo + _DET_BLOCK)
         yield rows, _Projection(grid, xs[rows])
 
@@ -502,7 +506,7 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
 def _refuse_point_spectrum(xs, dets) -> None:
     """Raise PointSpectrumProximity, naming the energy, where a determinant
     D(x + i0) at the energies xs has |D| < _DET_FLOOR."""
-    D = np.abs(dets)
+    D = np.append(np.abs(dets), np.inf)                     # no energies: nothing to refuse
     k = int(np.argmin(D))
     if D[k] < _DET_FLOOR:
         raise PointSpectrumProximity(
@@ -517,8 +521,6 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     complex array); one projection serves each block of _DET_BLOCK energies.
     """
     xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValidationError("energies must be a number or a 1-D array")
     out = np.ones(xs.size, dtype=complex)
     for rows, proj in _dense_blocks(model.grid, np.atleast_1d(xs)):
         out[rows] = _determinant(model, proj, side)
@@ -538,8 +540,9 @@ def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
     mid = 0.5 * row[half] * coeffs[half]
     upper = row[half + 1:] @ coeffs[half + 1:] + mid
     lower = -(row[:half] @ coeffs[:half]) - mid
-    return tuple(complex(np.linalg.det(np.eye(N) + (2j * math.pi * p + line).reshape(N, N)
-                                       * model.coupling_array())) for p in (lower, upper))
+    r1 = (2j * math.pi * np.stack((lower, upper)) + line).reshape(2, N, N)
+    D = np.linalg.det(np.eye(N) + r1 * model.coupling_array())
+    return complex(D[0]), complex(D[1])
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,33 @@ def test_sojourn_refuses_a_nan_tail_estimate(gaussian_propagator, grid, f_ind,
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
 
 
+def test_a_tail_within_the_cutoff_is_refused_by_its_tolerance(gaussian_propagator, grid,
+                                                             f_ind, monkeypatch):
+    # the horizon at r = 8 lies well inside pi/h, so only the tolerance is named
+    phi = fr.bump_state(grid, (0.25, 0.75))
+    monkeypatch.setattr(dynamics, "_full_sojourns",
+                        lambda *args: [(1.0, 1.0, math.inf, grid.points, 0.0)])
+    with pytest.raises(ToleranceError, match=r"1\.00e\+00 at r = 8: it exceeds tolerance 1e-06$"):
+        fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_a_horizon_past_the_cutoff_is_named_with_its_remedy(grid, f_smooth, lam):
+    # T = K + r rho + 5 = 267.5 at r = 64 passes pi/h = 201.1: the periodic box
+    # wraps W- phi back into the window and the tail fit reads inf; the sweep
+    # and a lone sojourn at that scale refuse it with the same text
+    model = fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [lam])
+    prop, phi = fr.build_propagator(model), fr.bump_state(grid, (0.25, 0.75))
+    want = (r"^sojourn tail estimate inf at r = 64: its horizon 267\.5 exceeds the "
+            r"momentum cutoff pi/h = 201\.1; raise grid\.M$")
+    with pytest.raises(ToleranceError, match=want):
+        fr.time_delay_sweep(prop, fr.compute_curve(model, (-6.0, 6.0), 1001), phi,
+                            f_smooth, [4, 8, 16, 32, 64], tol=1e-6)
+    w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
+    with pytest.raises(ToleranceError, match=want):
+        fr.sojourn(prop, w, f_smooth, 64.0, tol=1e-6)
+
+
 @pytest.mark.parametrize("lam", [1.0, -1.0])
 @pytest.mark.parametrize("profile", ["f_ind", "f_smooth"])
 def test_windowed_sojourn_stays_within_its_charge(coarse_grid, request, lam, profile):

@@ -121,6 +121,51 @@ def test_evaluate_at_between_nodes(grid):
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def test_a_row_costs_two_short_phase_tables(grid, monkeypatch):
+    # M/J + J = 32 + 64 exponentials for one energy at M = 2048, not M
+    from friedrichs import grid as grid_module
+
+    sizes = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, z, *args, **kwargs):
+            sizes.append(np.size(z))
+            return np.exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "np", Counting())
+    row = grid_module.evaluation_matrix(grid, 0.37)
+    assert row.shape == (1, grid.points) and sum(sizes) <= 128
+
+
+@pytest.mark.parametrize("points, pad", [(2048, 10), (16, 1)])
+def test_rows_match_exactly_reduced_phases(points, pad):
+    # x k_j = pi (x/L) j, with x/L exact for L = 16, reduced mod 2 exactly
+    from friedrichs.grid import evaluation_matrix
+    from friedrichs.resolvent import _half_turns
+
+    g = fr.make_grid(16.0, points)
+    L, h, scale = g.half_width, g.spacing, g.momentum_spacing / math.sqrt(2.0 * math.pi)
+    xs = np.random.default_rng(23).uniform(-L + pad * h, L - pad * h, 200)
+    j = np.arange(-points // 2, points // 2)
+    ref = scale * np.array([_half_turns(x / L, j) for x in xs])
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(xs).max() * g.momentum_cutoff) * scale
+    assert np.max(np.abs(evaluation_matrix(g, xs) - ref)) <= bound
+
+
+def test_rows_of_no_energies_and_of_the_smallest_grid():
+    from friedrichs.grid import evaluation_matrix
+
+    g = fr.make_grid(16.0, 4)
+    assert evaluation_matrix(g, []).shape == (0, 4)
+    xs = np.array([-7.5, 0.3, 11.0])
+    direct = g.momentum_spacing / math.sqrt(2.0 * math.pi) * np.exp(
+        1j * np.outer(xs, g.momentum_nodes()))
+    assert np.max(np.abs(evaluation_matrix(g, xs) - direct)) <= 1e-15
+
+
 def test_evaluate_at_requires_position_rep(grid):
     phi = fr.transform(fr.gaussian_state(grid))
     with pytest.raises(ValidationError):

@@ -127,6 +127,17 @@ def test_spectral_shift_routes(gaussian_model, gaussian_curve):
                          (2.0 * math.pi))) < 1e-8
 
 
+def test_the_stationary_batch_takes_energies_as_the_determinant_does(rank2_model):
+    # no energies give empty results, a 2-D array is refused by name
+    xi = fr.spectral_shift_density_determinant(rank2_model, [])
+    D = fr.perturbation_determinant(rank2_model, [], "plus")
+    assert xi.shape == D.shape == (0,)
+    for call in (lambda xs: fr.spectral_shift_density_determinant(rank2_model, xs),
+                 lambda xs: fr.perturbation_determinant(rank2_model, xs, "plus")):
+        with pytest.raises(ValidationError, match="energies must be a number or a 1-D array"):
+            call(np.zeros((2, 2)))
+
+
 def test_ew_time_delay_against_quadrature(gaussian_model, gaussian_curve, grid):
     # independent route: Gauss-Legendre quadrature of |phi|^2 theta' using
     # band-limited interpolation of phi and the pointwise delay density
