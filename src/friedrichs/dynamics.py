@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 
@@ -393,7 +394,7 @@ def _full_sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     fbars = [_f_cell_averages(f, g, r) for r in rs]
     spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
     windows = _spectral_windows(c_all, g.spacing, spans, tol)
-    union = np.unique(np.concatenate([kept for kept, _, _ in windows]))
+    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
     # fftshift(fft(ifftshift(.))) with the two shifts as index gathers
     B = np.fft.fft(prop.eigenvectors[np.ix_((np.arange(M) + M // 2) % M, union)], axis=0)
     B *= g.spacing / math.sqrt(2.0 * math.pi)
@@ -650,6 +651,6 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     summary["abs_gap"] = abs(summary["tau_inf"] - ew)
     summary["rel_gap"] = summary["abs_gap"] / abs(ew) if abs(ew) > 1e-9 else math.nan
     finite_z = [z for z in zetas if math.isfinite(z)]
-    summary["zeta_measured"] = float(np.median(finite_z)) if finite_z else math.inf
+    summary["zeta_measured"] = median(finite_z) if finite_z else math.inf
     summary["wave_operator_route_gap"] = route_gap
     return records, summary

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft, fftshift, ifft, ifftshift
 
 from ._errors import StateNotAdmissible, ValidationError
 
@@ -136,10 +137,10 @@ def transform(phi: GridFunction) -> GridFunction:
     g = phi.grid
     if phi.representation is Representation.POSITION:
         scale = g.spacing / _SQRT_2PI
-        out = scale * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(phi.samples)))
+        out = scale * fftshift(fft(ifftshift(phi.samples)))
         return GridFunction(g, Representation.MOMENTUM, out)
     scale = _SQRT_2PI / g.spacing
-    out = scale * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(phi.samples)))
+    out = scale * fftshift(ifft(ifftshift(phi.samples)))
     return GridFunction(g, Representation.POSITION, out)
 
 

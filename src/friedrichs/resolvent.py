@@ -39,7 +39,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dlasd4
+from numpy.polynomial.chebyshev import chebvander
 
 from ._errors import PointSpectrumProximity, ValidationError
 from .grid import (
@@ -75,6 +75,8 @@ _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
+_SECULAR_BLOCK = 1 << 18  # entries of 1/(d - mu) per block of the secular solve (2 MB)
+_SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor of the root refine
 
@@ -140,7 +142,7 @@ class FiniteRankModel:
         H = diag(x) + h sum_j lambda_j v_j v_j^* is never formed: each
         nonzero coupling is one rank-one update of the eigenpairs so far,
         solved from its secular equation (_rank_one_eigh), and every
-        update after the first multiplies U by that update's eigenvectors.
+        update after the first multiplies U's live columns by its own.
         U is real when no vector has an imaginary part.  The result is
         refused unless it diagonalizes H to 1e-12 of H's scale.
         """
@@ -152,8 +154,7 @@ class FiniteRankModel:
         E, U = x.copy(), None
         for lj, v in zip(lam, vm):
             if lj:
-                E, Q = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj)
-                U = Q if U is None else U @ Q
+                E, U = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj, U)
         U = np.eye(g.points) if U is None else U
         weight = g.spacing * np.sum(np.abs(vm) ** 2, axis=1)
         scale = max(1.0, np.max(np.abs(x)) + np.sum(np.abs(lam) * weight))
@@ -190,18 +191,17 @@ class FiniteRankModel:
         return self._pair_store[order]
 
 
-def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
-    """(mu, Q): eigenpairs of diag(d) + rho w w^*, d ascending, mu ascending.
+def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float, U=None) -> tuple:
+    """(mu, Q) or (mu, U Q): eigenpairs of diag(d) + rho w w^*, d and mu ascending.
 
     Deflation follows LAPACK's dlaed2: an entry with |rho w_k| <= tol keeps
     (d_k, e_k), and a Givens rotation zeroes one w entry of two poles closer
-    than tol allows.  The remaining roots come from dlasd4 on the poles
-    sqrt(d - d_first), which returns d_j - mu_i = delta_j work_j to working
-    precision; w is then recomputed from those products, as in dlaed3, so
-    the eigenvectors w / (d - mu_i) are orthogonal (Golub, SIAM Rev. 15
-    (1973) 318; Gu and Eisenstat, SIMAX 15 (1994) 1266).  rho < 0 solves
-    -diag(d) - rho w w^* with the order reversed; complex w solves with |w|
-    and puts the phases back on the rows of Q.
+    than tol allows.  w is recomputed from the other roots' gaps d_j - mu_i
+    (_secular_roots), as in dlaed3, so the eigenvectors w / (d - mu_i) are
+    orthogonal (Golub, SIAM Rev. 15 (1973) 318; Gu and Eisenstat, SIMAX 15
+    (1994) 1266).  rho < 0 solves -diag(d) - rho w w^* with the order
+    reversed; complex w solves with |w| and puts the phases back on the rows
+    of Q.  Given U, only U's K live columns are multiplied: M K^2 work, not M^3.
     """
     phase = None
     if np.iscomplexobj(w):
@@ -231,23 +231,17 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
             keep.append(prev)
         prev = j
     keep = np.array(keep + ([] if prev is None else [prev]), dtype=int)
-    defl = np.setdiff1d(np.arange(M), keep)
+    defl = np.delete(np.arange(M), keep)
 
-    K = keep.size
-    D = np.sqrt(d[keep] - d[keep[0]]) if K else np.empty(0)
-    gaps = np.empty((K, K))                  # gaps[j, i] = d_j - mu_i
-    for i in range(K):
-        delta, sigma, work, info = dlasd4(i, D, z[keep], rho)
-        if info:
-            raise ValidationError(f"secular equation root {i} of {K} did not converge "
-                                  f"(dlasd4 info {info})")
-        gaps[:, i] = delta * work
-    poles = (D[:, None] - D[None, :]) * (D[:, None] + D[None, :])
+    dk = d[keep]
+    origin, tau = _secular_roots(dk, z[keep], rho)
+    gaps = np.subtract.outer(dk, dk[origin]) - tau      # gaps[j, i] = d_j - mu_i
+    poles = np.subtract.outer(dk, dk)
     np.fill_diagonal(poles, -rho)
     zhat = np.copysign(np.sqrt(np.prod(np.divide(gaps, poles, out=poles), axis=1)), z[keep])
     S = zhat[:, None] / gaps
     S /= np.linalg.norm(S, axis=0)
-    d[keep] -= gaps.diagonal()
+    d[keep] = dk[origin] + tau
 
     # slot k holds row k of Q (row M-1-k when flipped) and its eigenvalue
     # d[k]; col places each slot's eigenvector in ascending order
@@ -256,15 +250,79 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
     col[order] = rows
     if flip:
         rows, col, d = rows[::-1], M - 1 - col, -d
+    mu = np.empty(M)
+    mu[col] = d
+    if U is not None:                   # U diag(phase) G_1 ... G_n, then the live columns
+        U = U * (1.0 if phase is None else phase)
+        for i, j, c, s in rotations:
+            U[:, rows[[i, j]]] = U[:, rows[[i, j]]] @ np.array([[c, -s], [s, c]])
+        UQ = np.hstack([U[:, rows[keep]] @ S, U[:, rows[defl]]])
+        return mu, UQ.take(np.argsort(np.r_[col[keep], col[defl]]), axis=1)
     Q = np.zeros((M, M))
     Q[np.ix_(rows[keep], col[keep])] = S
     Q[rows[defl], col[defl]] = 1.0
     for i, j, c, s in reversed(rotations):
         i, j = rows[i], rows[j]
         Q[[i, j]] = c * Q[i] - s * Q[j], s * Q[i] + c * Q[j]
-    mu = np.empty(M)
-    mu[col] = d
     return mu, (Q if phase is None else phase[:, None] * Q)
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
+    """(origin, tau): the roots d[origin_i] + tau_i of f(mu) = 1/rho +
+    sum_j z_j^2 / (d_j - mu), one above each pole of ascending d, rho > 0.
+    As in LAPACK's dlaed4, each is measured from the nearer end of its
+    interval, so the gaps (d_j - d_origin) - tau_i keep their relative
+    accuracy, and takes fixed-weight rational steps (R.-C. Li, LAPACK Working
+    Note 89) in a bisection bracket until |f| is within dlaed4's error bound."""
+    K, top = d.size, rho * (z @ z)
+    if K < 2:
+        return np.zeros(K, dtype=int), np.full(K, top)
+    # a pole of weight 0 at d_K-1 + rho |z|^2 closes the last root's interval
+    d, z2 = np.append(d, d[-1] + top), np.append(z * z, 0.0)
+    a, width, step = np.arange(K), np.diff(d), max(1, _SECULAR_BLOCK // K)
+    origin, tau = a, 0.5 * width
+
+    def terms(idx):
+        out = np.empty((5, idx.size))
+        for s in range(0, idx.size, step):
+            i, n = idx[s:s + step], np.arange(min(step, idx.size - s))
+            R = np.subtract.outer(d, d[origin[i]])
+            R -= tau[i]
+            out[3:, s:s + step] = R[i, n], R[i + 1, n]
+            np.reciprocal(R, out=R)
+            out[:3, s:s + step] = z2 @ R, z2 @ np.abs(R, out=R), z2 @ np.square(R, out=R)
+        out[0] += 1.0 / rho
+        return out
+
+    # the guess, at the midpoint: the origin's term exact, the rest frozen
+    f, _, _, ga, gb = terms(a)
+    origin, go, fix = a + (f <= 0), np.where(f > 0, ga, gb), np.where(f > 0, 1.0, -1.0)
+    lo, hi = np.minimum(fix * tau, 0.0), np.maximum(fix * tau, 0.0)
+    tau = z2[origin] / (f - z2[origin] / go)
+    tau = np.where((lo < tau) & (tau < hi), tau, 0.5 * (lo + hi))
+
+    eps, active, prev = np.finfo(float).eps, a, np.zeros(K)
+    for _ in range(_SECULAR_PASSES):
+        f, err, df, ga, gb = terms(active)
+        live = np.abs(f) > eps * (8.0 * err + 2.0 / rho + np.abs(tau[active]) * df)
+        active, f, df, t, ga, gb = (x[live] for x in (active, f, df, tau[active], ga, gb))
+        if not active.size:
+            return np.minimum(origin, K - 1), np.where(origin == K, tau + (d[K] - d[K - 1]), tau)
+        lo[active], hi[active] = np.where(f < 0, t, lo[active]), np.where(f > 0, t, hi[active])
+        # pole a (s = 1) or b keeps its weight; as in dlaed4 they swap when |f| stalls
+        s = np.where((f * prev[active] > 0) & (10.0 * np.abs(f) > np.abs(prev[active])),
+                     -fix[active], fix[active])
+        fix[active], prev[active] = s, f
+        go, gf = np.where(s > 0, ga, gb), np.where(s > 0, gb, ga)
+        C = f - gf * df + s * width[active] * z2[active + (s < 0)] / (go * go)
+        q, r = ga * gb * df - (ga + gb) * f, ga * gb * f
+        root = np.sqrt(np.abs(q * q - 4.0 * C * r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.where(q < 0, 2.0 * r / (root - q), (-q - root) / (2.0 * C))
+        eta = np.where(f * eta >= 0, -f / df, eta)
+        new, bound = t + eta, np.where(f < 0, hi[active], lo[active])
+        tau[active] = np.where((lo[active] < new) & (new < hi[active]), new, 0.5 * (t + bound))
+    raise ValidationError(f"secular equation root {active[0]} of {K} did not converge")
 
 
 def finite_rank_model(grid: GridSpec, vectors, couplings) -> FiniteRankModel:
@@ -423,11 +481,10 @@ class _ChirpProjection:
         self.chirp = np.fft.fft(chirp)[:, None]
         self.tail = (grid.momentum_spacing / math.sqrt(2.0 * math.pi)
                      * _half_turns(q, m * m) * _half_turns(-q * M, m))[:, None]
-        cheb = np.polynomial.chebyshev
         nodes = np.cos(math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS)
         at = (lo + step * m - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-        self.interp = (cheb.chebvander(at, _CHEB_POINTS - 1)
-                       @ np.linalg.inv(cheb.chebvander(nodes, _CHEB_POINTS - 1)))
+        self.interp = (chebvander(at, _CHEB_POINTS - 1)
+                       @ np.linalg.inv(chebvander(nodes, _CHEB_POINTS - 1)))
         self.kernel = _line_kernel(grid, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
 
     def periodic(self, coeffs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
 
 from ._errors import ValidationError
 from .grid import GridFunction, GridSpec, Representation, norm
@@ -65,7 +66,7 @@ def hermite_state(grid: GridSpec, n: int, center: float = 0.0,
     xi = (x - center) / width
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    hn = np.polynomial.hermite.hermval(xi, coeffs)
+    hn = hermval(xi, coeffs)
     scale = (2.0 ** n * math.factorial(n) * math.sqrt(math.pi) * width) ** -0.5
     s = scale * hn * np.exp(-0.5 * xi * xi)
     return GridFunction(grid, Representation.POSITION, s)

@@ -11,9 +11,9 @@ Two counts, each of which only a deliberate change should move:
 A change that moves either count updates its pin here and says why in
 CHANGES.md.
 
-The import footprint is held too: the CLI loads no scipy module that only
-an optional path needs, and neither the point-spectrum search nor the
-analytic-density functional adds one.
+The import footprint is held too: the CLI loads no scipy module, and
+neither the point-spectrum search nor the analytic-density functional adds
+one.
 """
 
 import importlib
@@ -49,34 +49,38 @@ def test_cli_key_count_is_pinned():
     assert len(cli._KNOWN_KEYS) == 25
 
 
-_OPTIONAL_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
-
 _IMPORT_PROBE = """
 import math, sys
 import numpy as np
 import friedrichs.cli
 import friedrichs as fr
-print(sorted(m for m in {optional} if m in sys.modules))
+scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+print(scipy())
 print('scipy.linalg.lapack' in sys.modules)
+print('numpy.polynomial' in sys.modules, 'numpy.fft' in sys.modules)
 grid = fr.make_grid(16.0, 512)
 x = grid.position_nodes()
 v = fr.grid_function(grid, (1.5 * math.sqrt(math.pi)) ** -0.5 * (x - 1.0) * np.exp(-0.5 * x * x))
-print(len(fr.point_spectrum(fr.finite_rank_model(grid, [v], [1.5])).eigenvalues))
-print('scipy.optimize' in sys.modules)
+model = fr.finite_rank_model(grid, [v], [1.5])
+print(len(fr.point_spectrum(model).eigenvalues))
 bump = fr.make_localization('smooth_bump', delta=0.5, width=0.5)
+gauss = fr.build_propagator(fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [1.0]))
+fr.sojourn(gauss, fr.gaussian_state(grid, -4.0, 1.0, momentum=1.5), bump, 4.0)
+print(scipy(), 'numpy.ma' in sys.modules)
 for dens in (fr.gaussian_momentum_density(1.5, 0.05), fr.indicator_momentum_density((1.0, 2.0))):
     fr.propagation_functional(dens, bump, 4.0)
-print('scipy.integrate' in sys.modules)
+print(scipy())
 """
 
 
 def test_import_leaves_optional_scipy_unloaded():
-    # dlasd4 is the only scipy every path needs; CubicSpline (file()
-    # vectors) loads where it is used, and the point-spectrum refine and the
-    # analytic-density functional are in-repo, so their cost is gone rather
-    # than moved from start-up into the first call
+    # scipy is optional: the secular equation is solved in-repo, so none of
+    # it loads with the CLI or on the point-spectrum and analytic-density
+    # paths, and CubicSpline (file() vectors) loads where it is used.
+    # numpy's polynomial and fft submodules load with the package, so their
+    # cost is set-up rather than the first call's, and numpy.ma, which
+    # np.unique, np.setdiff1d and np.median import on first use, never loads
     env = dict(os.environ, PYTHONPATH=str(Path(friedrichs.__file__).parents[1]))
-    code = _IMPORT_PROBE.format(optional=_OPTIONAL_SCIPY)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:5] == ["[]", "True", "1", "False", "False"]
+    assert out.stdout.split("\n")[:6] == ["[]", "False", "True True", "1", "[] False", "[]"]

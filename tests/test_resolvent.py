@@ -320,9 +320,9 @@ def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, mon
     calls = []
     step = resolvent._rank_one_eigh
 
-    def counting_step(d, w, rho):
+    def counting_step(d, w, rho, U=None):
         calls.append(rho)
-        return step(d, w, rho)
+        return step(d, w, rho, U)
 
     def no_eigh(H):
         raise AssertionError("the eigendecomposition called np.linalg.eigh")
@@ -423,6 +423,112 @@ def test_rank_one_step_deflates_repeated_poles_and_zero_weights(rho):
         assert on_pair.size == 1
         m = on_pair[0]
         assert abs(E[m] - d[i]) <= 1e-15 and abs(Q[pair, m] @ w[pair]) <= 1e-15
+
+
+def _secular_inputs(d, w, rho):
+    """(d, z, rho) of the secular equation _rank_one_eigh solves, for poles
+    too far apart to rotate: |w| and a unit z, the order reversed for
+    rho < 0, and the weights at or below the deflation tolerance dropped."""
+    w = np.abs(w)
+    nw = np.linalg.norm(w)
+    z, rho = w / nw, rho * nw * nw
+    if rho < 0:
+        d, z, rho = -d[::-1], z[::-1], -rho
+    live = rho * z > 8.0 * np.finfo(float).eps * max(np.max(np.abs(d)), rho)
+    return d[live], z[live], rho
+
+
+def _dlasd4_gaps(d, z, rho):
+    """d_j - mu_i from LAPACK's dlasd4 on the poles sqrt(d - d_0).  For one
+    pole dlasd4 returns delta = work = 1, so that gap, -rho z^2, is exact."""
+    from scipy.linalg.lapack import dlasd4
+
+    if d.size == 1:
+        return np.array([[-rho * z[0] ** 2]])
+    D = np.sqrt(d - d[0])
+    gaps = np.empty((d.size, d.size))
+    for i in range(d.size):
+        delta, _, work, info = dlasd4(i, D, z, rho)
+        assert info == 0
+        gaps[:, i] = delta * work
+    return gaps
+
+
+def _secular_gap_error(d, z, rho):
+    origin, tau = resolvent._secular_roots(d, z, rho)
+    gaps, ref = np.subtract.outer(d, d[origin]) - tau, _dlasd4_gaps(d, z, rho)
+    return np.max(np.abs(gaps - ref) / np.abs(ref))
+
+
+@pytest.mark.parametrize("M", [512, 2048])
+def test_secular_gaps_match_dlasd4(M):
+    grid = fr.make_grid(16.0, M)
+    x = grid.position_nodes()
+    for n in range(4):
+        v = fr.hermite_state(grid, n).samples.real
+        for lam in (0.3, -0.3, 1.2, -1.2):
+            assert _secular_gap_error(*_secular_inputs(x, v, grid.spacing * lam)) <= 1e-12
+
+
+def _secular_case(case):
+    d = np.linspace(-1.0, 1.0, 24)
+    w, rho = np.random.default_rng(11).standard_normal(24), 0.7
+    if case in ("K=1", "K=2"):
+        keep = [7] if case == "K=1" else [3, 17]
+        w = np.where(np.isin(np.arange(24), keep), w, 0.0)
+    elif case == "near-tolerance":
+        w[9] = 0.0
+        nw = np.linalg.norm(w)
+        tol = 8.0 * np.finfo(float).eps * max(1.0, rho * nw * nw)
+        w[9] = 1.5 * tol / (rho * nw)         # rho |z_9| = 1.5 tol, so it stays live
+    elif case == "close-pair":
+        d[1] = d[0] + 1e-12
+    elif case == "negative-rho":
+        rho = -rho
+    elif case == "complex":
+        w = w * np.exp(1j * np.linspace(0.0, 5.0, 24))
+    return d, w, rho
+
+
+@pytest.mark.parametrize("case", ["K=1", "K=2", "near-tolerance", "close-pair",
+                                  "negative-rho", "complex"])
+def test_secular_solver_edge_cases(case):
+    d, w, rho = _secular_case(case)
+    inputs = _secular_inputs(d, w, rho)
+    assert inputs[0].size == {"K=1": 1, "K=2": 2}.get(case, 24)
+    if case == "close-pair":
+        # the pair survives deflation: its rotation would move H by more than tol
+        z = w[:2] / np.linalg.norm(w)
+        assert 1e-12 * abs(z[0] * z[1]) / (z @ z) > 8.0 * np.finfo(float).eps * max(1.0, inputs[2])
+    assert _secular_gap_error(*inputs) <= 1e-12
+    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    _assert_matches_eigh(np.diag(d) + rho * np.outer(w, w.conj()), E, Q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_secular_solver_converges_on_crowded_poles(seed):
+    # poles in clusters 1e-14 to 1e-6 wide, weights over eight decades: a
+    # fixed-weight step that never swaps its fixed pole stalls on some roots.
+    # Eigenvectors this close are ill-conditioned, so the check is the
+    # residual, orthogonality and the eigenvalues, not the vectors
+    rng = np.random.default_rng(seed)
+    d = np.sort(np.round(rng.standard_normal(150), 1)
+                + 10 ** rng.uniform(-14, -6) * rng.standard_normal(150))
+    w = rng.standard_normal(150) * 10 ** rng.uniform(-8, 0, 150)
+    rho = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 2)
+    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    H = np.diag(d) + rho * np.outer(w, w)
+    scale = np.linalg.norm(H)
+    assert np.max(np.abs(H @ Q - Q * E)) <= 1e-12 * scale
+    assert np.max(np.abs(Q.T @ Q - np.eye(150))) <= 1e-12
+    assert np.max(np.abs(E - np.linalg.eigvalsh(H))) <= 1e-12 * scale
+
+
+def test_secular_refusal_names_the_root(monkeypatch):
+    monkeypatch.setattr(resolvent, "_SECULAR_PASSES", 1)
+    d, w, rho = _secular_case("generic")
+    with pytest.raises(ValidationError, match=r"secular equation root \d+ of 24 did not converge"):
+        resolvent._rank_one_eigh(d, w, rho)
 
 
 def test_embedded_determinant_vanishes_at_one(grid):
