@@ -74,8 +74,7 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
-_COLUMN_BLOCK = 256  # eigenvector columns per block of the residual check
-_SECULAR_BLOCK = 1 << 18  # entries of 1/(d - mu) per block of the secular solve (2 MB)
+_COLUMN_BLOCK = 256  # columns per block of the residual check and the secular solve
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor of the root refine
@@ -142,7 +141,7 @@ class FiniteRankModel:
         H = diag(x) + h sum_j lambda_j v_j v_j^* is never formed: each
         nonzero coupling is one rank-one update of the eigenpairs so far,
         solved from its secular equation (_rank_one_eigh), and every
-        update after the first multiplies U's live columns by its own.
+        update after the first multiplies U by that update's eigenvectors.
         U is real when no vector has an imaginary part.  The result is
         refused unless it diagonalizes H to 1e-12 of H's scale.
         """
@@ -154,7 +153,8 @@ class FiniteRankModel:
         E, U = x.copy(), None
         for lj, v in zip(lam, vm):
             if lj:
-                E, U = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj, U)
+                E, Q = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj)
+                U = Q if U is None else U @ Q
         U = np.eye(g.points) if U is None else U
         weight = g.spacing * np.sum(np.abs(vm) ** 2, axis=1)
         scale = max(1.0, np.max(np.abs(x)) + np.sum(np.abs(lam) * weight))
@@ -191,8 +191,8 @@ class FiniteRankModel:
         return self._pair_store[order]
 
 
-def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float, U=None) -> tuple:
-    """(mu, Q) or (mu, U Q): eigenpairs of diag(d) + rho w w^*, d and mu ascending.
+def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
+    """(mu, Q): eigenpairs of diag(d) + rho w w^*, d ascending, mu ascending.
 
     Deflation follows LAPACK's dlaed2: an entry with |rho w_k| <= tol keeps
     (d_k, e_k), and a Givens rotation zeroes one w entry of two poles closer
@@ -201,7 +201,7 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float, U=None) -> tuple:
     orthogonal (Golub, SIAM Rev. 15 (1973) 318; Gu and Eisenstat, SIMAX 15
     (1994) 1266).  rho < 0 solves -diag(d) - rho w w^* with the order
     reversed; complex w solves with |w| and puts the phases back on the rows
-    of Q.  Given U, only U's K live columns are multiplied: M K^2 work, not M^3.
+    of Q.
     """
     phase = None
     if np.iscomplexobj(w):
@@ -250,20 +250,14 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float, U=None) -> tuple:
     col[order] = rows
     if flip:
         rows, col, d = rows[::-1], M - 1 - col, -d
-    mu = np.empty(M)
-    mu[col] = d
-    if U is not None:                   # U diag(phase) G_1 ... G_n, then the live columns
-        U = U * (1.0 if phase is None else phase)
-        for i, j, c, s in rotations:
-            U[:, rows[[i, j]]] = U[:, rows[[i, j]]] @ np.array([[c, -s], [s, c]])
-        UQ = np.hstack([U[:, rows[keep]] @ S, U[:, rows[defl]]])
-        return mu, UQ.take(np.argsort(np.r_[col[keep], col[defl]]), axis=1)
     Q = np.zeros((M, M))
     Q[np.ix_(rows[keep], col[keep])] = S
     Q[rows[defl], col[defl]] = 1.0
     for i, j, c, s in reversed(rotations):
         i, j = rows[i], rows[j]
         Q[[i, j]] = c * Q[i] - s * Q[j], s * Q[i] + c * Q[j]
+    mu = np.empty(M)
+    mu[col] = d
     return mu, (Q if phase is None else phase[:, None] * Q)
 
 
@@ -279,18 +273,19 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
         return np.zeros(K, dtype=int), np.full(K, top)
     # a pole of weight 0 at d_K-1 + rho |z|^2 closes the last root's interval
     d, z2 = np.append(d, d[-1] + top), np.append(z * z, 0.0)
-    a, width, step = np.arange(K), np.diff(d), max(1, _SECULAR_BLOCK // K)
+    a, width = np.arange(K), np.diff(d)
     origin, tau = a, 0.5 * width
 
     def terms(idx):
         out = np.empty((5, idx.size))
-        for s in range(0, idx.size, step):
-            i, n = idx[s:s + step], np.arange(min(step, idx.size - s))
+        for s in range(0, idx.size, _COLUMN_BLOCK):
+            i = idx[s:s + _COLUMN_BLOCK]
+            n, b = np.arange(i.size), slice(s, s + i.size)
             R = np.subtract.outer(d, d[origin[i]])
             R -= tau[i]
-            out[3:, s:s + step] = R[i, n], R[i + 1, n]
+            out[3:, b] = R[i, n], R[i + 1, n]
             np.reciprocal(R, out=R)
-            out[:3, s:s + step] = z2 @ R, z2 @ np.abs(R, out=R), z2 @ np.square(R, out=R)
+            out[:3, b] = z2 @ R, z2 @ np.abs(R, out=R), z2 @ np.square(R, out=R)
         out[0] += 1.0 / rho
         return out
 

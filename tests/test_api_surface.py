@@ -23,6 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import friedrichs
 from friedrichs import cli
 
@@ -66,7 +68,8 @@ print(len(fr.point_spectrum(model).eigenvalues))
 bump = fr.make_localization('smooth_bump', delta=0.5, width=0.5)
 gauss = fr.build_propagator(fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [1.0]))
 fr.sojourn(gauss, fr.gaussian_state(grid, -4.0, 1.0, momentum=1.5), bump, 4.0)
-print(scipy(), 'numpy.ma' in sys.modules)
+print(scipy())
+print('numpy.ma' in sys.modules)
 for dens in (fr.gaussian_momentum_density(1.5, 0.05), fr.indicator_momentum_density((1.0, 2.0))):
     fr.propagation_functional(dens, bump, 4.0)
 print(scipy())
@@ -78,9 +81,14 @@ def test_import_leaves_optional_scipy_unloaded():
     # it loads with the CLI or on the point-spectrum and analytic-density
     # paths, and CubicSpline (file() vectors) loads where it is used.
     # numpy's polynomial and fft submodules load with the package, so their
-    # cost is set-up rather than the first call's, and numpy.ma, which
-    # np.unique, np.setdiff1d and np.median import on first use, never loads
+    # cost is set-up rather than the first call's.  numpy.ma never loads on
+    # the timed paths under numpy 2.4, whose np.unique, np.setdiff1d and
+    # np.median import it on first use; other numpy releases load it on their
+    # own schedule, so only 2.4 is held to that
     env = dict(os.environ, PYTHONPATH=str(Path(friedrichs.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:6] == ["[]", "False", "True True", "1", "[] False", "[]"]
+    lines = out.stdout.split("\n")
+    assert lines[:5] + lines[6:7] == ["[]", "False", "True True", "1", "[]", "[]"]
+    if np.__version__.startswith("2.4."):
+        assert lines[5] == "False"

@@ -320,9 +320,9 @@ def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, mon
     calls = []
     step = resolvent._rank_one_eigh
 
-    def counting_step(d, w, rho, U=None):
+    def counting_step(d, w, rho):
         calls.append(rho)
-        return step(d, w, rho, U)
+        return step(d, w, rho)
 
     def no_eigh(H):
         raise AssertionError("the eigendecomposition called np.linalg.eigh")
