@@ -14,9 +14,9 @@ window remain.
 Discretization choices worth knowing about:
 
 * f is averaged over momentum cells through its antiderivative.  The cell
-  averages sum to the exact integral of f, so the free sojourn identity
-  T0 = r ||phi||^2 int(f) survives discretization; sampling f at nodes
-  would break it at O(dk/r).
+  averages sum to the exact integral of f, so on the grid the free sojourn
+  is the identity T0 = r ||phi||^2 int(f), with no time integral taken;
+  sampling f at nodes would break it at O(dk/r).
 
 * A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
   with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.  A
@@ -56,13 +56,13 @@ from .grid import (
     GridFunction,
     GridSpec,
     Representation,
+    _as_momentum,
     certify_support,
     norm,
     sobolev_norm,
-    transform,
 )
 from .localization import LocalizationProfile
-from .resolvent import FiniteRankModel
+from .resolvent import FiniteRankModel, Side, _as_side
 from .scattering import _state_scattering, state_support
 from .states import MomentumDensity
 
@@ -77,7 +77,7 @@ __all__ = [
     "propagation_functional",
 ]
 
-_T_BLOCK = 2048        # free-route times, or Cook's support nodes, per batch
+_T_BLOCK = 2048        # direct-route times, or Cook's support nodes, per batch
                        # (memory control)
 _TAIL_SAMPLES = 128    # full-sojourn integrand samples a side for the tail fit
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
@@ -85,13 +85,6 @@ _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
                        # (the neglected mass is charged to the tail estimate;
                        #  a larger horizon would instead inflate the
                        #  periodic-wraparound error, which grows with T)
-
-
-def _canon(value, allowed, what):
-    key = str(value).lower().replace("_", "").replace("-", "")
-    if key not in allowed:
-        raise ValidationError(f"{what} must be one of {sorted(allowed)}, got {value!r}")
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +255,18 @@ def wave_operator(prop: Propagator, phi: GridFunction, sign: str = "minus",
     T the revival cap pi/h - _MARGIN; the probed tail of the integrand
     beyond T, with the round-off of the phases, is held to tol.  The
     independent check of W- phi is the stationary formula in
-    scattering._state_scattering.
+    scattering._state_scattering.  sign is a Side, "minus" or "plus".
 
     With return_info the result comes with a dict: "horizon" (T, 0 when
     V = 0), "tail_estimate" (the error estimate held to tol) and "zeta"
     (the decay exponent of the integrand).
     """
-    sign = _canon(sign, {"minus", "plus"}, "wave-operator sign")
+    s = -1.0 if _as_side(sign) is Side.MINUS else 1.0
     _require_position_state(prop, phi, "wave_operator")
     if prop.is_diagonal:
         info = {"horizon": 0.0, "tail_estimate": 0.0, "zeta": math.inf}
         return (phi, info) if return_info else phi
 
-    s = -1.0 if sign == "minus" else 1.0
     g = prop.grid
     cap = g.momentum_cutoff - _MARGIN
     tail, zeta = _cook_tail(prop, phi, s, cap)
@@ -343,9 +335,7 @@ def _sliding_sum(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
 
 
 def _momentum_density(phi: GridFunction) -> np.ndarray:
-    if phi.representation is Representation.POSITION:
-        return np.abs(transform(phi).samples) ** 2
-    return np.abs(phi.samples) ** 2
+    return np.abs(_as_momentum(phi)) ** 2
 
 
 def _free_tails(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
@@ -367,26 +357,27 @@ def _free_tails(dens: np.ndarray, grid: GridSpec, f: LocalizationProfile,
     return hi, lo
 
 
-def _free_time_grid(t0: float, T: float, r: float) -> np.ndarray:
-    """Trapezoid nodes on [t0, T] for the free sliding-window integrands."""
+def _free_time_grid(T: float, r: float) -> np.ndarray:
+    """Trapezoid nodes on [0, T] for the free sliding-window integrands."""
     dt = min(0.05, 0.005 * math.sqrt(max(r, 1.0)))
-    return np.linspace(t0, T, int(math.ceil((T - t0) / dt)) + 1)
+    return np.linspace(0.0, T, int(math.ceil(T / dt)) + 1)
 
 
-def _free_numeric(phi: GridFunction, f: LocalizationProfile, r: float) -> tuple:
-    g = phi.grid
-    dens = _momentum_density(phi)
-    _, T = _sojourn_horizon(dens, g, f, r)
-    tgrid = _free_time_grid(-T, T, r)
-    value = float(np.trapezoid(_sliding_sum(dens, g, f, r, tgrid), tgrid))
-    return value, sum(_free_tails(dens, g, f, r, T)), math.inf
+def _free_sojourn(psi: GridFunction, f: LocalizationProfile, r: float) -> float:
+    """T0_r(psi) = r ||psi||^2 int(f), exact on the grid: under H0 each
+    momentum node's content crosses the window at unit speed, and over all
+    t the cell average of f((k - t)/r) integrates to r int(f) at every node."""
+    return r * norm(psi) ** 2 * f.integral()
 
 
-def _full_sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
-                   rs, tol: float) -> list:
-    """(value, tail, zeta, modes kept, discarded mass) of the full sojourn at
-    each r in rs; what depends on psi alone is formed once for all of them."""
+def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
+              rs, tol: float) -> list:
+    """(value, tail, zeta, modes kept, discarded mass) of the sojourn at each
+    r in rs; what depends on psi alone is formed once for all of them.  A
+    diagonal propagator gives the free sojourn, exact with no tail."""
     g = prop.grid
+    if prop.is_diagonal:
+        return [(_free_sojourn(psi, f, r), 0.0, math.inf, g.points, 0.0) for r in rs]
     dk, M = g.momentum_spacing, g.points
     dens_psi = _momentum_density(psi)
     c_all = prop.coefficients(psi)
@@ -465,7 +456,8 @@ def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: floa
             tol: float = 1e-6, return_info: bool = False):
     """Sojourn time int ||f(P/r) e^{-itH} psi||^2 dt of psi under the
     propagator's H at scale r: the free sojourn of phi when the propagator
-    is diagonal (H = H0), the full one when psi = W- phi and H = Q + V.
+    is diagonal (H = H0), which is r ||phi||^2 int(f) exactly, and the full
+    one when psi = W- phi and H = Q + V.
 
     With return_info the result comes with a dict: "tail_estimate" (the
     error estimate held to tol, the spectral-window charge included),
@@ -476,11 +468,7 @@ def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: floa
     """
     _require_scales((r,))
     _require_position_state(prop, psi, "sojourn")
-    if prop.is_diagonal:
-        value, tail, zeta = _free_numeric(psi, f, r)
-        modes, discarded = psi.grid.points, 0.0
-    else:
-        value, tail, zeta, modes, discarded = _full_sojourns(prop, psi, f, (r,), tol)[0]
+    value, tail, zeta, modes, discarded = _sojourns(prop, psi, f, (r,), tol)[0]
     _require_tail(value, tail, tol, psi, f, r)
     info = {"tail_estimate": tail, "zeta": zeta, "modes_kept": modes,
             "discarded_mass": discarded}
@@ -491,13 +479,9 @@ def sojourn(prop: Propagator, psi: GridFunction, f: LocalizationProfile, r: floa
 # propagation functional
 
 def _closed_form_grid(phi: GridFunction, f: LocalizationProfile, r: float) -> float:
-    if not math.isfinite(sobolev_norm(phi, 1.5)):
-        raise ValidationError("propagation functional needs a state with s > 1 smoothness")
     g = phi.grid
-    dens = _momentum_density(phi)
-    k = g.momentum_nodes()
-    A = f.antiderivative(k / r)
-    return 2.0 * r * g.momentum_spacing * float(dens @ A)
+    A = f.antiderivative(g.momentum_nodes() / r)
+    return 2.0 * r * g.momentum_spacing * float(_momentum_density(phi) @ A)
 
 
 def _hinge_moment(dens: MomentumDensity, sign: float, q: float, n: int) -> float:
@@ -530,7 +514,7 @@ def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,
     g = phi.grid
     dens = _momentum_density(phi)
     _, T = _sojourn_horizon(dens, g, f, r)
-    tgrid = _free_time_grid(0.0, T, r)
+    tgrid = _free_time_grid(T, r)
     diff = _sliding_sum(dens, g, f, r, tgrid) - _sliding_sum(dens, g, f, r, -tgrid)
     value = float(np.trapezoid(diff, tgrid))
     hi, lo = _free_tails(dens, g, f, r, T)
@@ -544,24 +528,25 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
                            half: str = "closedform", tol: float = 1e-8) -> float:
     """Half-line propagation functional I_r.
 
-    half = ClosedForm evaluates the momentum-space reduction
+    half = "closedform" evaluates the momentum-space reduction
     I_r = 2r int dens(k) A(k/r) dk (A the signed antiderivative of f);
     it accepts either a GridFunction or an analytic MomentumDensity, whose
     I_r = 2<P> - cut is closed form (cut: what the window f(./r) removes).
-    half = Direct integrates the commutator expression over time and is
+    half = "direct" integrates the commutator expression over time and is
     grid-only; the part beyond its horizon, known in closed form, is held
     to tol.
     """
-    half = _canon(half, {"closedform", "direct"}, "functional route")
+    if half not in ("closedform", "direct"):
+        raise ValidationError(f"functional route must be 'closedform' or 'direct', got {half!r}")
     _require_scales((r,))
-    if half == "closedform":
-        if isinstance(phi, MomentumDensity):
-            return _closed_form_density(phi, f, r)
-        return _closed_form_grid(phi, f, r)
     if isinstance(phi, MomentumDensity):
-        raise ValidationError("the direct route needs a grid state, not an analytic density")
+        if half == "direct":
+            raise ValidationError("the direct route needs a grid state, not an analytic density")
+        return _closed_form_density(phi, f, r)
     if not math.isfinite(sobolev_norm(phi, 1.5)):
         raise ValidationError("propagation functional needs a state with s > 1 smoothness")
+    if half == "closedform":
+        return _closed_form_grid(phi, f, r)
     return _direct_functional(phi, f, r, tol)
 
 
@@ -606,29 +591,19 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     if curve.model is not prop.model:
         raise ValidationError("the scattering curve was tabulated for another model "
                               "than the propagator's")
-    support = state_support(phi)
-    certify_support(phi, support, s=3.0, excluded=curve.exclusions)
+    certify_support(phi, state_support(phi), excluded=curve.exclusions)
     s_phi, ew, _, w_stat = _state_scattering(curve.model, phi, curve.exclusions)
 
     w_phi = wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))
     route_gap = norm(GridFunction(phi.grid, Representation.POSITION,
                                   w_phi.samples - w_stat.samples))
 
-    int_f = f.integral()
-    # V = 0: W- phi = phi and the full sojourn is the free one, r ||phi||^2
-    # int(f) exactly, so the tau columns are exact zeros, not quadrature residue
-    full = None if prop.is_diagonal else _full_sojourns(prop, w_phi, f, rs, tol)
-    records = []
-    zetas = []
-    for i, r in enumerate(rs):
-        T0 = r * norm(phi) ** 2 * int_f
-        T0_S = r * norm(s_phi) ** 2 * int_f
-        if full is None:
-            T, tail, zeta = T0, 0.0, math.inf
-        else:
-            T, tail, zeta = full[i][:3]
-            _require_tail(T, tail, tol, w_phi, f, r)
+    records, zetas = [], []
+    for r, (T, tail, zeta, _, _) in zip(rs, _sojourns(prop, w_phi, f, rs, tol)):
+        _require_tail(T, tail, tol, w_phi, f, r)
         zetas.append(zeta)
+        T0 = _free_sojourn(phi, f, r)
+        T0_S = _free_sojourn(s_phi, f, r)
         tau_in = T - T0
         tau_sym = T - 0.5 * (T0 + T0_S)
         i_phi = propagation_functional(phi, f, r, "closedform")

@@ -446,3 +446,24 @@ experiment.energy-grid = -2, 2, 201
     _, rows, _ = read_rows(out / "smatrix.csv")
     origin = min(rows, key=lambda row: abs(row[0]))
     assert origin[1] + 1j * origin[2] == pytest.approx(S_ZERO, abs=1e-7)
+
+
+@pytest.mark.parametrize("row, column, value", [(100, 1, np.nan), (199, 0, np.inf)],
+                         ids=["nan_in_re", "inf_in_x"])
+def test_a_non_finite_table_entry_is_refused_by_name(tmp_path, capsys, row, column, value):
+    # a NaN in the re column ended the run with the spline's traceback, exit 1
+    x = np.linspace(-12, 12, 200)
+    table = np.column_stack([x, np.exp(-0.5 * x * x)])
+    table[row, column] = value
+    np.savetxt(tmp_path / "vtab.txt", table)
+    cfg = write_cfg(tmp_path, """
+grid.L = 16
+grid.M = 2048
+model.N = 1
+model.lambdas = 1.0
+model.vector.1 = file(vtab.txt)
+experiment.energy-grid = -2, 2, 201
+""")
+    assert main(["smatrix", "--config", cfg, "--check"]) == 2
+    assert f"model.vector.1: table {tmp_path / 'vtab.txt'} holds a non-finite value" \
+        in capsys.readouterr().err

@@ -200,10 +200,15 @@ def test_plus_and_minus_differ_by_scattering(gaussian_propagator, gaussian_curve
     assert diff < 1e-4
 
 
-def test_wave_operator_validation(gaussian_propagator, grid):
+def test_wave_operator_validation(gaussian_propagator, free_propagator, grid):
+    # an unknown sign is refused by name, as boundary_matrix refuses a side,
+    # on the free propagator too; "min_us" is not another spelling of minus
     phi = fr.gaussian_state(grid, 0.5, 0.4)
-    with pytest.raises(ValidationError):
-        fr.wave_operator(gaussian_propagator, phi, "backwards")
+    for prop in (gaussian_propagator, free_propagator):
+        for sign in ("backwards", "min_us", None):
+            with pytest.raises(ValidationError,
+                               match=f"^side must be 'plus' or 'minus', got {sign!r}$"):
+                fr.wave_operator(prop, phi, sign)
 
 
 def test_wave_operator_refuses_a_grid_with_no_probe_step():
@@ -258,7 +263,7 @@ def test_cook_closed_form_matches_the_per_node_quadrature(coarse_grid):
     psi = fr.gaussian_state(g, 0.5, 0.6)
     vm, E, U = model.vector_matrix(), prop.eigenvalues, prop.eigenvectors
     nodes, weights = np.polynomial.legendre.leggauss(10)
-    for sign, s in (("minus", -1.0), ("plus", 1.0)):
+    for sign, s in (("minus", -1.0), ("plus", 1.0), (fr.Side.MINUS, -1.0), (fr.Side.PLUS, 1.0)):
         w, info = fr.wave_operator(prop, psi, sign, return_info=True)
         n = max(int(math.ceil(info["horizon"] / 0.2)), 1)
         edges = np.linspace(0.0, info["horizon"], n + 1)
@@ -283,7 +288,8 @@ def _momentum_columns(prop, cols):
 
 
 def test_free_sojourn_identity(free_propagator, grid, f_ind, f_smooth):
-    # T0_r = r ||phi||^2 integral(f), checked through the numeric route
+    # T0_r = r ||phi||^2 integral(f) exactly: sojourn on the free propagator
+    # is the identity itself, the same number the sweep's T0 column holds
     states = [fr.gaussian_state(grid, 0.0, 1.0, momentum=1.5),
               fr.bump_state(grid, (0.25, 0.75))]
     for phi in states:
@@ -291,7 +297,7 @@ def test_free_sojourn_identity(free_propagator, grid, f_ind, f_smooth):
             for r in (1.0, 8.0, 64.0):
                 got = fr.sojourn(free_propagator, phi, f, r)
                 ref = r * fr.norm(phi) ** 2 * f.integral()
-                assert abs(got - ref) < 1e-4 * ref
+                assert got == ref
 
 
 def test_full_sojourn_reduces_to_free_for_zero_coupling(free_propagator, grid, f_ind):
@@ -342,7 +348,7 @@ def test_a_scale_outside_the_positive_reals_is_refused(free_propagator, gaussian
 def test_sojourn_refuses_a_nan_tail_estimate(gaussian_propagator, grid, f_ind,
                                              monkeypatch):
     phi = fr.bump_state(grid, (0.25, 0.75))
-    monkeypatch.setattr(dynamics, "_full_sojourns",
+    monkeypatch.setattr(dynamics, "_sojourns",
                         lambda *args: [(1.0, math.nan, math.inf, grid.points, 0.0)])
     with pytest.raises(ToleranceError, match="nan"):
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
@@ -352,7 +358,7 @@ def test_a_tail_within_the_cutoff_is_refused_by_its_tolerance(gaussian_propagato
                                                              f_ind, monkeypatch):
     # the horizon at r = 8 lies well inside pi/h, so only the tolerance is named
     phi = fr.bump_state(grid, (0.25, 0.75))
-    monkeypatch.setattr(dynamics, "_full_sojourns",
+    monkeypatch.setattr(dynamics, "_sojourns",
                         lambda *args: [(1.0, 1.0, math.inf, grid.points, 0.0)])
     with pytest.raises(ToleranceError, match=r"1\.00e\+00 at r = 8: it exceeds tolerance 1e-06$"):
         fr.sojourn(gaussian_propagator, phi, f_ind, 8.0)
@@ -522,7 +528,7 @@ def test_direct_route_tails_match_the_halved_horizon(grid, f_ind, r):
     _, T = dynamics._sojourn_horizon(dens, grid, f_ind, r)
     sums, tails = [], []
     for horizon in (T, 0.5 * T):
-        t = dynamics._free_time_grid(0.0, horizon, r)
+        t = dynamics._free_time_grid(horizon, r)
         sums.append([np.trapezoid(dynamics._sliding_sum(dens, grid, f_ind, r, c), t)
                      for c in (t, -t)])
         hi, lo = dynamics._free_tails(dens, grid, f_ind, r, horizon)
@@ -602,10 +608,12 @@ def demo_models(grid, gaussian_propagator, gaussian_curve):
 @pytest.mark.parametrize("lam", [1.0, -1.0])
 @pytest.mark.parametrize("kind, params", [("indicator", {"J": (-1.0, 1.0)}),
                                           ("smooth_bump", {"delta": 0.5, "width": 0.5})])
-def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, grid, lam, kind, params):
+def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, free_propagator, grid, lam,
+                                                  kind, params):
     # the sweep reads every scale's window rows and kept columns from one
     # transform of their union, sojourn from a transform of its own; a
-    # bump of reach 1, like the indicator's, keeps r = 64 inside the box
+    # bump of reach 1, like the indicator's, keeps r = 64 inside the box.
+    # T0 and the free sojourn are one helper's r ||phi||^2 int(f)
     prop, curve = demo_models[lam]
     f = fr.make_localization(kind, **params)
     phi, tol = fr.bump_state(grid, (0.25, 0.75)), 1e-6
@@ -615,6 +623,7 @@ def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, grid, lam, kind, 
         T, info = fr.sojourn(prop, w, f, rec.r, tol=tol, return_info=True)
         assert rec.T == T
         assert rec.tail_estimate == info["tail_estimate"]
+        assert rec.T0 == fr.sojourn(free_propagator, phi, f, rec.r)
 
 
 def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaussian_curve,
