@@ -11,7 +11,7 @@ class ValidationError(ValueError):
 
 
 class StateNotAdmissible(ValidationError):
-    """State fails a support / smoothness / exclusion requirement."""
+    """State fails a finiteness / support / exclusion requirement."""
 
 
 class ToleranceError(RuntimeError):

@@ -61,6 +61,7 @@ import math
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -182,16 +183,25 @@ def _float_list(key: str, text: str, count: int | None = None) -> list:
     return [_as_float(key, p) for p in parts]
 
 
+@contextmanager
+def _field(key: str):
+    """Prefix a library refusal with key unless it already names a field under key."""
+    try:
+        yield
+    except ValidationError as exc:
+        if str(exc).startswith(f"{key}."):
+            raise
+        raise ValidationError(f"{key}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # assembling package objects from config values
 
 def _build_grid(cfg: dict):
     L = _as_float("grid.L", _need(cfg, "grid.L"))
     M = _as_int("grid.M", _need(cfg, "grid.M"))
-    try:
+    with _field("grid"):
         return make_grid(L, M)
-    except ValidationError as exc:
-        raise ValidationError(f"grid: {exc}") from None
 
 
 _VECTOR_SPEC = re.compile(r"([a-z][a-z-]*)\s*\((.*)\)\Z")
@@ -263,10 +273,8 @@ def _build_model(cfg: dict, grid, base: Path):
         if _VECTOR_KEY.match(key) and int(key.rsplit(".", 1)[1]) > N:
             raise ValidationError(f"{key}: index exceeds model.N = {N}")
 
-    try:
+    with _field("model"):
         return finite_rank_model(grid, vectors, lambdas)
-    except ValidationError as exc:
-        raise ValidationError(f"model: {exc}") from None
 
 
 def _build_localization(cfg: dict):
@@ -274,7 +282,7 @@ def _build_localization(cfg: dict):
     if kind not in ("indicator", "smooth_bump"):
         raise ValidationError(
             f"localization.kind: expected indicator or smooth_bump, got {kind!r}")
-    try:
+    with _field("localization"):
         if kind == "indicator":
             a, b = _float_list("localization.J", _need(cfg, "localization.J"), count=2)
             return make_localization("indicator", J=(a, b))
@@ -282,11 +290,6 @@ def _build_localization(cfg: dict):
             "smooth_bump",
             delta=_as_float("localization.delta", _need(cfg, "localization.delta")),
             width=_as_float("localization.width", _need(cfg, "localization.width")))
-    except ValidationError as exc:
-        msg = str(exc)
-        if msg.startswith("localization."):
-            raise
-        raise ValidationError(f"localization: {msg}") from None
 
 
 def _require_inside_box(key: str, lo: float, hi: float, L: float) -> None:
@@ -299,7 +302,7 @@ def _require_inside_box(key: str, lo: float, hi: float, L: float) -> None:
 def _build_state(cfg: dict, grid, densities: bool):
     family = _need(cfg, "state.family")
     L = grid.half_width
-    try:
+    with _field("state"):
         if family == "gaussian":
             c = _finite("state.center", cfg.get("state.center", "0"))
             w = _positive("state.width", cfg.get("state.width", "1"))
@@ -327,11 +330,6 @@ def _build_state(cfg: dict, grid, densities: bool):
         if densities and family == "indicator-density":
             a, b = _float_list("state.band", _need(cfg, "state.band"), count=2)
             return indicator_momentum_density((a, b))
-    except ValidationError as exc:
-        msg = str(exc)
-        if msg.startswith("state."):
-            raise
-        raise ValidationError(f"state: {msg}") from None
     raise ValidationError(f"state.family: unknown family {family!r}")
 
 
@@ -349,10 +347,8 @@ def _energy_grid(cfg: dict, grid, phi):
             raise ValidationError("experiment.energy-grid: needs lo < hi")
         if n < 4:
             raise ValidationError("experiment.energy-grid: needs at least 4 points")
-        try:
+        with _field("experiment.energy-grid"):
             _interior(grid, [lo, hi])
-        except ValidationError as exc:
-            raise ValidationError(f"experiment.energy-grid: {exc}") from None
         return (lo, hi), n
     if phi is None:
         raise ValidationError(
@@ -521,10 +517,8 @@ def _assemble_point_spectrum(cfg: dict, base: Path) -> dict:
     scan = None
     if "experiment.scan" in cfg:
         scan = _lo_hi_n("experiment.scan", cfg["experiment.scan"])
-        try:
+        with _field("experiment.scan"):
             _scan_triple(grid, scan)
-        except ValidationError as exc:
-            raise ValidationError(f"experiment.scan: {exc}") from None
     threshold = _positive("experiment.threshold", cfg.get("experiment.threshold", "1e-6"))
     return {"model": model, "scan": scan, "threshold": threshold}
 

@@ -57,13 +57,11 @@ from .grid import (
     GridSpec,
     Representation,
     _as_momentum,
-    certify_support,
     norm,
-    sobolev_norm,
 )
 from .localization import LocalizationProfile
 from .resolvent import FiniteRankModel, Side, _as_side
-from .scattering import _state_scattering, state_support
+from .scattering import _state_scattering
 from .states import MomentumDensity
 
 __all__ = [
@@ -543,8 +541,6 @@ def propagation_functional(phi, f: LocalizationProfile, r: float,
         if half == "direct":
             raise ValidationError("the direct route needs a grid state, not an analytic density")
         return _closed_form_density(phi, f, r)
-    if not math.isfinite(sobolev_norm(phi, 1.5)):
-        raise ValidationError("propagation functional needs a state with s > 1 smoothness")
     if half == "closedform":
         return _closed_form_grid(phi, f, r)
     return _direct_functional(phi, f, r, tol)
@@ -591,7 +587,6 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     if curve.model is not prop.model:
         raise ValidationError("the scattering curve was tabulated for another model "
                               "than the propagator's")
-    certify_support(phi, state_support(phi), excluded=curve.exclusions)
     s_phi, ew, _, w_stat = _state_scattering(curve.model, phi, curve.exclusions)
 
     w_phi = wave_operator(prop, phi, "minus", tol=max(10.0 * tol, 1e-5))

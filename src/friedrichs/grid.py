@@ -108,7 +108,7 @@ def make_grid(half_width: float, points: int) -> GridSpec:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Immutable sampled state: grid, representation tag, complex samples."""
+    """Immutable sampled state: grid, representation tag, finite complex samples."""
 
     grid: GridSpec
     representation: Representation
@@ -120,6 +120,9 @@ class GridFunction:
             raise ValidationError(
                 f"samples shape {s.shape} does not match grid size {self.grid.points}"
             )
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            raise StateNotAdmissible(f"state sample {bad[0]} is not finite")
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
@@ -168,14 +171,14 @@ def norm(phi: GridFunction) -> float:
 def sobolev_norm(phi: GridFunction, s: float = 0.0) -> float:
     """Momentum-weighted norm ||<P>^s phi|| with <u> = (1 + u^2)^(1/2).
 
-    With s = 0 this is exactly the plain discrete L2 norm.
+    With s = 0 this is exactly the plain discrete L2 norm.  At large s it may
+    overflow to inf, so it is summed from the array, never a GridFunction.
     """
     if s == 0.0:
         return norm(phi)
-    g = phi.grid
-    k = g.momentum_nodes()
-    return norm(GridFunction(g, Representation.MOMENTUM,
-                             _as_momentum(phi) * (1.0 + k * k) ** (s / 2.0)))
+    k = phi.grid.momentum_nodes()
+    weighted = _as_momentum(phi) * (1.0 + k * k) ** (s / 2.0)
+    return float(math.sqrt(phi.grid.momentum_spacing) * np.linalg.norm(weighted))
 
 
 def evaluation_matrix(grid: GridSpec, taus) -> np.ndarray:
@@ -236,7 +239,7 @@ def boundary_decay(phi: GridFunction) -> float:
 
 @dataclass(frozen=True)
 class CompactSupportCertificate:
-    """Witness that a state is admissible for the time-delay machinery.
+    """Standalone record of what certify_support checked; nothing else reads it.
 
     support:   closed interval [a, b] outside of which samples vanish
     exponent:  Sobolev exponent s the state was checked at

@@ -51,7 +51,6 @@ from .grid import (
     evaluate_many,
     evaluation_matrix,
     inner_product,
-    sobolev_norm,
     transform,
 )
 
@@ -98,13 +97,38 @@ def _as_side(side) -> Side:
 class FiniteRankModel:
     """Rank-N perturbation V = sum_j lambda_j |v_j><v_j| of H0 = Q.
 
-    Arrays derived from the vectors are computed on first use and kept for
-    the model's lifetime.
+    Construction refuses bad data by name.  Arrays derived from the vectors
+    are computed on first use and kept for the model's lifetime.
     """
 
     grid: GridSpec
     couplings: tuple
     vectors: tuple
+
+    def __post_init__(self):
+        if len(self.vectors) != self.rank:
+            raise ValidationError(f"got {len(self.vectors)} vectors but {self.rank} couplings")
+        if not all(math.isfinite(c) for c in self.couplings):
+            raise ValidationError("couplings must be finite reals")
+        for j, v in enumerate(self.vectors):
+            if not isinstance(v, GridFunction):
+                raise ValidationError(f"vector {j} is not a GridFunction")
+            if v.grid != self.grid:
+                raise ValidationError(f"vector {j} lives on a different grid")
+            if v.representation is not Representation.POSITION:
+                raise ValidationError(f"vector {j} must be in position representation")
+            if boundary_decay(v) > _DECAY_TOL:
+                raise ValidationError(
+                    f"vector {j} does not decay at the grid boundary "
+                    f"(level {boundary_decay(v):.2e} > {_DECAY_TOL:.0e})")
+        for j in range(self.rank):
+            for k in range(j, self.rank):
+                ip = inner_product(self.vectors[j], self.vectors[k])
+                target = 1.0 if j == k else 0.0
+                if abs(ip - target) > _ORTHO_TOL:
+                    raise ValidationError(
+                        f"vectors {j},{k} violate orthonormality: "
+                        f"|<v{j},v{k}> - {target:g}| = {abs(ip - target):.2e}")
 
     @property
     def rank(self) -> int:
@@ -321,35 +345,8 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
 
 
 def finite_rank_model(grid: GridSpec, vectors, couplings) -> FiniteRankModel:
-    vectors = tuple(vectors)
-    couplings = tuple(float(c) for c in couplings)
-    if len(vectors) != len(couplings):
-        raise ValidationError(
-            f"got {len(vectors)} vectors but {len(couplings)} couplings")
-    if not all(math.isfinite(c) for c in couplings):
-        raise ValidationError("couplings must be finite reals")
-    for j, v in enumerate(vectors):
-        if not isinstance(v, GridFunction):
-            raise ValidationError(f"vector {j} is not a GridFunction")
-        if v.grid != grid:
-            raise ValidationError(f"vector {j} lives on a different grid")
-        if v.representation is not Representation.POSITION:
-            raise ValidationError(f"vector {j} must be in position representation")
-        if boundary_decay(v) > _DECAY_TOL:
-            raise ValidationError(
-                f"vector {j} does not decay at the grid boundary "
-                f"(level {boundary_decay(v):.2e} > {_DECAY_TOL:.0e})")
-        if not math.isfinite(sobolev_norm(v, 8.0)):
-            raise ValidationError(f"vector {j} has non-finite smoothness norm")
-    for j in range(len(vectors)):
-        for k in range(j, len(vectors)):
-            ip = inner_product(vectors[j], vectors[k])
-            target = 1.0 if j == k else 0.0
-            if abs(ip - target) > _ORTHO_TOL:
-                raise ValidationError(
-                    f"vectors {j},{k} violate orthonormality: "
-                    f"|<v{j},v{k}> - {target:g}| = {abs(ip - target):.2e}")
-    return FiniteRankModel(grid, couplings, vectors)
+    """FiniteRankModel from any iterables: couplings as floats, both as tuples."""
+    return FiniteRankModel(grid, tuple(float(c) for c in couplings), tuple(vectors))
 
 
 @dataclass(frozen=True)

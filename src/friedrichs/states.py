@@ -115,11 +115,20 @@ def momentum_indicator_state(grid: GridSpec, band=(1.0, 2.0)) -> GridFunction:
 @dataclass(frozen=True)
 class MomentumDensity:
     """Analytic |(F phi)(k)|^2 with unit mass, by family: "gaussian" with
-    standard deviation `scale`, or "band", flat on mean +- scale."""
+    standard deviation `scale`, or "band", flat on mean +- scale; construction
+    refuses another family, a non-finite mean or a scale outside (0, inf)."""
 
     family: str
     mean: float
     scale: float
+
+    def __post_init__(self):
+        if self.family not in ("gaussian", "band"):
+            raise ValidationError(f"density family must be gaussian or band, got {self.family!r}")
+        if not math.isfinite(self.mean):
+            raise ValidationError(f"density mean must be finite, got {self.mean:g}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError(f"density scale must be positive and finite, got {self.scale:g}")
 
 
 def gaussian_momentum_density(momentum: float = 0.0, width: float = 1.0) -> MomentumDensity:

@@ -9,6 +9,7 @@ handles: isometry, intertwining with the evolutions, and the agreement
 of Cook's time integral with the stationary resolvent formula for W-.
 """
 
+import dataclasses
 import math
 import types
 import warnings
@@ -741,17 +742,34 @@ def test_sweep_settles_on_its_last_gap(gaussian_propagator, gaussian_curve, grid
     assert summary["tau_inf"] == records[-1].tau_in
 
 
-def test_a_non_finite_state_sample_is_refused_by_name(gaussian_propagator,
-                                                      gaussian_curve, grid, f_ind):
-    # a NaN sample is refused by name, not left to a bare IndexError
+def test_a_non_finite_state_sample_is_refused_by_name(grid):
+    # a NaN sample is refused by name where the state is built, so no
+    # downstream routine ever sees it
     samples = fr.bump_state(grid, (0.25, 0.75)).samples.copy()
     k = int(np.flatnonzero(samples)[3])
     samples[k] = math.nan
-    phi = fr.GridFunction(grid, Representation.POSITION, samples)
     match = f"state sample {k} is not finite"
+    for rep in Representation:
+        with pytest.raises(fr.StateNotAdmissible, match=match):
+            fr.GridFunction(grid, rep, samples)
     with pytest.raises(fr.StateNotAdmissible, match=match):
-        fr.state_support(phi)
+        fr.grid_function(grid, samples)
+    samples[k] = complex(1.0, math.inf)
     with pytest.raises(fr.StateNotAdmissible, match=match):
-        fr.ew_time_delay(gaussian_curve, phi)
-    with pytest.raises(fr.StateNotAdmissible, match=match):
-        fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4.0])
+        fr.grid_function(grid, samples, Representation.MOMENTUM)
+
+
+def test_the_sweep_refuses_every_state_it_cannot_certify(gaussian_propagator, gaussian_curve,
+                                                         grid, f_ind):
+    def sweep(phi, curve=gaussian_curve):
+        fr.time_delay_sweep(gaussian_propagator, curve, phi, f_ind, [4.0])
+
+    with pytest.raises(fr.StateNotAdmissible, match="zero state has no support"):
+        sweep(fr.grid_function(grid, np.zeros(grid.points)))
+    excluded = dataclasses.replace(gaussian_curve, exclusions=((0.5, 0.1),))
+    with pytest.raises(fr.StateNotAdmissible, match="excluded energy 0.5"):
+        sweep(fr.bump_state(grid, (0.25, 0.75)), excluded)
+    edge = fr.bump_state(grid, (0.25, 0.75)).samples.copy()
+    edge[0] = 1e-3
+    with pytest.raises(ValidationError):        # a sample at the box edge
+        sweep(fr.grid_function(grid, edge))

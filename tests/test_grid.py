@@ -207,6 +207,16 @@ def test_certificate_rejects_leaky_state(grid):
         fr.certify_support(phi, (-1.0, 1.0))
 
 
+def test_an_overflowing_sobolev_norm_is_refused_by_the_certificate(grid):
+    # at s = 200 the weighted coefficients overflow; the norm reports that
+    # as a value, and certify_support names it
+    b = fr.bump_state(grid, (0.25, 0.75))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(fr.sobolev_norm(b, 200.0))
+        with pytest.raises(StateNotAdmissible, match="Sobolev norm at s = 200.0 is not finite"):
+            fr.certify_support(b, (0.25, 0.75), s=200.0)
+
+
 def test_certificate_rejects_excluded_point_overlap(grid):
     b = fr.bump_state(grid, (0.25, 0.75))
     with pytest.raises(StateNotAdmissible):

@@ -567,6 +567,18 @@ def test_model_validation(grid):
         fr.finite_rank_model(grid, [fr.transform(g1)], [1.0])
 
 
+def test_a_direct_model_is_checked_like_the_factory(grid):
+    g1 = fr.gaussian_state(grid)
+    for couplings, vectors, cause in [
+        ((math.nan,), (g1,), "couplings must be finite reals"),
+        ((1.0,), (fr.gaussian_state(grid, width=3.0),), "vector 0 does not decay"),
+        ((1.0, 1.0), (g1, g1), "vectors 0,1 violate orthonormality"),
+        ((1.0,), (fr.gaussian_state(fr.make_grid(8.0, 1024)),), "vector 0 lives on a different"),
+    ]:
+        with pytest.raises(ValidationError, match=cause):
+            fr.FiniteRankModel(grid, couplings, vectors)
+
+
 def test_boundary_margin_guard(gaussian_model, grid):
     edge_x = grid.half_width - 5 * grid.spacing
     with pytest.raises(ValidationError):

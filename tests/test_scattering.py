@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from friedrichs import PointSpectrumProximity, StateNotAdmissible, ValidationError
+from friedrichs import (PointSpectrumProximity, StateNotAdmissible, ToleranceError,
+                        ValidationError, scattering)
 from friedrichs.resolvent import _ChirpProjection, _cut_determinants, _determinant
 
 SQRT_PI = 1.7724538509055159
@@ -180,6 +181,28 @@ def test_curve_rejects_nonpositive_exclusion_radius(gaussian_model):
     with pytest.raises(ValidationError):
         fr.compute_curve(gaussian_model, (-6.0, 6.0), 101,
                          exclusions=((1.0, 0.0),))
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan])
+def test_curve_rejects_a_bad_point_spectrum_radius(gaussian_model, radius):
+    # a PointSpectrum reads through the same radius check as a list of pairs
+    with pytest.raises(ValidationError, match="exclusion radii must be positive"):
+        fr.compute_curve(gaussian_model, (-6.0, 6.0), 101,
+                         exclusions=fr.PointSpectrum((0.5,), (radius,)))
+
+
+def test_curve_gates_refuse_a_nan_curve(gaussian_model, monkeypatch):
+    # a NaN residual compares false against its bound, so each gate reads
+    # "not residual <= bound"
+    batch = scattering._stationary_batch
+
+    def nan_s(*args, **kwargs):
+        out = batch(*args, **kwargs)
+        return dict(out, s=np.full_like(out["s"], math.nan))
+
+    monkeypatch.setattr(scattering, "_stationary_batch", nan_s)
+    with pytest.raises(ToleranceError, match="unitarity residual nan"):
+        fr.compute_curve(gaussian_model, (-6.0, 6.0), 101)
 
 
 def _embedded_model(grid):

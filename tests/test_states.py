@@ -95,6 +95,18 @@ def test_indicator_momentum_density():
     assert (wide.mean, wide.scale) == (1.75, 1.25)
 
 
+@pytest.mark.parametrize("family, mean, scale, cause", [
+    ("bnad", 1.5, 0.5, "density family must be gaussian or band"),
+    ("band", math.nan, 0.5, "density mean must be finite"),
+    ("gaussian", 1.5, math.nan, "density scale must be positive"),
+    ("gaussian", 1.5, 0.0, "density scale must be positive"),
+    ("gaussian", 1.5, -0.5, "density scale must be positive"),
+])
+def test_a_direct_momentum_density_is_refused_by_name(family, mean, scale, cause):
+    with pytest.raises(ValidationError, match=cause):
+        fr.MomentumDensity(family, mean, scale)
+
+
 def test_state_validation(grid):
     with pytest.raises(ValidationError):
         fr.gaussian_state(grid, width=0.0)
