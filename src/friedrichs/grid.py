@@ -172,13 +172,14 @@ def sobolev_norm(phi: GridFunction, s: float = 0.0) -> float:
     """Momentum-weighted norm ||<P>^s phi|| with <u> = (1 + u^2)^(1/2).
 
     With s = 0 this is exactly the plain discrete L2 norm.  At large s it may
-    overflow to inf, so it is summed from the array, never a GridFunction.
+    overflow to inf: it sums the nonzero coefficients, never a GridFunction.
     """
     if s == 0.0:
         return norm(phi)
-    k = phi.grid.momentum_nodes()
-    weighted = _as_momentum(phi) * (1.0 + k * k) ** (s / 2.0)
-    return float(math.sqrt(phi.grid.momentum_spacing) * np.linalg.norm(weighted))
+    k, mags = phi.grid.momentum_nodes(), np.abs(_as_momentum(phi))
+    with np.errstate(over="ignore"):
+        weighted = mags[mags > 0] * (1.0 + k[mags > 0] ** 2) ** (s / 2.0)
+        return float(math.sqrt(phi.grid.momentum_spacing) * np.linalg.norm(weighted))
 
 
 def evaluation_matrix(grid: GridSpec, taus) -> np.ndarray:

@@ -28,6 +28,9 @@ _dense_blocks is the one loop that serves an array _DET_BLOCK energies
 at a time.  The chain route's two determinants at one energy share a
 single dense projection (_cut_determinants), each side slicing out its own
 half of the coefficients rather than taking the jump from the other.
+
+Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
+inertia counts on the N x N Schur complement of the discretized H (_Slices).
 """
 
 from __future__ import annotations
@@ -622,16 +625,63 @@ def _eigenvector_window(model: FiniteRankModel) -> tuple:
     return lo - pad, hi + pad
 
 
-def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -> PointSpectrum:
-    """Two-stage eigenvalue search: determinant dips, then matrix cross-check.
+class _Slices:
+    """Spectrum slicing of H on its coupled nodes, where some v_j with
+    lambda_j != 0 is nonzero: by Haynsworth's inertia additivity H has
+    #{x_k < mu} + n_-(S(mu)) - #{lambda_j > 0} eigenvalues there below mu,
+    S(mu) = -(h Lambda)^-1 - V^*(X - mu)^-1 V; at an eigenvalue, S(mu) c = 0
+    and (mu - X)^-1 V c is the eigenvector, held to eigendecomposition's bound."""
 
-    A real eigenvalue needs D(x0 + i0) = 0, which forces the Plemelj part
-    pi * sum_j lambda_j^2 |v_j(x0)|^2-type content to vanish: that joint
-    condition filters scan minima before refinement.  Each survivor is
+    def __init__(self, model: FiniteRankModel):
+        g, lam = model.grid, model.coupling_array()
+        vm = model.vector_matrix()[lam != 0]
+        self.coupled = np.any(vm != 0, axis=0)
+        self.x, self.V = g.position_nodes()[self.coupled], vm[:, self.coupled].T
+        self.pole, self.above = -1.0 / (g.spacing * lam[lam != 0]), int(np.sum(lam > 0))
+        self.bound = 1e-12 * max(1.0, g.half_width + np.sum(abs(self.V) ** 2 / abs(self.pole)))
+
+    def schur(self, gap: np.ndarray) -> np.ndarray:
+        return np.diag(self.pole) - (self.V.conj().T / gap) @ self.V
+
+    def count(self, mu: float) -> int:
+        """Eigenvalues below mu.  On a node x_k, the limit from above: x_k
+        counts, and S is read off V_k^*, along which its x_k term is unbounded."""
+        k, gap, Q = int(np.searchsorted(self.x, mu)), self.x - mu, np.eye(self.pole.size)
+        if k < gap.size and gap[k] == 0:
+            gap[k], Q, k = math.inf, np.linalg.svd(self.V[k:k + 1])[2][1:].conj().T, k + 1
+        below = np.linalg.eigvalsh(Q.conj().T @ self.schur(gap) @ Q) < 0
+        return k + int(np.sum(below)) - self.above
+
+    def nearest(self, x0: float, radius: float) -> tuple | None:
+        """(mu, unit eigenvector on the coupled nodes) nearest x0 within radius, or None."""
+        first, at, end = (self.count(x0 + t) for t in (-radius, 0.0, radius))
+        mu = math.inf
+        for k, a, b in ((at - 1, x0 - radius, x0), (at, x0, x0 + radius)):
+            while first <= k < end and a < 0.5 * (a + b) < b:   # count(a) <= k < count(b)
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if self.count(mid) > k else (mid, b)
+            if first <= k < end and abs(b - x0) < abs(mu - x0):
+                mu = b
+        if mu == math.inf:
+            return None
+        u = self.V @ np.linalg.svd(self.schur(self.x - mu))[2][-1].conj() / (mu - self.x)
+        u /= np.linalg.norm(u)
+        res = np.linalg.norm((self.x - mu) * u - self.V @ (self.V.conj().T @ u / self.pole))
+        if not res <= self.bound:
+            raise ValidationError(f"eigenpair at {x0:g}: residual {res:.2e} > {self.bound:.2e}")
+        return mu, u
+
+
+def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -> PointSpectrum:
+    """Two-stage eigenvalue search: determinant dips, then spectrum slicing.
+
+    At a real root x0 of D(x + i0), the null vector c of I + r Lambda has
+    Im c^* Lambda (I + r Lambda) c = pi |sum_j lambda_j v_j(x0) c_j|^2 = 0:
+    scan minima where that exceeds 1e-3 are dropped.  Each survivor is
     refined by golden-section search on |D(x + i0)| over the three scan
-    steps around it, until the bracket is at most 1e-10 wide, and is kept
-    if |D| there is below threshold.  Survivors must also reproduce as
-    localized eigenvectors of the discretized Hamiltonian.
+    steps around it, to a bracket at most 1e-10 wide, and kept if |D| there
+    is below threshold and the coupled eigenvalue of H nearest it within
+    1e-3, found by inertia counts (_Slices), has a localized eigenvector.
 
     scan is the (lo, hi, n) triple of the uniform energy grid searched,
     (-0.8 L, 0.8 L, 4001) by default; its step also sets how close two
@@ -659,10 +709,11 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -
     lam = model.coupling_array()
     for i in idx:
         x0 = xs[i] if dvals[i] <= dvals[i + 1] else xs[i + 1]
-        # necessary condition: all vectors (jointly) vanish at the root
+        # necessary condition: the jump vanishes on the null vector c at the root
+        r = boundary_matrix(model, x0, Side.PLUS).matrix
+        c = np.linalg.svd(np.eye(model.rank) + r * lam)[2][-1].conj()
         vx = np.array([evaluate_many(v, [x0])[0] for v in model.vectors])
-        plemelj = math.pi * float(np.sum(lam ** 2 * np.abs(vx) ** 2))
-        if plemelj > 1e-3:
+        if math.pi * abs(np.sum(lam * vx * c)) ** 2 > 1e-3:
             continue
         # golden section on |D| over the bracket, to a 1e-10 wide one
         a, b = xs[max(i - 1, 0)], xs[min(i + 2, n - 1)]
@@ -680,31 +731,19 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -
         if min(fc, fd) < threshold:
             candidates.append(float(c if fc < fd else d))
 
-    if not candidates:
-        return PointSpectrum((), ())
     merged = []
     for c in sorted(candidates):
         if not merged or c - merged[-1] > 0.5 * step:
             merged.append(c)
-    candidates = merged
 
     # cross-validate against the discretized Hamiltonian
-    E, U = model.eigendecomposition
-    x_nodes = model.grid.position_nodes()
-    lo, hi = _eigenvector_window(model)
-    inside = (x_nodes >= lo) & (x_nodes <= hi)
-    vm = model.vector_matrix()
+    slices, (lo, hi) = _Slices(model), _eigenvector_window(model)
+    inside = (slices.x >= lo) & (slices.x <= hi)
     confirmed, radii = [], []
-    for x0 in sorted(candidates):
-        # the witness must couple to V: a node where every vector vanishes
-        # decouples as (x_k, e_k), localized by construction
-        near = np.flatnonzero(np.abs(E - x0) < 1e-3)
-        near = near[np.max(np.abs(vm.conj() @ U[:, near]), axis=0) > 0]
-        if not near.size:
-            continue
-        vec = U[:, near[np.argmin(np.abs(E[near] - x0))]]
-        frac = float(np.sum(np.abs(vec[inside]) ** 2) / np.sum(np.abs(vec) ** 2))
-        if frac >= _LOCALIZED_SHARE:
+    for x0 in merged:
+        # a decoupled node (x_k, e_k), localized by construction, is no witness
+        pair = slices.nearest(x0, 1e-3)
+        if pair is not None and np.sum(np.abs(pair[1][inside]) ** 2) >= _LOCALIZED_SHARE:
             confirmed.append(x0)
             # exclusion ball: where |D| climbs back above 100x threshold,
             # probed on the scan step and kept clear of the box edge

@@ -217,6 +217,16 @@ def test_an_overflowing_sobolev_norm_is_refused_by_the_certificate(grid):
             fr.certify_support(b, (0.25, 0.75), s=200.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_sobolev_norm_reads_inf_without_a_warning(grid):
+    # at s = 200 exactly-zero momentum coefficients of the Gaussian meet an
+    # infinite weight; the norm is inf, and the certificate names it
+    phi = fr.gaussian_state(grid)
+    assert fr.sobolev_norm(phi, 200.0) == math.inf
+    with pytest.raises(StateNotAdmissible, match="Sobolev norm at s = 200.0 is not finite"):
+        fr.certify_support(phi, (-15.0, 15.0), s=200.0)
+
+
 def test_certificate_rejects_excluded_point_overlap(grid):
     b = fr.bump_state(grid, (0.25, 0.75))
     with pytest.raises(StateNotAdmissible):

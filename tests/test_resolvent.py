@@ -250,6 +250,35 @@ def test_point_spectrum_refines_planted_roots_to_1e10(grid, a):
     assert abs(ps.eigenvalues[0] - a) <= 1e-10
 
 
+def _planted_rank_two(grid, a, lam2):
+    """The planted model plus lambda2 |v2><v2|, v2 the part of x^2 e^{-x^2/2}
+    orthonormal to v and e^{-x^2/2}: e^{-x^2/2} stays the eigenvector at a,
+    yet v2(a) != 0."""
+    planted = _planted_model(grid, a)
+    x, v = grid.position_nodes(), planted.vectors[0].samples.real
+    w = x * x * np.exp(-0.5 * x * x)
+    for b in (np.exp(-0.5 * x * x), v):
+        w = w - (b @ w) / (b @ b) * b
+    v2 = fr.grid_function(grid, w / math.sqrt(grid.spacing * (w @ w)))
+    return fr.finite_rank_model(grid, [planted.vectors[0], v2], [planted.couplings[0], lam2])
+
+
+@pytest.mark.parametrize("a, lam2", [(0.8, 0.05), (0.8, 0.5), (0.8, -0.9), (1.3, -0.9)])
+def test_point_spectrum_finds_a_rank_two_embedded_eigenvalue(grid, a, lam2):
+    # the rank-one jump pi sum_j lambda_j^2 |v_j(a)|^2 exceeds 1e-3 unless
+    # lambda2 is small; weighted by D's null vector it vanishes at a
+    model = _planted_rank_two(grid, a, lam2)
+    assert abs(fr.evaluate_many(model.vectors[1], [a])[0]) > 0.1
+    assert abs(fr.perturbation_determinant(model, a, "plus")) < 1e-12
+    ps = fr.point_spectrum(model)
+    assert len(ps.eigenvalues) == 1
+    assert abs(ps.eigenvalues[0] - a) <= 1e-10
+
+
+def test_point_spectrum_of_a_generic_rank_two_model_is_empty(rank2_model):
+    assert fr.point_spectrum(rank2_model).eigenvalues == ()
+
+
 def test_exclusion_probes_stay_inside_the_box(coarse_grid):
     # probes run x0 + step * (1..199) = 1.1 .. 20.9, past the edge at 16
     ps = fr.point_spectrum(_embedded_model(coarse_grid), scan=(-10, 10, 201))
@@ -260,20 +289,22 @@ def test_exclusion_probes_stay_inside_the_box(coarse_grid):
 
 def test_point_spectrum_witness_couples_to_the_vectors(coarse_grid):
     # v vanishes at the node x = 1, which decouples as (1, e_k): localized
-    # by construction, so it must not stand witness for the eigenvalue.
-    # Put it exactly at x0 and delocalize the coupled eigenvector there.
+    # by construction and inside the window, so it must not stand witness.
+    # The witness is the coupled eigenpair at 1, which overlaps v.
     model = _embedded_model(coarse_grid)
     x0 = fr.point_spectrum(model).eigenvalues[0]
-    E, U = (a.copy() for a in model.eigendecomposition)
-    near = np.flatnonzero(np.abs(E - x0) < 1e-3)
-    overlap = np.abs(model.vector_matrix().conj() @ U[:, near])[0]
-    decoupled, coupled = near[overlap == 0], near[overlap > 0]
-    assert decoupled.size == coupled.size == 1
-    E[decoupled] = x0
-    U[:, coupled] = 1.0 / math.sqrt(coarse_grid.points)
-    doctored = _embedded_model(coarse_grid)
-    doctored.__dict__["eigendecomposition"] = (E, U)
-    assert fr.point_spectrum(doctored).eigenvalues == ()
+    node = np.flatnonzero(coarse_grid.position_nodes() == 1.0)
+    assert node.size == 1 and model.vector_matrix()[0, node[0]] == 0
+    lo, hi = resolvent._eigenvector_window(model)
+    assert lo < 1.0 < hi
+    slices = resolvent._Slices(model)
+    mu, u = slices.nearest(x0, 1e-3)
+    assert not slices.coupled[node[0]] and abs(mu - 1.0) < 1e-10
+    assert abs(model.vector_matrix()[0, slices.coupled].conj() @ u) > 0.1
+    # the pair's residual is checked, and a failure names the candidate
+    slices.bound = 0.0
+    with pytest.raises(ValidationError, match=f"eigenpair at {x0:g}: residual"):
+        slices.nearest(x0, 1e-3)
 
 
 @pytest.mark.parametrize("model", ["gaussian_model", "rank2_model"])
@@ -317,6 +348,8 @@ def test_point_spectrum_refuses_a_bad_scan(coarse_grid, scan, cause):
 
 
 def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, monkeypatch):
+    # point_spectrum confirms by inertia counts and leaves no eigenpairs
+    # behind; the propagators build (E, U) once between them
     calls = []
     step = resolvent._rank_one_eigh
 
@@ -331,6 +364,7 @@ def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, mon
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     model = _embedded_model(coarse_grid)
     assert len(fr.point_spectrum(model).eigenvalues) == 1
+    assert not calls and "eigendecomposition" not in model.__dict__
     first, second = fr.build_propagator(model), fr.build_propagator(model)
     assert len(calls) == model.rank
     assert first.eigenvectors is second.eigenvectors
@@ -400,6 +434,29 @@ def test_eigenpairs_match_the_dense_solver(coarse_grid, build):
     E, U = model.eigendecomposition
     assert np.all(np.diff(E) >= 0)
     _assert_matches_eigh(_hamiltonian(model), E, U)
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda g, c=c: _hermite_model(g, c) for c in (
+        [1.0], [-1.0], [0.8, -0.5], [-0.8, 0.5], [1.2, -0.7, 0.4], [-1.2, 0.7, -0.4])],
+    _embedded_model,
+    lambda g: _hermite_model(g, [0.9, -0.6], momentum=1.5),
+    lambda g: _hermite_model(g, [0.0, 0.7]),
+], ids=["N1+", "N1-", "N2+", "N2-", "N3+", "N3-", "embedded", "boosted-N2", "zero-coupling"])
+def test_inertia_count_matches_the_dense_solver(coarse_grid, build):
+    # Haynsworth's count on the coupled nodes, plus the decoupled nodes
+    # below mu, is the number of eigenvalues of H below mu: at random mu, a
+    # hair either side of every eigenvalue, and on bulk nodes (the limit
+    # from above) that no eigenvalue lies within 1e-9 of
+    model = build(coarse_grid)
+    E = np.linalg.eigvalsh(_hamiltonian(model))
+    slices = resolvent._Slices(model)
+    x = coarse_grid.position_nodes()
+    nodes = x[(np.abs(x) < 4.0) & (np.min(np.abs(np.subtract.outer(x, E)), axis=1) > 1e-9)]
+    mus = np.concatenate([np.random.default_rng(11).uniform(E[0] - 1.0, E[-1] + 1.0, 40),
+                          E - 1e-9, E + 1e-9, nodes])
+    counts = [slices.count(mu) + np.count_nonzero(x[~slices.coupled] < mu) for mu in mus]
+    assert counts == [np.count_nonzero(E < mu) for mu in mus]
 
 
 @pytest.mark.parametrize("rho", [0.7, -0.7])
