@@ -46,12 +46,11 @@ Exit status: 0 on success, 2 when a named precondition fails, 3 when a
 tolerance cannot be met.  Rerunning the same config at the same BLAS
 thread count reproduces every output byte for byte; nothing here depends
 on wall-clock or ordering.  Across thread counts every experiment but
-timedelay-sweep stays byte-identical.  On the demo configs every output,
-the sweep's summary.txt included, is byte-identical between 1 and 2
-threads.  Other sweeps can still differ: with lambda = -0.9 and a bump on
-[0.17, 0.67], fit_residual, abs_gap, rel_gap and tau_free_gap_at_largest_r
-differ by at most 1.5e-14, as the full sojourns move at round-off with
-the thread count.
+timedelay-sweep stays byte-identical.  A sweep's CSV rows stay so on the
+demo config; its summary can differ: on the demo and with lambda = -0.9
+and a bump on [0.17, 0.67], fit_residual, abs_gap, rel_gap and
+tau_free_gap_at_largest_r differ by at most 1.5e-14, as the full
+sojourns move at round-off with the thread count.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ translates momentum content downward at unit speed, so all sojourn
 integrands live naturally in the momentum representation, where the
 localization f(P/r) is diagonal.  The full evolution uses a one-time
 eigendecomposition of H = Q + V, from the secular equation of diag(x) plus
-rank N, never forming H; it is real when every vector is.  On its
+rank N, never forming H or its M x M eigenvector matrix U: U is held as
+one rank-one step per coupling, O(M) data each, and is applied, or its
+columns built, through them; it is real when every vector is.  On its
 eigenmodes a full sojourn over [-T, T] is an exact quadratic form, so no
 time quadrature is left to err: only truncation at +-T and the spectral
 window remain.
@@ -20,8 +22,9 @@ Discretization choices worth knowing about:
 
 * A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
   with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.  A
-  sweep transforms the union of its scales' kept columns once; each scale
-  reads its window rows and kept columns from it.  The fitted decay tail
+  sweep builds the union of its scales' kept columns (Propagator.columns)
+  and transforms them once; each scale reads its window rows and kept
+  columns from it.  The fitted decay tail
   reads the integrand only at _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
@@ -60,7 +63,7 @@ from .grid import (
     norm,
 )
 from .localization import LocalizationProfile
-from .resolvent import FiniteRankModel, Side, _as_side
+from .resolvent import FiniteRankModel, Side, _apply_steps, _as_side
 from .scattering import _state_scattering
 from .states import MomentumDensity
 
@@ -92,13 +95,15 @@ _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
 class Propagator:
     """Eigendecomposition of the discretized H = Q + V.
 
-    For V = 0 the decomposition is trivial: eigenvalues are the grid nodes
-    and `eigenvectors` is None, meaning the identity.
+    U = Q_1 ... Q_n is held as its rank-one steps, O(M) data each, never
+    as an M x M matrix: _apply runs U or U^* through them and columns
+    builds the columns asked for.  For V = 0 there are no steps and U is
+    the identity: the eigenvalues are the grid nodes.
     """
 
     model: FiniteRankModel
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    steps: tuple
 
     @property
     def grid(self) -> GridSpec:
@@ -106,30 +111,27 @@ class Propagator:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.eigenvectors is None
+        return not self.steps
 
     def coefficients(self, phi: GridFunction) -> np.ndarray:
         """Eigenbasis coefficients of a position-representation state."""
         return self._apply(phi.samples, adjoint=True)
 
     def _apply(self, z: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """U z, or U^* z, for complex z; z itself when U is the identity.
+        """U z, or U^* z, for z of shape (M,) or (M, P); z itself when U is
+        the identity."""
+        return _apply_steps(self.steps, z, adjoint)
 
-        A real U is applied to the real and imaginary parts of z in turn:
-        a mixed product would first copy U to complex.
-        """
-        U = self.eigenvectors
-        if U is None:
-            return z
-        if np.isrealobj(U):
-            A = U.T if adjoint else U
-            return A @ z.real + 1j * (A @ z.imag)
-        return (U.conj().T if adjoint else U) @ z
+    def columns(self, idx) -> np.ndarray:
+        """U[:, idx], the eigenvectors of the eigenvalues idx, as an (M, n) array."""
+        idx = np.asarray(idx, dtype=int)
+        if self.is_diagonal:
+            return (np.arange(self.grid.points)[:, None] == idx).astype(float)
+        # the last step's columns directly, then the earlier steps on them
+        return _apply_steps(self.steps[:-1], self.steps[-1].columns(idx))
 
 
 def build_propagator(model: FiniteRankModel) -> Propagator:
-    if model.rank == 0 or not np.any(model.coupling_array()):
-        return Propagator(model, model.grid.position_nodes().copy(), None)
     return Propagator(model, *model.eigendecomposition)
 
 
@@ -385,7 +387,7 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     windows = _spectral_windows(c_all, g.spacing, spans, tol)
     union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
     # fftshift(fft(ifftshift(.))) with the two shifts as index gathers
-    B = np.fft.fft(prop.eigenvectors[np.ix_((np.arange(M) + M // 2) % M, union)], axis=0)
+    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0)
     B *= g.spacing / math.sqrt(2.0 * math.pi)
     kn = np.abs(g.momentum_nodes())
     out = []
@@ -483,19 +485,18 @@ def _closed_form_grid(phi: GridFunction, f: LocalizationProfile, r: float) -> fl
 
 
 def _hinge_moment(dens: MomentumDensity, sign: float, q: float, n: int) -> float:
-    """E[(sign X - q)_+^n] for X distributed as dens, n = 1 or 2."""
+    """E[(sign X - q)_+^n] for X uniform on dens.mean +- dens.scale, n = 1 or 2."""
     a, s = sign * dens.mean - q, dens.scale
-    if dens.family == "band":
-        return (max(a + s, 0.0) ** (n + 1) - max(a - s, 0.0) ** (n + 1)) / (2 * (n + 1) * s)
-    cdf = 0.5 * math.erfc(-a / (math.sqrt(2.0) * s))
-    pdf = s * math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
-    return a * cdf + pdf if n == 1 else (a * a + s * s) * cdf + a * pdf
+    return (max(a + s, 0.0) ** (n + 1) - max(a - s, 0.0) ** (n + 1)) / (2 * (n + 1) * s)
 
 
 def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float) -> float:
-    """I_r = 2 (<P> - cut), cut = E[k - r A(k/r)]: hinge moments of dens and
-    its mirror at r delta, and for a ramp at r (delta + width) too."""
+    """I_r = 2 (<P> - cut), cut = E[k - r A(k/r)]: for a band, hinge moments
+    of dens and its mirror at r delta, and for a ramp at r (delta + width)
+    too.  A Gaussian's would reach scale^2 / 2 and cancel (_gaussian_functional)."""
     q = r * f.delta
+    if dens.family == "gaussian":
+        return _gaussian_functional(dens.mean, dens.scale, q, r * f.support_radius)
     if f.width == 0.0:
         cut = _hinge_moment(dens, 1.0, q, 1) - _hinge_moment(dens, -1.0, q, 1)
     else:
@@ -503,6 +504,32 @@ def _closed_form_density(dens: MomentumDensity, f: LocalizationProfile, r: float
         cut = sum(sign * (_hinge_moment(dens, sign, q, 2) - _hinge_moment(dens, sign, q2, 2))
                   for sign in (1.0, -1.0)) / (2.0 * r * f.width)
     return 2.0 * (dens.mean - cut)
+
+
+def _gaussian_functional(m: float, s: float, q: float, q2: float) -> float:
+    """I_r for X ~ N(m, s^2) under a window of plateau q and support q2, from
+    terms no larger than I_r's own scale: I_r = 2 int_0^q2 f D with D(u) =
+    P(X > u) - P(X < -u) is, by parts, 2 clip - (q2 - q) D(q2) - head / (q2 - q).
+    clip = E[clip(X, -q2, q2)] = sign(m) (T(q2 + |m|) - T(q2 - |m|)) / 2 with
+    T(a) = E[(|a| - s |Z|)_+]; head = int_q^q2 (u - q)^2 (p(u) - p(-u)) du by
+    20-point Gauss-Legendre on panels at most s wide, where p is above underflow."""
+    def T(a):
+        return a * math.erf(a / (s * math.sqrt(2.0))) + s * math.sqrt(2.0 / math.pi) * math.expm1(
+            -0.5 * (a / s) ** 2)
+    clip = math.copysign(0.5 * (T(q2 + abs(m)) - T(q2 - abs(m))), m)
+    if q2 == q:
+        return 2.0 * clip
+    D = 0.5 * (math.erfc((q2 - m) / (math.sqrt(2.0) * s))
+               - math.erfc((q2 + m) / (math.sqrt(2.0) * s)))
+    lo = max(q, abs(m) - 40.0 * s)
+    hi = max(lo, min(q2, abs(m) + 40.0 * s))
+    n = max(1, math.ceil((hi - lo) / s))
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * (hi - lo) / n
+    u = (lo + half * (2.0 * np.arange(n)[:, None] + 1.0 + x)).ravel()
+    odd = np.exp(-0.5 * ((u - m) / s) ** 2) - np.exp(-0.5 * ((u + m) / s) ** 2)
+    head = half * float(np.tile(w, n) @ ((u - q) ** 2 * odd)) / (s * math.sqrt(2.0 * math.pi))
+    return 2.0 * clip - (q2 - q) * D - head / (q2 - q)
 
 
 def _direct_functional(phi: GridFunction, f: LocalizationProfile, r: float,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -76,8 +77,9 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
-_COLUMN_BLOCK = 256  # columns per block of the residual check and the secular solve
+_GAP_ENTRIES = 1 << 18  # entries per root-major block of secular gaps (_gap_blocks)
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
+_RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink factor of the root refine
 
@@ -162,39 +164,38 @@ class FiniteRankModel:
 
     @cached_property
     def eigendecomposition(self) -> tuple:
-        """(E, U) with H = U diag(E) U^* for the discretized H = Q + V,
-        E ascending.
+        """(E, steps): H = U diag(E) U^* for the discretized H = Q + V, E
+        ascending, U = Q_1 ... Q_n the steps' product (_apply_steps).
 
-        H = diag(x) + h sum_j lambda_j v_j v_j^* is never formed: each
-        nonzero coupling is one rank-one update of the eigenpairs so far,
-        solved from its secular equation (_rank_one_eigh), and every
-        update after the first multiplies U by that update's eigenvectors.
-        U is real when no vector has an imaginary part.  The result is
-        refused unless it diagonalizes H to 1e-12 of H's scale.
+        Neither H nor U is formed: each nonzero coupling is one rank-one
+        update diag(E) + h lambda_j w w^*, w = U^* v_j through the steps so
+        far, solved from its secular equation and held in O(M) data
+        (_rank_one_eigh); U is real when no vector has an imaginary part.
+        By H U_j - U_j E_j = (H U_{j-1} - U_{j-1} E_{j-1}) Q_j + U_{j-1} R_j,
+        ||HU - UE||_2 is at most the sum of the steps' own residuals R_j,
+        each with what the rounding of w (|U w - v_j|) moves h lambda_j w w^*
+        by; the first step whose sum exceeds 1e-12 of H's scale is refused.
         """
         g = self.grid
         vm, lam = self.vector_matrix(), self.coupling_array()
         if not np.any(vm.imag):
             vm = vm.real
         x = g.position_nodes()
-        E, U = x.copy(), None
-        for lj, v in zip(lam, vm):
-            if lj:
-                E, Q = _rank_one_eigh(E, v if U is None else U.conj().T @ v, g.spacing * lj)
-                U = Q if U is None else U @ Q
-        U = np.eye(g.points) if U is None else U
         weight = g.spacing * np.sum(np.abs(vm) ** 2, axis=1)
         scale = max(1.0, np.max(np.abs(x)) + np.sum(np.abs(lam) * weight))
-        res = 0.0
-        for lo in range(0, g.points, _COLUMN_BLOCK):
-            B = U[:, lo:lo + _COLUMN_BLOCK]
-            R = np.subtract.outer(x, E[lo:lo + _COLUMN_BLOCK]) * B
-            R += g.spacing * vm.T @ (lam[:, None] * (vm.conj() @ B))
-            res = max(res, np.max(np.abs(R)))
-        if not res <= 1e-12 * scale:
-            raise ValidationError(f"eigenpairs of the discretized Hamiltonian leave residual "
-                                  f"{res:.2e} > 1e-12 x scale {scale:.3g}")
-        return E, U
+        E, steps, res = x.copy(), (), 0.0
+        for j, (lj, v) in enumerate(zip(lam, vm)):
+            if lj:
+                w = _apply_steps(steps, v, adjoint=True)
+                dw = np.linalg.norm(_apply_steps(steps, w) - v)
+                E, step = _rank_one_eigh(E, w, g.spacing * lj)
+                steps += (step,)
+                res += step.residual + g.spacing * abs(lj) * dw * (2.0 * np.linalg.norm(w) + dw)
+                if not res <= _RESIDUAL * scale:
+                    raise ValidationError(
+                        f"eigenpairs of the discretized Hamiltonian: the step of coupling {j} "
+                        f"leaves residual {res:.2e} > {_RESIDUAL:g} x scale {scale:.3g}")
+        return E, steps
 
     @cached_property
     def _pair_store(self) -> dict:
@@ -219,7 +220,8 @@ class FiniteRankModel:
 
 
 def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
-    """(mu, Q): eigenpairs of diag(d) + rho w w^*, d ascending, mu ascending.
+    """(mu, step): eigenpairs of diag(d) + rho w w^*, d ascending, mu
+    ascending, the eigenvectors held as a _RankOneStep.
 
     Deflation follows LAPACK's dlaed2: an entry with |rho w_k| <= tol keeps
     (d_k, e_k), and a Givens rotation zeroes one w entry of two poles closer
@@ -243,13 +245,15 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
     d, z = d.copy(), z.copy()
     M = d.size
     tol = 8.0 * np.finfo(float).eps * max(np.max(np.abs(d)), rho)
-    keep, rotations, prev = [], [], None
+    keep, rotations, prev, off = [], [], None, 0.0
     for j in np.flatnonzero(rho * np.abs(z) > tol):
         if prev is not None:
             tau = math.hypot(z[prev], z[j])
             c, s = z[j] / tau, -z[prev] / tau
             if abs((d[j] - d[prev]) * c * s) <= tol:
-                # prev takes the combination orthogonal to w and deflates
+                # prev takes the combination orthogonal to w and deflates,
+                # leaving (d_j - d_prev) c s off the diagonal
+                off += abs((d[j] - d[prev]) * c * s)
                 rotations.append((prev, j, c, s))
                 z[prev], z[j] = 0.0, tau
                 d[prev], d[j] = d[prev] * c * c + d[j] * s * s, d[prev] * s * s + d[j] * c * c
@@ -258,34 +262,115 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
             keep.append(prev)
         prev = j
     keep = np.array(keep + ([] if prev is None else [prev]), dtype=int)
-    defl = np.delete(np.arange(M), keep)
-
-    dk = d[keep]
-    origin, tau = _secular_roots(dk, z[keep], rho)
-    gaps = np.subtract.outer(dk, dk[origin]) - tau      # gaps[j, i] = d_j - mu_i
-    poles = np.subtract.outer(dk, dk)
-    np.fill_diagonal(poles, -rho)
-    zhat = np.copysign(np.sqrt(np.prod(np.divide(gaps, poles, out=poles), axis=1)), z[keep])
-    S = zhat[:, None] / gaps
-    S /= np.linalg.norm(S, axis=0)
-    d[keep] = dk[origin] + tau
-
-    # slot k holds row k of Q (row M-1-k when flipped) and its eigenvalue
-    # d[k]; col places each slot's eigenvector in ascending order
-    order = np.argsort(d, kind="stable")
-    col, rows = np.empty(M, dtype=int), np.arange(M)
-    col[order] = rows
+    dk, zk = d[keep], z[keep]
+    origin, tau = _secular_roots(dk, zk, rho)
+    base, K = dk[origin], keep.size
+    # zhat_j^2 = prod_i (d_j - mu_i) / (d_j - d_i), the i = j term over -rho
+    prod = np.ones(K)
+    for rows, G in _gap_blocks(dk, base, tau):
+        P = np.subtract(dk, dk[rows, None])
+        P[np.arange(P.shape[0]), np.arange(K)[rows]] = -rho
+        prod *= np.prod(np.divide(G, P, out=G), axis=0)
+    zhat = np.copysign(np.sqrt(prod), zk)
+    # column norms, and the live residual (diag(d) + rho z z^T - mu_i) q_i
+    # = (zhat + rho z t_i) / n_i with t_i = sum_j z_j zhat_j / (d_j - mu_i)
+    norms, live2 = np.empty(K), 0.0
+    for rows, G in _gap_blocks(dk, base, tau):
+        np.reciprocal(G, out=G)
+        t = G @ (zk * zhat)
+        norms[rows] = np.linalg.norm(G * zhat, axis=1)
+        live2 += np.sum((np.linalg.norm(zhat + rho * t[:, None] * zk, axis=1) / norms[rows]) ** 2)
+    d[keep] = base + tau
+    # the deflated weights leave rho (z z_defl^T + z_defl z_keep^T), |z| = 1
+    residual = (math.sqrt(live2) + 2.0 * rho * float(np.linalg.norm(np.delete(z, keep)))
+                + off + np.finfo(float).eps * float(np.max(np.abs(d))))
+    # col[k]: slot k's place in ascending order; flipped, slot k is row M - 1 - k
+    col = np.empty(M, dtype=int)
+    col[np.argsort(d, kind="stable")] = np.arange(M)
     if flip:
-        rows, col, d = rows[::-1], M - 1 - col, -d
-    Q = np.zeros((M, M))
-    Q[np.ix_(rows[keep], col[keep])] = S
-    Q[rows[defl], col[defl]] = 1.0
-    for i, j, c, s in reversed(rotations):
-        i, j = rows[i], rows[j]
-        Q[[i, j]] = c * Q[i] - s * Q[j], s * Q[i] + c * Q[j]
+        col, d = M - 1 - col, -d
     mu = np.empty(M)
     mu[col] = d
-    return mu, (Q if phase is None else phase[:, None] * Q)
+    if flip:
+        col, keep = col[::-1], M - 1 - keep
+        rotations = [(M - 1 - i, M - 1 - j, c, s) for i, j, c, s in rotations]
+    return mu, _RankOneStep(phase, keep, dk, base, tau, zhat, norms, tuple(rotations),
+                            col, np.argsort(col), residual)
+
+
+def _gap_blocks(d: np.ndarray, base: np.ndarray, tau: np.ndarray):
+    """(rows, block[i, j] = (d_j - base_i) - tau_i) for the roots base + tau
+    in rows, root-major, _GAP_ENTRIES entries a block: every gap keeps its
+    relative accuracy, where d_j - mu_i would lose digits near the poles."""
+    n = max(1, _GAP_ENTRIES // max(d.size, 1))
+    for lo in range(0, tau.size, n):
+        rows = slice(lo, lo + n)
+        G = np.subtract(d, base[rows, None])
+        G -= tau[rows, None]
+        yield rows, G
+
+
+class _RankOneStep(namedtuple("_RankOneStep", "phase keep poles base tau zhat norms "
+                                             "rotations col row residual")):
+    """The eigenvectors Q of one rank-one update in O(M) data: live root i's
+    column is zhat / (poles - mu_i) / norms_i on the rows keep, any other
+    column a unit vector at its row, then the deflating rotations act on the
+    rows and a complex w's phases scale them.  col[k] is the column whose
+    unit vector, or whose root's pole, sits at row k; row is its inverse.
+    residual bounds ||A Q - Q diag(mu)||_2 for the update A."""
+
+    def _rotate(self, t: np.ndarray, adjoint: bool) -> None:
+        """The rotations on the rows of t, in place: G_1 ... G_n, or its transpose."""
+        for i, j, c, s in (self.rotations if adjoint else self.rotations[::-1]):
+            s = -s if adjoint else s
+            t[[i, j]] = c * t[i] - s * t[j], s * t[i] + c * t[j]
+
+    def apply(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Q y, or Q^* y, for y of shape (M,) or (M, P): the live rows are one
+        real product per gap block, a complex y read as interleaved parts."""
+        t = y.reshape(y.shape[0], -1)
+        if adjoint:
+            t = np.array(t if self.phase is None else self.phase.conj()[:, None] * t)
+            self._rotate(t, adjoint)
+        else:
+            t = t[self.col]
+        X = np.ascontiguousarray(t[self.keep]).view(float)
+        blocks = _gap_blocks(self.poles, self.base, self.tau)   # none when X is empty
+        if adjoint:
+            Z = self.zhat[:, None] * X
+            live = np.concatenate([np.reciprocal(G, out=G) @ Z for _, G in blocks] or [X])
+            live /= self.norms[:, None]
+        else:
+            Z = X / self.norms[:, None]
+            live = sum((np.reciprocal(G, out=G).T @ Z[rows] for rows, G in blocks),
+                       np.zeros_like(X)) * self.zhat[:, None]
+        t[self.keep] = live.view(t.dtype)
+        if adjoint:
+            return t[self.row].reshape(y.shape)
+        self._rotate(t, adjoint)
+        return (t if self.phase is None else self.phase[:, None] * t).reshape(y.shape)
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """Q[:, idx], built directly: a live root's column scatters its
+        Cauchy entries on the kept rows, O(M) a column."""
+        row = self.row[idx]
+        root = np.full(self.col.size, -1)
+        root[self.keep] = np.arange(self.keep.size)
+        on = np.flatnonzero(root[row] >= 0)
+        t = np.zeros((self.col.size, row.size))
+        t[row, np.arange(row.size)] = 1.0
+        r = root[row[on]]
+        for rows, G in _gap_blocks(self.poles, self.base[r], self.tau[r]):
+            t[self.keep[:, None], on[rows]] = (self.zhat / G).T / self.norms[r[rows]]
+        self._rotate(t, adjoint=False)
+        return t if self.phase is None else self.phase[:, None] * t
+
+
+def _apply_steps(steps: tuple, z: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U z, or U^* z, for U = Q_1 ... Q_n the steps' product; z when n = 0."""
+    for step in (steps if adjoint else steps[::-1]):
+        z = step.apply(z, adjoint)
+    return z
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
@@ -294,7 +379,8 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
     As in LAPACK's dlaed4, each is measured from the nearer end of its
     interval, so the gaps (d_j - d_origin) - tau_i keep their relative
     accuracy, and takes fixed-weight rational steps (R.-C. Li, LAPACK Working
-    Note 89) in a bisection bracket until |f| is within dlaed4's error bound."""
+    Note 89) in a bisection bracket until |f| is within dlaed4's error bound,
+    or until no float lies strictly inside the bracket."""
     K, top = d.size, rho * (z @ z)
     if K < 2:
         return np.zeros(K, dtype=int), np.full(K, top)
@@ -305,14 +391,11 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
 
     def terms(idx):
         out = np.empty((5, idx.size))
-        for s in range(0, idx.size, _COLUMN_BLOCK):
-            i = idx[s:s + _COLUMN_BLOCK]
-            n, b = np.arange(i.size), slice(s, s + i.size)
-            R = np.subtract.outer(d, d[origin[i]])
-            R -= tau[i]
-            out[3:, b] = R[i, n], R[i + 1, n]
+        for b, R in _gap_blocks(d, d[origin[idx]], tau[idx]):
+            i, n = idx[b], np.arange(R.shape[0])
+            out[3:, b] = R[n, i], R[n, i + 1]
             np.reciprocal(R, out=R)
-            out[:3, b] = z2 @ R, z2 @ np.abs(R, out=R), z2 @ np.square(R, out=R)
+            out[:3, b] = R @ z2, np.abs(R, out=R) @ z2, np.square(R, out=R) @ z2
         out[0] += 1.0 / rho
         return out
 
@@ -327,6 +410,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple:
     for _ in range(_SECULAR_PASSES):
         f, err, df, ga, gb = terms(active)
         live = np.abs(f) > eps * (8.0 * err + 2.0 / rho + np.abs(tau[active]) * df)
+        live &= np.nextafter(lo[active], hi[active]) < hi[active]
         active, f, df, t, ga, gb = (x[live] for x in (active, f, df, tau[active], ga, gb))
         if not active.size:
             return np.minimum(origin, K - 1), np.where(origin == K, tau + (d[K] - d[K - 1]), tau)
@@ -638,7 +722,7 @@ class _Slices:
         self.coupled = np.any(vm != 0, axis=0)
         self.x, self.V = g.position_nodes()[self.coupled], vm[:, self.coupled].T
         self.pole, self.above = -1.0 / (g.spacing * lam[lam != 0]), int(np.sum(lam > 0))
-        self.bound = 1e-12 * max(1.0, g.half_width + np.sum(abs(self.V) ** 2 / abs(self.pole)))
+        self.bound = _RESIDUAL * max(1.0, g.half_width + np.sum(abs(self.V) ** 2 / abs(self.pole)))
 
     def schur(self, gap: np.ndarray) -> np.ndarray:
         return np.diag(self.pole) - (self.V.conj().T / gap) @ self.V

@@ -42,6 +42,9 @@ def test_free_evolution_is_position_phase(free_propagator, grid):
     out = fr.evolve(free_propagator, phi, t)
     ref = np.exp(-1j * t * grid.position_nodes()) * phi.samples
     assert np.max(np.abs(out.samples - ref)) < 1e-14
+    # with no steps U is the identity, and its columns are unit vectors
+    cols = free_propagator.columns([3, 0])
+    assert cols[3, 0] == cols[0, 1] == 1.0 and cols.sum() == 2.0
 
 
 def test_free_evolution_translates_momentum(free_propagator, grid):
@@ -56,7 +59,8 @@ def test_free_evolution_translates_momentum(free_propagator, grid):
 
 def test_full_evolution_unitary_and_energy_conserving(gaussian_propagator, grid):
     gen = np.random.default_rng(17)
-    E, U = gaussian_propagator.eigenvalues, gaussian_propagator.eigenvectors
+    E = gaussian_propagator.eigenvalues
+    U = gaussian_propagator.columns(np.arange(grid.points))
     for _ in range(25):
         raw = gen.standard_normal(grid.points) * np.exp(
             -0.1 * np.abs(grid.position_nodes()))
@@ -262,7 +266,7 @@ def test_cook_closed_form_matches_the_per_node_quadrature(coarse_grid):
     model = fr.finite_rank_model(g, [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], lam)
     prop = fr.build_propagator(model)
     psi = fr.gaussian_state(g, 0.5, 0.6)
-    vm, E, U = model.vector_matrix(), prop.eigenvalues, prop.eigenvectors
+    vm, E, U = model.vector_matrix(), prop.eigenvalues, prop.columns(np.arange(g.points))
     nodes, weights = np.polynomial.legendre.leggauss(10)
     for sign, s in (("minus", -1.0), ("plus", 1.0), (fr.Side.MINUS, -1.0), (fr.Side.PLUS, 1.0)):
         w, info = fr.wave_operator(prop, psi, sign, return_info=True)
@@ -284,8 +288,9 @@ def test_cook_closed_form_matches_the_per_node_quadrature(coarse_grid):
 
 def _momentum_columns(prop, cols):
     """The eigenvectors cols in momentum, one fr.transform each."""
-    return np.stack([fr.transform(fr.grid_function(prop.grid, prop.eigenvectors[:, j])).samples
-                     for j in cols], axis=1)
+    U = prop.columns(cols)
+    return np.stack([fr.transform(fr.grid_function(prop.grid, U[:, n])).samples
+                     for n in range(U.shape[1])], axis=1)
 
 
 def test_free_sojourn_identity(free_propagator, grid, f_ind, f_smooth):
@@ -498,6 +503,16 @@ def test_density_closed_form_matches_quad(dens, kind, r):
     f = (fr.make_localization("indicator", J=(-1.0, 1.0)) if kind == "indicator"
          else fr.make_localization("smooth_bump", delta=0.5, width=0.5))
     assert abs(fr.propagation_functional(dens, f, r) - _density_by_quad(dens, f, r)) <= 1e-12
+
+
+@pytest.mark.parametrize("r, value", [(0.5, 0.0253803883154784441614981105983),
+                                      (2.0, 0.101489857456456222797984161318)])
+def test_wide_gaussian_density_keeps_full_relative_accuracy(r, value):
+    # 40-digit values; the squared-hinge moments of size scale^2 / 2 ~ 625
+    # once left this 2.4e-11 (r = 0.5) and 6.9e-13 (r = 2) off, relatively
+    dens = fr.gaussian_momentum_density(1.5, 0.02)
+    f = fr.make_localization("smooth_bump", delta=0.5, width=0.5)
+    assert abs(fr.propagation_functional(dens, f, r) - value) <= 1e-14 * value
 
 
 def test_propagation_functional_gaussian_monotone(f_ind):

@@ -367,7 +367,12 @@ def test_point_spectrum_and_propagators_share_one_decomposition(coarse_grid, mon
     assert not calls and "eigendecomposition" not in model.__dict__
     first, second = fr.build_propagator(model), fr.build_propagator(model)
     assert len(calls) == model.rank
-    assert first.eigenvectors is second.eigenvectors
+    assert first.steps is second.steps
+
+
+def _columns(model):
+    """U read through the propagator's columns, all M of them."""
+    return fr.build_propagator(model).columns(np.arange(model.grid.points))
 
 
 def _hamiltonian(model):
@@ -384,7 +389,7 @@ def test_real_models_decompose_a_real_hamiltonian(coarse_grid, momentum, dtype):
     # and keeps complex ones
     v = fr.gaussian_state(coarse_grid, 0.0, 1.0, momentum=momentum)
     model = fr.finite_rank_model(coarse_grid, [v], [1.0])
-    E, U = model.eigendecomposition
+    E, U = model.eigendecomposition[0], _columns(model)
     assert U.dtype == dtype
     H = _hamiltonian(model)
     scale = np.linalg.norm(H)
@@ -419,7 +424,7 @@ def _hermite_model(grid, couplings, momentum=0.0):
         grid, [fr.grid_function(grid, boost * v.samples) for v in vecs], couplings)
 
 
-@pytest.mark.parametrize("build", [
+_DENSE_CHECKED = pytest.mark.parametrize("build", [
     *[lambda g, c=c: _hermite_model(g, c) for c in (
         [1.0], [-1.0], [0.8, -0.5], [-0.8, 0.5], [1.2, -0.7, 0.4], [-1.2, 0.7, -0.4])],
     _embedded_model,
@@ -429,11 +434,59 @@ def _hermite_model(grid, couplings, momentum=0.0):
     lambda g: _hermite_model(g, [1e-14]),
 ], ids=["N1+", "N1-", "N2+", "N2-", "N3+", "N3-", "embedded", "boosted",
         "boosted-N2", "zero-coupling", "all-deflated"])
+
+
+@_DENSE_CHECKED
 def test_eigenpairs_match_the_dense_solver(coarse_grid, build):
     model = build(coarse_grid)
-    E, U = model.eigendecomposition
+    E, U = model.eigendecomposition[0], _columns(model)
     assert np.all(np.diff(E) >= 0)
     _assert_matches_eigh(_hamiltonian(model), E, U)
+
+
+@_DENSE_CHECKED
+def test_factored_products_match_the_dense_columns(coarse_grid, build):
+    # U z and U^* z run through the rank-one steps, real and complex z, one
+    # vector or a block, against the same U built column by column
+    prop, M = fr.build_propagator(build(coarse_grid)), coarse_grid.points
+    U = prop.columns(np.arange(M))
+    rng = np.random.default_rng(3)
+    for z in (rng.standard_normal(M),
+              rng.standard_normal((M, 3)) + 1j * rng.standard_normal((M, 3))):
+        bound = 1e-13 * np.max(np.abs(z))
+        assert np.max(np.abs(prop._apply(z) - U @ z)) <= bound
+        assert np.max(np.abs(prop._apply(z, adjoint=True) - U.conj().T @ z)) <= bound
+
+
+@_DENSE_CHECKED
+def test_step_residuals_bound_the_dense_residual(coarse_grid, build, monkeypatch):
+    # each step's residual in its own basis, summed, bounds ||HU - UE||_2 and
+    # so the largest entry; with the bound at 0 the first step is refused by name
+    model = build(coarse_grid)
+    E, steps = model.eigendecomposition
+    U, H = _columns(model), _hamiltonian(model)
+    assert np.max(np.abs(H @ U - U * E)) <= sum(step.residual for step in steps)
+    monkeypatch.setattr(resolvent, "_RESIDUAL", 0.0)
+    first = int(np.flatnonzero(build(coarse_grid).coupling_array())[0])
+    with pytest.raises(ValidationError, match=f"the step of coupling {first} leaves residual"):
+        build(coarse_grid).eigendecomposition
+
+
+def test_rank_two_propagator_forms_no_dense_matrix():
+    # the steps hold O(M) data: building the propagator never allocates
+    # anything near one M x M float64 array (134 MB at M = 4096)
+    import tracemalloc
+
+    g = fr.make_grid(16.0, 4096)
+    model = _hermite_model(g, [0.8, -0.5])
+    model.vector_matrix()
+    tracemalloc.start()
+    try:
+        fr.build_propagator(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * g.points ** 2 * 8
 
 
 @pytest.mark.parametrize("build", [
@@ -466,7 +519,8 @@ def test_rank_one_step_deflates_repeated_poles_and_zero_weights(rho):
     d[21] = d[20] + 1e-15           # a pair 1e-15 apart
     w = np.random.default_rng(5).standard_normal(40)
     w[[5, 30]] = 0.0                # exact zeros
-    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    E, step = resolvent._rank_one_eigh(d, w, rho)
+    Q = step.columns(np.arange(40))
     _assert_matches_eigh(np.diag(d) + rho * np.outer(w, w), E, Q)
     for k in (5, 30):               # a zero weight keeps its pole and e_k
         m = int(np.argmin(np.abs(E - d[k])))
@@ -558,7 +612,8 @@ def test_secular_solver_edge_cases(case):
         z = w[:2] / np.linalg.norm(w)
         assert 1e-12 * abs(z[0] * z[1]) / (z @ z) > 8.0 * np.finfo(float).eps * max(1.0, inputs[2])
     assert _secular_gap_error(*inputs) <= 1e-12
-    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    E, step = resolvent._rank_one_eigh(d, w, rho)
+    Q = step.columns(np.arange(24))
     _assert_matches_eigh(np.diag(d) + rho * np.outer(w, w.conj()), E, Q)
 
 
@@ -573,12 +628,43 @@ def test_secular_solver_converges_on_crowded_poles(seed):
                 + 10 ** rng.uniform(-14, -6) * rng.standard_normal(150))
     w = rng.standard_normal(150) * 10 ** rng.uniform(-8, 0, 150)
     rho = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 2)
-    E, Q = resolvent._rank_one_eigh(d, w, rho)
+    E, step = resolvent._rank_one_eigh(d, w, rho)
+    Q = step.columns(np.arange(150))
     H = np.diag(d) + rho * np.outer(w, w)
     scale = np.linalg.norm(H)
     assert np.max(np.abs(H @ Q - Q * E)) <= 1e-12 * scale
     assert np.max(np.abs(Q.T @ Q - np.eye(150))) <= 1e-12
     assert np.max(np.abs(E - np.linalg.eigvalsh(H))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_secular_solver_converges_on_the_demo_model_at_16384(lam):
+    # a root whose bracket had closed to adjacent floats, with |f| above
+    # dlaed4's bound there, was once refused (root 4726 of 7633)
+    g = fr.make_grid(16.0, 16384)
+    x = g.position_nodes()
+    E, step = resolvent._rank_one_eigh(x, fr.gaussian_state(g).samples.real, g.spacing * lam)
+    assert step.keep.size == 7633 and np.all(np.diff(E) >= 0)
+    assert step.residual <= resolvent._RESIDUAL * (np.max(np.abs(x)) + abs(lam))
+
+
+def test_secular_root_stops_when_its_bracket_holds_no_float(monkeypatch):
+    # f read with noise far above dlaed4's stop bound, as a long blocked sum
+    # can leave it: no |f| meets the bound, and each root stops once no float
+    # lies strictly inside its bracket, its gaps as good as the noise allows
+    blocks, rng = resolvent._gap_blocks, np.random.default_rng(0)
+
+    def noisy(d, base, tau):
+        for rows, G in blocks(d, base, tau):
+            G *= 1.0 + 1e-12 * rng.standard_normal(G.shape)
+            yield rows, G
+
+    d, z, rho = _secular_inputs(*_secular_case("generic"))
+    monkeypatch.setattr(resolvent, "_gap_blocks", noisy)
+    origin, tau = resolvent._secular_roots(d, z, rho)
+    ref = _dlasd4_gaps(d, z, rho)
+    gaps = np.subtract.outer(d, d[origin]) - tau
+    assert np.max(np.abs(gaps - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_secular_refusal_names_the_root(monkeypatch):
