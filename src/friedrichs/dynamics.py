@@ -23,8 +23,9 @@ Discretization choices worth knowing about:
 * A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
   with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.  A
   sweep builds the union of its scales' kept columns (Propagator.columns)
-  and transforms them once; each scale reads its window rows and kept
-  columns from it.  The fitted decay tail
+  and transforms each once, a block at a time, keeping only the rows some
+  window reads; each scale reads its window rows and kept columns from
+  them.  The fitted decay tail
   reads the integrand only at _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
@@ -63,7 +64,7 @@ from .grid import (
     norm,
 )
 from .localization import LocalizationProfile
-from .resolvent import FiniteRankModel, Side, _apply_steps, _as_side
+from .resolvent import _BLOCK_ENTRIES, FiniteRankModel, Side, _apply_steps, _as_side
 from .scattering import _state_scattering
 from .states import MomentumDensity
 
@@ -78,8 +79,7 @@ __all__ = [
     "propagation_functional",
 ]
 
-_T_BLOCK = 2048        # direct-route times, or Cook's support nodes, per batch
-                       # (memory control)
+_T_BLOCK = 2048        # direct-route times per batch; their blocks do not grow with M
 _TAIL_SAMPLES = 128    # full-sojourn integrand samples a side for the tail fit
 _MARGIN = 5.0          # horizon padding beyond momentum extent + window
 _MASS_EPS = 1e-8       # momentum tail mass treated as already escaped
@@ -290,8 +290,9 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
     H is diagonal on its eigenmodes and H0 on the grid, so on mode m and
     node x the time integral is exact: int_0^T e^{i s tau (E_m - x)} dtau
     = T e^{i theta/2} sinc(theta/2pi), theta = s T (E_m - x).  Nodes where
-    phi vanishes add nothing; the kernel is built _T_BLOCK of phi's
-    support nodes at a time.
+    phi vanishes add nothing; the kernel is built mode-major, every support
+    node in each block of _BLOCK_ENTRIES entries, so each mode's sum over
+    the nodes is one product.
     """
     g = prop.grid
     lam = prop.model.coupling_array()
@@ -299,10 +300,11 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
     on = np.flatnonzero(phi.samples)
     x, E = g.position_nodes()[on], prop.eigenvalues
     b = (g.spacing * vm[:, on].conj() * phi.samples[on]).T  # (n, N): h conj(v_j) phi
-    kb = np.zeros((E.size, lam.size), dtype=complex)
-    for lo in range(0, on.size, _T_BLOCK):
-        theta = (s * horizon) * np.subtract.outer(E, x[lo:lo + _T_BLOCK])
-        kb += (np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))) @ b[lo:lo + _T_BLOCK]
+    kb = np.empty((E.size, lam.size), dtype=complex)
+    n = max(1, _BLOCK_ENTRIES // max(on.size, 1))
+    for lo in range(0, E.size, n):
+        theta = (s * horizon) * np.subtract.outer(E[lo:lo + n], x)
+        kb[lo:lo + n] = (np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))) @ b
     W_eig = prop._apply((lam[:, None] * vm).T, adjoint=True)  # (M, N): U^* lambda_j v_j
     return phi.samples + 1j * s * horizon * prop._apply(np.sum(W_eig * kb, axis=1))
 
@@ -386,16 +388,25 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
     windows = _spectral_windows(c_all, g.spacing, spans, tol)
     union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
-    # fftshift(fft(ifftshift(.))) with the two shifts as index gathers
-    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0)
+    wins = [np.flatnonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))
+            for fbar in fbars]
+    rows = np.flatnonzero(np.bincount(np.concatenate(wins), minlength=M))
+    # fftshift(fft(ifftshift(.))) with the two shifts as index gathers, a
+    # block of kept columns at a time, keeping only the window rows
+    B, n = np.empty((rows.size, union.size), dtype=complex), max(1, _BLOCK_ENTRIES // M)
+    for lo in range(0, union.size, n):
+        cols = prop.columns(union[lo:lo + n])[(np.arange(M) + M // 2) % M]
+        B[:, lo:lo + n] = np.fft.fft(cols, axis=0)[(rows - M // 2) % M]
     B *= g.spacing / math.sqrt(2.0 * math.pi)
     kn = np.abs(g.momentum_nodes())
     out = []
-    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
-        win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
-        Bw = B[np.ix_((win - M // 2) % M, np.searchsorted(union, kept))]
+    for r, (K, T), fbar, win, (kept, discarded, window_term) in zip(rs, horizons, fbars, wins,
+                                                                      windows):
+        Bw = B if (win.size, kept.size) == B.shape else B[np.ix_(np.searchsorted(rows, win),
+                                                                 np.searchsorted(union, kept))]
         c, E = c_all[kept], prop.eigenvalues[kept]
-        G = dk * (Bw.conj().T * fbar[win]) @ Bw
+        G = Bw.T * fbar[win]          # dk conj(Bw)^T fbar, in one temporary: f and dk are real
+        G = np.multiply(np.conjugate(G, out=G), dk, out=G) @ Bw
         kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
         value = float(np.real(c.conj() @ (G * kernel) @ c))
         half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
@@ -414,6 +425,7 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
         tail += float((dens_psi * overlap).sum() * dk)
         tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
         out.append((value, tail + window_term, zeta, kept.size, discarded))
+        del Bw, G, kernel, hat              # release this scale's arrays before the next
     return out
 
 

@@ -24,10 +24,10 @@ chirp-z and the smooth correction by Chebyshev interpolation; a single
 energy or an arbitrary array of them uses the dense projection, whose
 plane-wave row is the outer product of two sqrt(M)-long phase tables
 (grid.evaluation_matrix, 96 exponentials an energy at M = 2048), and
-_dense_blocks is the one loop that serves an array _DET_BLOCK energies
-at a time.  The chain route's two determinants at one energy share a
-single dense projection (_cut_determinants), each side slicing out its own
-half of the coefficients rather than taking the jump from the other.
+_dense_blocks is the one loop that serves an array, _BLOCK_ENTRIES // M
+energies at a time.  The chain route's two determinants at one energy
+share a single dense projection (_cut_determinants), each side slicing out
+its own half of the coefficients rather than taking the jump from the other.
 
 Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
 inertia counts on the N x N Schur complement of the discretized H (_Slices).
@@ -75,9 +75,9 @@ _ORTHO_TOL = 1e-10
 _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
-_DET_BLOCK = 1024  # energies per dense projection of an arbitrary array
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
-_GAP_ENTRIES = 1 << 18  # entries per root-major block of secular gaps (_gap_blocks)
+_BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps, dense
+                          # projections, dynamics' sojourn transform and Cook kernel
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -300,9 +300,9 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
 
 def _gap_blocks(d: np.ndarray, base: np.ndarray, tau: np.ndarray):
     """(rows, block[i, j] = (d_j - base_i) - tau_i) for the roots base + tau
-    in rows, root-major, _GAP_ENTRIES entries a block: every gap keeps its
+    in rows, root-major, _BLOCK_ENTRIES entries a block: every gap keeps its
     relative accuracy, where d_j - mu_i would lose digits near the poles."""
-    n = max(1, _GAP_ENTRIES // max(d.size, 1))
+    n = max(1, _BLOCK_ENTRIES // max(d.size, 1))
     for lo in range(0, tau.size, n):
         rows = slice(lo, lo + n)
         G = np.subtract(d, base[rows, None])
@@ -589,12 +589,14 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 # boundary matrices and the determinant
 
 def _dense_blocks(grid: GridSpec, xs: np.ndarray):
-    """(rows, _Projection at xs[rows]) for each block of _DET_BLOCK energies
-    of the 1-D array xs, one empty block for none: memory stays bounded."""
+    """(rows, _Projection at xs[rows]) for each block of _BLOCK_ENTRIES // M
+    energies of the 1-D array xs, one empty block for none: each (rows, M)
+    projection stays within the entry budget at any M."""
     if xs.ndim > 1:
         raise ValidationError("energies must be a number or a 1-D array")
-    for lo in range(0, max(xs.size, 1), _DET_BLOCK):
-        rows = slice(lo, lo + _DET_BLOCK)
+    n = max(1, _BLOCK_ENTRIES // grid.points)
+    for lo in range(0, max(xs.size, 1), n):
+        rows = slice(lo, lo + n)
         yield rows, _Projection(grid, xs[rows])
 
 
@@ -654,7 +656,7 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
 
     x is a number (returns complex) or a 1-D array of energies (returns a
-    complex array); one projection serves each block of _DET_BLOCK energies.
+    complex array); one projection serves _BLOCK_ENTRIES // M energies.
     """
     xs = np.asarray(x, dtype=float)
     out = np.ones(xs.size, dtype=complex)

@@ -168,7 +168,7 @@ def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
     # so the stationary line sum is read block by block; there too the gap
     # is round-off, which the estimate's phase term covers
     wide = fr.bump_state(grid, (-12.0, 12.0))
-    assert _support_nodes(wide).size > resolvent._DET_BLOCK
+    assert _support_nodes(wide).size > resolvent._BLOCK_ENTRIES // grid.points
     for model in (gaussian_model, rank2_model):
         gap, tail, stat = _route_gap(grid, model, wide)
         assert gap <= tail <= 1e-12  # measured 1.2e-14 / 7.8e-15, tail 7.0e-13
@@ -644,22 +644,138 @@ def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, free_propagator, 
 
 def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaussian_curve,
                                                        grid, f_ind, monkeypatch):
-    # numpy as dynamics sees it, with np.fft.fft counted: the five scales
-    # used to transform their kept columns one scale at a time
-    shapes = []
+    # numpy as dynamics sees it, with np.fft.fft counted: the union of the
+    # five scales' kept columns is transformed in column blocks within the
+    # entry budget, each of all M rows, whose column counts sum to the
+    # union's size, so every kept column is transformed exactly once
+    shapes, windows, spectral_windows = [], [], dynamics._spectral_windows
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return np.fft.fft(a, *args, **kwargs)
 
+    def spied(*args):
+        out = spectral_windows(*args)
+        windows.extend(out)
+        return out
+
     view = types.ModuleType("numpy")
     view.__dict__.update(vars(np))
     view.fft = types.SimpleNamespace(**{**vars(np.fft), "fft": counted})
     monkeypatch.setattr(dynamics, "np", view)
+    monkeypatch.setattr(dynamics, "_spectral_windows", spied)
     phi = fr.bump_state(grid, (0.25, 0.75))
     fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4, 8, 16, 32, 64])
-    assert len(shapes) == 1
-    assert shapes[0][0] == grid.points
+    union = np.unique(np.concatenate([kept for kept, _, _ in windows]))
+    assert len(windows) == 5 and len(shapes) >= 1
+    assert all(rows == grid.points for rows, _ in shapes)
+    assert sum(cols for _, cols in shapes) == union.size  # measured 451 in 4 blocks
+    assert all(rows * cols <= resolvent._BLOCK_ENTRIES for rows, cols in shapes)
+
+
+def _reference_sojourns(prop, psi, f, rs, tol):
+    """The single-transform Gram route: every kept column of the union
+    transformed at once over all M rows, and each scale's Bw gathered from
+    that M x |union| array."""
+    g, M, dk = prop.grid, prop.grid.points, prop.grid.momentum_spacing
+    dens = dynamics._momentum_density(psi)
+    c_all = prop.coefficients(psi)
+    horizons = [dynamics._sojourn_horizon(dens, g, f, r) for r in rs]
+    fbars = [dynamics._f_cell_averages(f, g, r) for r in rs]
+    spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
+    windows = dynamics._spectral_windows(c_all, g.spacing, spans, tol)
+    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
+    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0)
+    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    kn = np.abs(g.momentum_nodes())
+    out = []
+    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
+        win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
+        Bw = B[np.ix_((win - M // 2) % M, np.searchsorted(union, kept))]
+        c, E = c_all[kept], prop.eigenvalues[kept]
+        G = dk * (Bw.conj().T * fbar[win]) @ Bw
+        kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
+        value = float(np.real(c.conj() @ (G * kernel) @ c))
+        half = np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
+        times = np.concatenate((-half[::-1], half))
+        hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
+        gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
+        tail_hi, z_hi = dynamics._fitted_tail(half, gabs[dynamics._TAIL_SAMPLES:])
+        tail_lo, z_lo = dynamics._fitted_tail(half, gabs[:dynamics._TAIL_SAMPLES][::-1])
+        reach = r * f.support_radius
+        overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
+        tail = tail_hi + tail_lo + float((dens * overlap).sum() * dk)
+        tail += float(dens[kn > K].sum() * dk) * 2.0 * reach
+        out.append((value, tail + window_term, min(z_hi, z_lo), kept.size, discarded))
+    return out
+
+
+@pytest.mark.parametrize("vectors, lams, exact", [
+    (lambda g: [fr.gaussian_state(g)], [1.0], True),
+    (lambda g: [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], [0.8, -0.5], False),
+    (lambda g: [fr.gaussian_state(g, 0.0, 1.0, momentum=1.5)], [1.0], False),
+], ids=["demo", "hermite-0-1", "complex"])
+def test_blocked_sojourn_transform_matches_the_single_transform(grid, f_ind, vectors, lams,
+                                                                exact):
+    # the demo (rank one) builds each column directly, so its column blocks
+    # are bitwise the columns of one transform; at rank >= 2 the earlier
+    # steps run on each block, whose rounding may differ
+    prop = fr.build_propagator(fr.finite_rank_model(grid, vectors(grid), lams))
+    w = fr.wave_operator(prop, fr.bump_state(grid, (0.25, 0.75)), "minus", tol=1e-5)
+    rs, tol = [4, 8, 16, 32, 64], 1e-6
+    got = dynamics._sojourns(prop, w, f_ind, rs, tol)
+    want = _reference_sojourns(prop, w, f_ind, rs, tol)
+    if exact:
+        assert got == want
+    for (value, tail, zeta, kept, mass), ref in zip(got, want):
+        assert (kept, mass) == ref[3:]
+        assert abs(value - ref[0]) <= 1e-14 * abs(ref[0])
+        assert abs(tail - ref[1]) <= 1e-14 * abs(ref[1])
+        assert abs(zeta - ref[2]) <= 1e-12 * abs(ref[2])
+
+
+@pytest.fixture(scope="module")
+def demo_at_large_m():
+    """The demo model, bump and window at M = 4096 and 8192: (propagator, phi)."""
+    out = {}
+    for M in (4096, 8192):
+        g = fr.make_grid(16.0, M)
+        prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [1.0]))
+        out[M] = prop, fr.bump_state(g, (0.25, 0.75))
+    return out
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of fn(*args)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wave_operator_memory_does_not_grow_with_m(demo_at_large_m):
+    # Cook's kernel is built in mode blocks of a fixed entry budget, so its
+    # working memory does not grow as M x (support nodes); a full-height
+    # kernel reads 14.3 and 56.6 MiB at M = 4096 and 8192
+    peaks = [_traced_peak(fr.wave_operator, prop, phi, "minus", 1e-5)[1]
+             for prop, phi in demo_at_large_m.values()]
+    assert peaks[1] <= 1.25 * peaks[0]  # measured 14.1 / 14.1 MiB
+
+
+def test_sojourn_stage_holds_no_full_height_column_array(demo_at_large_m, f_ind):
+    # the sweep's five sojourns transform their kept columns in blocks and
+    # keep only the window rows: the stage peaks below one complex
+    # M x (kept modes) array, where one transform of every kept column
+    # reads 35.5 MiB
+    prop, phi = demo_at_large_m[8192]
+    w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
+    out, peak = _traced_peak(dynamics._sojourns, prop, w, f_ind, [4, 8, 16, 32, 64], 1e-6)
+    kept = max(modes for _, _, _, modes, _ in out)
+    assert peak < prop.grid.points * kept * 16  # measured 11.6 MiB < 14.0 MiB (35.5 before)
 
 
 def test_sweep_refuses_as_sojourn_does_at_the_scale_that_fails(gaussian_propagator,
