@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.fft import fft, fftshift, ifft, ifftshift
@@ -86,14 +87,19 @@ class GridSpec:
         return math.pi / self.spacing
 
     def position_nodes(self) -> np.ndarray:
-        x = -self.half_width + self.spacing * np.arange(self.points)
-        x.setflags(write=False)
-        return x
+        return self._nodes[0]
 
     def momentum_nodes(self) -> np.ndarray:
+        return self._nodes[1]
+
+    @cached_property
+    def _nodes(self) -> tuple:
+        """(x, k), read-only, formed once per grid."""
+        x = -self.half_width + self.spacing * np.arange(self.points)
         k = self.momentum_spacing * np.arange(-self.points // 2, self.points // 2)
+        x.setflags(write=False)
         k.setflags(write=False)
-        return k
+        return x, k
 
     def weight(self, representation: "Representation") -> float:
         if representation is Representation.POSITION:
@@ -182,24 +188,29 @@ def sobolev_norm(phi: GridFunction, s: float = 0.0) -> float:
         return float(math.sqrt(phi.grid.momentum_spacing) * np.linalg.norm(weighted))
 
 
-def evaluation_matrix(grid: GridSpec, taus) -> np.ndarray:
-    """(len(taus), M) matrix mapping momentum coefficients to point values.
+def evaluation_matrix(grid: GridSpec, taus, cols: slice = slice(None)) -> np.ndarray:
+    """(len(taus), M) matrix mapping momentum coefficients to point values,
+    or its columns cols (a slice of momentum indices), bitwise the same.
 
     Rows are scaled plane waves, so `mat @ _as_momentum(phi)` is the
     band-limited interpolant of phi at the taus; exact at grid nodes.
     Row entry j = -M/2 + J p + q, J = 2^floor(bit_length(M)/2), is formed as
     (dk/sqrt(2 pi)) e^{i tau k_{-M/2+Jp}} e^{i tau q dk}: two phase tables and
-    their outer product, M/J + J exponentials a point (96 at M = 2048), not M.
+    their outer product, M/J + J exponentials a point (96 at M = 2048), not M;
+    only the coarse blocks p that cols meets are formed.
     Against exactly reduced phases the relative error is 5.8e-13 at M = 2048, L = 16.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))[:, None]
     inside = np.abs(taus) < grid.half_width                 # false for NaN too
     if not inside.all():
         raise ValidationError(f"evaluation point {taus[~inside][0]:g} outside (-L, L)")
     k, M, J = grid.momentum_nodes(), grid.points, 1 << (grid.points.bit_length() // 2)
-    coarse = (grid.momentum_spacing / _SQRT_2PI) * np.exp(1j * np.outer(taus, k[::J]))
-    fine = np.exp(1j * np.outer(taus, k[M // 2:M // 2 + J]))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(taus.size, M)
+    lo, hi, _ = cols.indices(M)
+    first, last = lo - lo % J, -(-hi // J) * J                # the coarse blocks cols meets
+    coarse = (grid.momentum_spacing / _SQRT_2PI) * np.exp(1j * taus * k[first:last:J])
+    fine = np.exp(1j * taus * k[M // 2:M // 2 + J])
+    block = (coarse[:, :, None] * fine[:, None, :]).reshape(taus.size, last - first)
+    return block[:, lo - first:hi - first]
 
 
 def evaluate_many(phi: GridFunction, taus) -> np.ndarray:

@@ -20,14 +20,15 @@ so its trapezoid sum is spectrally accurate with no singularity to
 subtract; near u = 0 c is summed as its odd series.  The other side is
 r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
-chirp-z and the smooth correction by Chebyshev interpolation; a single
-energy or an arbitrary array of them uses the dense projection, whose
-plane-wave row is the outer product of two sqrt(M)-long phase tables
-(grid.evaluation_matrix, 96 exponentials an energy at M = 2048), and
-_dense_blocks is the one loop that serves an array, _BLOCK_ENTRIES // M
-energies at a time.  The chain route's two determinants at one energy
-share a single dense projection (_cut_determinants), each side slicing out
-its own half of the coefficients rather than taking the jump from the other.
+chirp-z and the smooth correction by Chebyshev interpolation; an array of
+energies uses the dense projection, whose plane-wave row is the outer
+product of two sqrt(M)-long phase tables (grid.evaluation_matrix), and
+_dense_blocks serves it _BLOCK_ENTRIES // M energies at a time.  A single
+energy (boundary_matrix, the chain route's determinants: _cut_boundary)
+reads only the band of the pair densities above round-off, the plane-wave
+row on their momentum band (135 of M for Hermite 0-2, at any M) and the
+line kernel on their node band; each side slices out its own half of the
+coefficients rather than taking the jump from the other.
 
 Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
 inertia counts on the N x N Schur complement of the discretized H (_Slices).
@@ -202,10 +203,11 @@ class FiniteRankModel:
         return {}
 
     def pair_densities(self, order: int = 0) -> tuple:
-        """(position samples, momentum coefficients), each (M, N^2) with
-        column j N + k holding the order-th spectral derivative of
-        conj(v_j) v_k; the coefficients are the transform of those same
-        samples, taken once per model and order."""
+        """(samples, coeffs, cols, nodes), taken once per model and order:
+        position samples and their momentum coefficients, each (M, N^2),
+        column j N + k the order-th spectral derivative of conj(v_j) v_k, and
+        the band where some column exceeds eps times the largest entry,
+        momentum indices cols and position nodes."""
         if order not in self._pair_store:
             N = self.rank
             dens = np.zeros((2, self.grid.points, N * N), dtype=complex)
@@ -215,8 +217,16 @@ class FiniteRankModel:
                                             np.conj(vj) * vk), order)
                 dens[:, :, p] = g.samples, transform(g).samples
             dens.setflags(write=False)
-            self._pair_store[order] = (dens[0], dens[1])
+            self._pair_store[order] = (dens[0], dens[1], _band(dens[1]), _band(dens[0]))
         return self._pair_store[order]
+
+
+def _band(values: np.ndarray) -> slice:
+    """The contiguous rows of (M, P) values whose largest entry exceeds eps
+    times the largest of all; empty if none does."""
+    peak = np.max(np.abs(values), axis=1, initial=0.0)
+    rows = np.flatnonzero(peak > np.finfo(float).eps * peak.max())
+    return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
 
 
 def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
@@ -466,7 +476,7 @@ def _interior(grid: GridSpec, xs) -> np.ndarray:
     boundary margin."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     L, h = grid.half_width, grid.spacing
-    if not np.all(L - np.abs(xs) >= _BOUNDARY_MARGIN * h):     # false for NaN too
+    if not (L - np.abs(xs) >= _BOUNDARY_MARGIN * h).all():     # false for NaN too
         worst = xs[np.argmax(np.abs(xs))]                       # a NaN if there is one
         if not math.isfinite(worst):
             raise ValidationError(f"energy {worst:g} is not finite")
@@ -476,11 +486,11 @@ def _interior(grid: GridSpec, xs) -> np.ndarray:
     return xs
 
 
-def _line_kernel(grid: GridSpec, xs: np.ndarray) -> np.ndarray:
-    """(Nx, M) weights h c(k - x); below |u| = 1e-2 c is summed as its odd
-    series, which the direct form loses to cancellation."""
+def _line_kernel(grid: GridSpec, xs: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
+    """(Nx, M) weights h c(k - x), or their columns nodes; below |u| = 1e-2
+    c is summed as its odd series, which the direct form loses to cancellation."""
     a = math.pi / (2.0 * grid.half_width)
-    u = grid.position_nodes()[None, :] - xs[:, None]
+    u = grid.position_nodes()[None, nodes] - xs[:, None]
     near = np.abs(u) < 1e-2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = 1.0 / u - a / np.tan(a * u)
@@ -500,7 +510,7 @@ def _projection_mask(grid: GridSpec, side: Side) -> np.ndarray:
 
 
 class _Projection:
-    """The periodic read-out and the line sum at any batch of energies.
+    """The periodic read-out and the line sum at any batch of energies xs.
 
     periodic(c) is the band-limited interpolant of (M, P) momentum
     coefficients c; line(g) is h sum_k c(k - x) g(k) for (M, P) position
@@ -508,7 +518,7 @@ class _Projection:
     """
 
     def __init__(self, grid: GridSpec, xs):
-        xs = _interior(grid, xs)
+        self.xs = xs = _interior(grid, xs)
         self.eval_mat = evaluation_matrix(grid, xs)         # (Nx, M) band-limited
         self.kernel = _line_kernel(grid, xs)                # (Nx, M) real
 
@@ -535,7 +545,7 @@ def _half_turns(q: float, m: np.ndarray) -> np.ndarray:
 
 
 class _ChirpProjection:
-    """The same two maps on the uniform grid x_m = lo + m (hi - lo)/(n - 1).
+    """The same two maps on the uniform grid xs, x_m = lo + m (hi - lo)/(n - 1).
 
     With k_l = (l - M/2) pi/L and q = step/2L, x_m k_l is
     pi (lo/L)(l - M/2) + 2 pi q m l - pi q M m.  The outer phases are a lead
@@ -561,7 +571,8 @@ class _ChirpProjection:
         self.tail = (grid.momentum_spacing / math.sqrt(2.0 * math.pi)
                      * _half_turns(q, m * m) * _half_turns(-q * M, m))[:, None]
         nodes = np.cos(math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS)
-        at = (lo + step * m - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        self.xs = lo + step * m
+        at = (self.xs - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
         self.interp = (chebvander(at, _CHEB_POINTS - 1)
                        @ np.linalg.inv(chebvander(nodes, _CHEB_POINTS - 1)))
         self.kernel = _line_kernel(grid, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
@@ -605,30 +616,40 @@ def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> li
     _ChirpProjection), one (Nx, N, N) array per n in orders: the
     order-(n-1) derivative of each pair density over (n-1)!."""
     side = _as_side(side)
-    if min(orders) < 1:
-        raise ValidationError("derivative order n must be >= 1")
     N = model.rank
     mask = _projection_mask(model.grid, side)[:, None]
     outs = []
     for n in orders:
-        samples, coeffs = model.pair_densities(n - 1)
+        samples, coeffs = model.pair_densities(n - 1)[:2]
         r = 2j * math.pi * proj.periodic(mask * coeffs) + proj.line(samples)
         outs.append((r / math.factorial(n - 1)).reshape(r.shape[0], N, N))
     return outs
 
 
+def _det(xs, A: np.ndarray) -> np.ndarray:
+    """det A for the stack A = I + r Lambda at the energies xs, refused by
+    name where it overflows: a non-finite D has no digits left to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.linalg.det(A)
+    if not np.isfinite(D).all():
+        k = int(np.argmin(np.isfinite(D)))                     # the first that is not
+        raise ValidationError(f"perturbation determinant at energy {xs[k]:g} overflows to "
+                              f"{D.flat[k]}: the couplings are too large for binary64")
+    return D
+
+
 def _determinant(model: FiniteRankModel, proj, side) -> np.ndarray:
     """D(x +- i0) at every energy of proj."""
     r1 = _boundary_batch(model, proj, side)[0]
-    return np.linalg.det(np.eye(model.rank) + r1 * model.coupling_array())
+    return _det(proj.xs, np.eye(model.rank) + r1 * model.coupling_array())
 
 
 def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> BoundaryData:
     side = _as_side(side)
-    mat = _boundary_batch(model, _Projection(model.grid, float(x)), side, (n,))[0][0]
-    det = None
-    if n == 1:
-        det = complex(np.linalg.det(np.eye(model.rank) + mat * model.coupling_array()))
+    if n < 1:
+        raise ValidationError("derivative order n must be >= 1")
+    mat = _cut_boundary(model, float(x), n)[int(side is Side.PLUS)]
+    det = complex(_det([x], np.eye(model.rank) + mat * model.coupling_array())) if n == 1 else None
     return BoundaryData(float(x), side, n, mat, det)
 
 
@@ -644,9 +665,9 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
 def _refuse_point_spectrum(xs, dets) -> None:
     """Raise PointSpectrumProximity, naming the energy, where a determinant
     D(x + i0) at the energies xs has |D| < _DET_FLOOR."""
-    D = np.append(np.abs(dets), np.inf)                     # no energies: nothing to refuse
-    k = int(np.argmin(D))
-    if D[k] < _DET_FLOOR:
+    D = np.abs(dets)
+    if D.size and D.min() < _DET_FLOOR:                     # one min when nothing is near
+        k = int(np.argmin(D))
         raise PointSpectrumProximity(
             f"energy {xs[k]:g} is at or near the point spectrum (|D| = {D[k]:.2e})")
 
@@ -665,21 +686,27 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     return complex(out[0]) if xs.ndim == 0 else out
 
 
+def _cut_boundary(model: FiniteRankModel, x: float, n: int) -> np.ndarray:
+    """(r^(n)(x - i0), r^(n)(x + i0)), (2, N, N), from one plane-wave row on
+    the order-(n-1) pair densities' momentum band and one line-kernel row on
+    their node band, so the cost follows their support, not M.  The two sides
+    split the band, x + i0 the k > 0 sum plus half the k = 0 term (P+), x - i0
+    minus the k < 0 sum and minus that half (P+ - 1): neither uses the jump."""
+    xs, (samples, coeffs, cols, nodes) = _interior(model.grid, x), model.pair_densities(n - 1)
+    row, band = evaluation_matrix(model.grid, xs, cols)[0], coeffs[cols]
+    k0 = model.grid.points // 2 - cols.start                # where k = 0 falls on the band
+    a, b = max(k0, 0), max(k0 + 1, 0)
+    row[a:b] *= 0.5                                         # the k = 0 term, if the band holds it
+    halves = np.array((-(row[:b] @ band[:b]), row[a:] @ band[a:]))
+    line = _line_kernel(model.grid, xs, nodes)[0] @ samples[nodes].view(float)
+    r = 2j * math.pi * halves + line.view(complex)
+    return r.reshape(2, model.rank, model.rank) / math.factorial(n - 1)
+
+
 def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
-    """(D(x - i0), D(x + i0)) from one dense projection at x: the evaluation
-    row and the line sum are read once, and each side slices its own half of
-    the order-0 pair coefficients, x + i0 the k > 0 sum plus half the k = 0
-    term (P+), x - i0 minus the k < 0 sum and minus that half (P+ - 1).
-    Neither side is formed from the other through the jump 2 pi i g(x)."""
-    proj = _Projection(model.grid, float(x))
-    samples, coeffs = model.pair_densities(0)
-    row, half, N = proj.eval_mat[0], model.grid.points // 2, model.rank
-    line = proj.line(samples)[0]
-    mid = 0.5 * row[half] * coeffs[half]
-    upper = row[half + 1:] @ coeffs[half + 1:] + mid
-    lower = -(row[:half] @ coeffs[:half]) - mid
-    r1 = (2j * math.pi * np.stack((lower, upper)) + line).reshape(2, N, N)
-    D = np.linalg.det(np.eye(N) + r1 * model.coupling_array())
+    """(D(x - i0), D(x + i0)) from the two sides of one _cut_boundary at x."""
+    r1 = _cut_boundary(model, float(x), 1)
+    D = _det([x, x], np.eye(model.rank) + r1 * model.coupling_array())
     return complex(D[0]), complex(D[1])
 
 

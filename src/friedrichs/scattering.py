@@ -50,6 +50,7 @@ from .resolvent import (
     _ChirpProjection,
     _cut_determinants,
     _dense_blocks,
+    _det,
     _projection_mask,
     _refuse_point_spectrum,
     perturbation_determinant,  # noqa: F401  unused; perfbench's install test reads it here
@@ -93,7 +94,7 @@ def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dic
     d1 = proj.periodic((1j * k * vm).T)[keep]          # v_j'(x_i)
 
     A = np.eye(N) + r1 * lam[None, None, :]            # I + r1 Lambda
-    _refuse_point_spectrum(xs[keep], np.linalg.det(A))
+    _refuse_point_spectrum(xs[keep], _det(xs[keep], A))
     X = np.linalg.solve(A, r1)
     lamX = lam[None, :, None] * X
     Xp = np.linalg.solve(A, r2 @ (np.eye(N) - lamX))

@@ -26,6 +26,18 @@ def test_grid_nodes_and_weights(grid):
     assert math.isclose(grid.momentum_cutoff, math.pi / grid.spacing)
 
 
+def test_nodes_are_one_read_only_array_per_grid():
+    g = fr.make_grid(16.0, 512)
+    x, k = g.position_nodes(), g.momentum_nodes()
+    assert x is g.position_nodes() and k is g.momentum_nodes()
+    assert not x.flags.writeable and not k.flags.writeable
+    assert np.array_equal(x, -16.0 + g.spacing * np.arange(512))
+    assert np.array_equal(k, g.momentum_spacing * np.arange(-256, 256))
+    # the kept arrays take no part in equality or hashing
+    fresh = fr.make_grid(16.0, 512)
+    assert fresh == g and hash(fresh) == hash(g)
+
+
 def test_grid_validation():
     with pytest.raises(ValidationError):
         fr.make_grid(-1.0, 2048)
@@ -164,6 +176,15 @@ def test_rows_of_no_energies_and_of_the_smallest_grid():
     direct = g.momentum_spacing / math.sqrt(2.0 * math.pi) * np.exp(
         1j * np.outer(xs, g.momentum_nodes()))
     assert np.max(np.abs(evaluation_matrix(g, xs) - direct)) <= 1e-15
+
+
+def test_a_column_band_is_bitwise_the_full_rows_columns(grid):
+    from friedrichs.grid import evaluation_matrix
+
+    xs = [-3.3, 0.0, 0.37, 5e-324, 11.9]
+    full = evaluation_matrix(grid, xs)
+    for lo, hi in ((963, 1086), (0, 2048), (1, 2048), (1024, 1025), (64, 128), (5, 5)):
+        assert np.array_equal(evaluation_matrix(grid, xs, slice(lo, hi)), full[:, lo:hi])
 
 
 def test_evaluate_at_requires_position_rep(grid):

@@ -15,6 +15,7 @@ invariant asks.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -745,6 +746,65 @@ def test_boundary_margin_guard(gaussian_model, grid):
 def test_non_finite_energies_are_refused_by_name(gaussian_model, call, bad):
     with pytest.raises(ValidationError, match=f"{bad:g}"):
         call(gaussian_model, bad)
+
+
+def test_an_overflowing_determinant_is_refused_by_name(grid):
+    # det(I + r Lambda) ~ 1e330 is inf in binary64: no route may report it,
+    # or the nan and non-unimodular S it leads to, and none may warn first
+    vecs = [fr.hermite_state(grid, j) for j in range(3)]
+    model = fr.finite_rank_model(grid, vecs, [1e110] * 3)
+    calls = [lambda: fr.s_matrix_chain(model, 0.3), lambda: fr.s_matrix(model, 0.3),
+             lambda: fr.boundary_matrix(model, 0.3, "minus"),
+             lambda: fr.perturbation_determinant(model, [0.3], "plus")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValidationError, match="energy 0.3 overflows"):
+                call()
+
+
+def _full_width(model, x, side, n):
+    """r^(n)(x +- i0) from one dense projection over every coefficient and node."""
+    return resolvent._boundary_batch(model, resolvent._Projection(model.grid, x), side, (n,))[0][0]
+
+
+@pytest.mark.parametrize("points", [512, 2048, 8192])
+def test_single_energies_read_the_band_as_the_full_width_route(points):
+    # Hermite ranks 1-3, a complex vector, and a tent whose kinked pair
+    # density has no negligible momentum coefficient, at a node and at the
+    # smallest subnormal energy
+    g = fr.make_grid(16.0, points)
+    x = g.position_nodes()
+    models = [fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(n)],
+                                   [0.8, -0.5, 0.3][:n]) for n in (1, 2, 3)]
+    for v in (np.exp(-0.5 * (x - 0.3) ** 2 + 1.3j * x), np.clip(1.0 - np.abs(x) / 2.0, 0.0, None)):
+        unit = fr.grid_function(g, v / (math.sqrt(g.spacing) * np.linalg.norm(v)))
+        models.append(fr.finite_rank_model(g, [unit], [0.7]))
+    assert models[-1].pair_densities(0)[2] == slice(0, points)
+    for model in models:
+        for e in (float(x[points // 2 + 3]), 5e-324, -1.37, 2.9, -4.4):
+            for n in (1, 2, 3):
+                for side in ("minus", "plus"):
+                    want = _full_width(model, e, side, n)
+                    got = fr.boundary_matrix(model, e, side, n).matrix
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            lower, upper = (_determinant(model, resolvent._Projection(g, e), side)[0]
+                            for side in ("minus", "plus"))
+            assert abs(fr.s_matrix_chain(model, e) - lower / upper) <= 1e-14
+
+
+def test_the_band_is_kept_as_two_slices_beside_the_densities(grid):
+    # the store holds the densities and two slices, and each side is sliced
+    # out of the band at call time; rank 0 has an empty band
+    model = fr.finite_rank_model(grid, [fr.hermite_state(grid, j) for j in range(3)], [0.8, -0.5, 0.3])
+    for order in (0, 1, 2):
+        samples, coeffs, cols, nodes = model.pair_densities(order)
+        assert isinstance(cols, slice) and isinstance(nodes, slice)
+        assert cols.start <= grid.points // 2 < cols.stop
+    empty = fr.finite_rank_model(grid, [], [])
+    assert empty.pair_densities(0)[2:] == (slice(0, 0), slice(0, 0))
+    assert fr.s_matrix_chain(empty, 0.3) == 1.0
+    assert fr.boundary_matrix(empty, 0.3, "minus", 2).matrix.shape == (0, 0)
 
 
 def test_side_and_order_validation(gaussian_model):

@@ -382,6 +382,26 @@ def test_chain_route_builds_one_evaluation_matrix(rank2_model, monkeypatch):
     assert calls == ["evaluation_matrix"]
 
 
+@pytest.mark.parametrize("points", [2048, 16384])
+def test_chain_route_reads_a_column_band_that_does_not_grow_with_M(points, monkeypatch):
+    # Hermite 0-2 pair coefficients are above round-off on about 135 of M
+    # momentum indices at any M, so the one plane-wave row the chain forms is
+    # that wide, not M
+    from friedrichs import resolvent
+
+    g = fr.make_grid(16.0, points)
+    model = fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(3)], [0.8, -0.5, 0.3])
+    widths, build = [], resolvent.evaluation_matrix
+
+    def recorded(grid, taus, cols=slice(None)):
+        widths.append(len(range(*cols.indices(grid.points))))
+        return build(grid, taus, cols)
+
+    monkeypatch.setattr(resolvent, "evaluation_matrix", recorded)
+    fr.s_matrix_chain(model, 0.3)
+    assert len(widths) == 1 and widths[0] <= 192
+
+
 def test_chain_route_refuses_point_spectrum(grid):
     # v = c (x - a) e^{-x^2/2} with lambda = (1/2 + a^2)/a has eigenvalue a
     a = 1.1
