@@ -1,8 +1,10 @@
 """Check the byte-identity contract of the five demo experiments.
 
-Runs every demos/configs/*.cfg through ``python -m friedrichs.cli`` on the
-tree of a git revision and on the working tree, at each BLAS thread count
-given, and compares every output file byte for byte:
+Runs every demos/configs/*.cfg through ``python -m friedrichs.cli``, and the
+walkthroughs demos/headline_sweep.py and demos/embedded_eigenvalue.py (whose
+standard output is kept as ``<script>.stdout``), on the tree of a git
+revision and on the working tree, at each BLAS thread count given, and
+compares every output file byte for byte:
 
     python demos/compare_outputs.py HEAD~ --threads 1 2
 
@@ -26,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the embedded eigenvalue walkthrough is the one demo that reaches the
+# point-spectrum refine and exclusion probes; no config finds point spectrum
+SCRIPTS = ("headline_sweep.py", "embedded_eigenvalue.py")
 
 
 def run_demos(tree: Path, out: Path, threads: int) -> None:
@@ -35,6 +40,10 @@ def run_demos(tree: Path, out: Path, threads: int) -> None:
         subprocess.run([sys.executable, "-m", "friedrichs.cli", cfg.stem, "--config",
                         str(cfg), "--out", str(out / cfg.stem)],
                        env=env, check=True, stdout=subprocess.DEVNULL)
+    for script in SCRIPTS:
+        shown = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
+                               check=True, capture_output=True).stdout
+        (out / script).with_suffix(".stdout").write_bytes(shown)
 
 
 def column_diffs(a: Path, b: Path) -> str | None:

@@ -207,8 +207,9 @@ def evaluation_matrix(grid: GridSpec, taus, cols: slice = slice(None)) -> np.nda
     k, M, J = grid.momentum_nodes(), grid.points, 1 << (grid.points.bit_length() // 2)
     lo, hi, _ = cols.indices(M)
     first, last = lo - lo % J, -(-hi // J) * J                # the coarse blocks cols meets
-    coarse = (grid.momentum_spacing / _SQRT_2PI) * np.exp(1j * taus * k[first:last:J])
-    fine = np.exp(1j * taus * k[M // 2:M // 2 + J])
+    itaus = 1j * taus
+    coarse = (grid.momentum_spacing / _SQRT_2PI) * np.exp(itaus * k[first:last:J])
+    fine = np.exp(itaus * k[M // 2:M // 2 + J])
     block = (coarse[:, :, None] * fine[:, None, :]).reshape(taus.size, last - first)
     return block[:, lo - first:hi - first]
 

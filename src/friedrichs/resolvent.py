@@ -20,15 +20,15 @@ so its trapezoid sum is spectrally accurate with no singularity to
 subtract; near u = 0 c is summed as its odd series.  The other side is
 r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
-chirp-z and the smooth correction by Chebyshev interpolation; an array of
-energies uses the dense projection, whose plane-wave row is the outer
-product of two sqrt(M)-long phase tables (grid.evaluation_matrix), and
-_dense_blocks serves it _BLOCK_ENTRIES // M energies at a time.  A single
-energy (boundary_matrix, the chain route's determinants: _cut_boundary)
-reads only the band of the pair densities above round-off, the plane-wave
-row on their momentum band (135 of M for Hermite 0-2, at any M) and the
-line kernel on their node band; each side slices out its own half of the
-coefficients rather than taking the jump from the other.
+chirp-z and the smooth correction by Chebyshev interpolation of line sums
+on the densities' node band.  Other energies, one or an array
+(perturbation_determinant, boundary_matrix, the chain route: _cut_boundary),
+read only the band of the pair densities above round-off: plane-wave rows on
+their momentum band (135 of M for Hermite 0-2, at any M) and line-kernel rows
+on their node band; each side slices out its own half of the coefficients
+rather than taking the jump from the other.  The stationary assembly uses
+the dense projection (_dense_blocks), whose plane-wave row is the outer
+product of two sqrt(M)-long phase tables (grid.evaluation_matrix).
 
 Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
 inertia counts on the N x N Schur complement of the discretized H (_Slices).
@@ -78,7 +78,7 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps, dense
-                          # projections, dynamics' sojourn transform and Cook kernel
+                          # projections, band cuts, dynamics' sojourn transform and Cook kernel
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -311,11 +311,13 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
 def _gap_blocks(d: np.ndarray, base: np.ndarray, tau: np.ndarray):
     """(rows, block[i, j] = (d_j - base_i) - tau_i) for the roots base + tau
     in rows, root-major, _BLOCK_ENTRIES entries a block: every gap keeps its
-    relative accuracy, where d_j - mu_i would lose digits near the poles."""
+    relative accuracy, where d_j - mu_i would lose digits near the poles.
+    The blocks share one buffer: each is valid until the next is drawn."""
     n = max(1, _BLOCK_ENTRIES // max(d.size, 1))
+    buf = np.empty((min(n, tau.size), d.size))
     for lo in range(0, tau.size, n):
         rows = slice(lo, lo + n)
-        G = np.subtract(d, base[rows, None])
+        G = np.subtract(d, base[rows, None], out=buf[:tau[rows].size])
         G -= tau[rows, None]
         yield rows, G
 
@@ -472,9 +474,11 @@ class PointSpectrum:
 # the one-sided projection
 
 def _interior(grid: GridSpec, xs) -> np.ndarray:
-    """xs as a 1-D array, refused if any is not finite or lies within the
-    boundary margin."""
+    """xs as a 1-D array, refused if it has more axes, or if any energy is
+    not finite or lies within the boundary margin."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim > 1:
+        raise ValidationError("energies must be a number or a 1-D array")
     L, h = grid.half_width, grid.spacing
     if not (L - np.abs(xs) >= _BOUNDARY_MARGIN * h).all():     # false for NaN too
         worst = xs[np.argmax(np.abs(xs))]                       # a NaN if there is one
@@ -538,9 +542,10 @@ def _half_turns(q: float, m: np.ndarray) -> np.ndarray:
     q_hi = c - (c - q)
     m = np.asarray(m, dtype=np.int64)
     turns = np.zeros(m.shape)
+    parts = [b.astype(float) for b in ((m >> 26) << 26, m & (2 ** 26 - 1)) if b.any()]
     for a in (q_hi, q - q_hi):
-        for b in ((m >> 26) << 26, m & (2 ** 26 - 1)):
-            turns = np.mod(turns + np.mod(a * b.astype(float), 2.0), 2.0)
+        for b in parts:                                     # an all-zero part adds nothing
+            turns = np.mod(turns + np.mod(a * b, 2.0), 2.0)
     return np.exp(1j * math.pi * turns)
 
 
@@ -553,7 +558,8 @@ class _ChirpProjection:
     e^{i pi q m^2} e^{i pi q l^2} e^{-i pi q (m - l)^2} turns the read-out
     into one FFT convolution (Bluestein, IEEE Trans. Audio Electroacoust.
     18 (1970) 451).  The line sum is smooth in x, its poles lying at
-    k +- 2L, and is interpolated from _CHEB_POINTS Chebyshev energies.
+    k +- 2L; it is read at _CHEB_POINTS Chebyshev energies on the node band
+    of the densities given and interpolated by real products.
     """
 
     def __init__(self, grid: GridSpec, lo: float, hi: float, n: int):
@@ -573,16 +579,18 @@ class _ChirpProjection:
         nodes = np.cos(math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS)
         self.xs = lo + step * m
         at = (self.xs - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-        self.interp = (chebvander(at, _CHEB_POINTS - 1)
-                       @ np.linalg.inv(chebvander(nodes, _CHEB_POINTS - 1)))
-        self.kernel = _line_kernel(grid, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
+        self.vander = chebvander(at, _CHEB_POINTS - 1)      # (n, 64) real
+        self.fit = np.linalg.inv(chebvander(nodes, _CHEB_POINTS - 1))
+        self.grid, self.cheb = grid, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
 
     def periodic(self, coeffs: np.ndarray) -> np.ndarray:
         spectrum = np.fft.fft(self.lead * coeffs, self.size, axis=0) * self.chirp
         return self.tail * np.fft.ifft(spectrum, axis=0)[:self.tail.shape[0]]
 
     def line(self, samples: np.ndarray) -> np.ndarray:
-        return self.interp @ (self.kernel @ samples.view(float)).view(complex)
+        nodes = _band(samples)
+        sums = _line_kernel(self.grid, self.cheb, nodes) @ samples[nodes].view(float)
+        return (self.vander @ (self.fit @ sums)).view(complex)
 
 
 def pv_integral(g: GridFunction, x: float) -> complex:
@@ -602,9 +610,8 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 def _dense_blocks(grid: GridSpec, xs: np.ndarray):
     """(rows, _Projection at xs[rows]) for each block of _BLOCK_ENTRIES // M
     energies of the 1-D array xs, one empty block for none: each (rows, M)
-    projection stays within the entry budget at any M."""
-    if xs.ndim > 1:
-        raise ValidationError("energies must be a number or a 1-D array")
+    projection stays within the entry budget at any M.  It serves the stationary
+    assembly and _state_scattering, whose W- line sum reads each block's kernel."""
     n = max(1, _BLOCK_ENTRIES // grid.points)
     for lo in range(0, max(xs.size, 1), n):
         rows = slice(lo, lo + n)
@@ -648,7 +655,7 @@ def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> Bound
     side = _as_side(side)
     if n < 1:
         raise ValidationError("derivative order n must be >= 1")
-    mat = _cut_boundary(model, float(x), n)[int(side is Side.PLUS)]
+    mat = _cut_boundary(model, float(x), n)[int(side is Side.PLUS), 0]
     det = complex(_det([x], np.eye(model.rank) + mat * model.coupling_array())) if n == 1 else None
     return BoundaryData(float(x), side, n, mat, det)
 
@@ -677,35 +684,42 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     """D(x +- i0) = det(I + r(x +- i0) diag(lambda)).
 
     x is a number (returns complex) or a 1-D array of energies (returns a
-    complex array); one projection serves _BLOCK_ENTRIES // M energies.
+    complex array), read on the pair densities' band by _cut_boundary.
     """
-    xs = np.asarray(x, dtype=float)
-    out = np.ones(xs.size, dtype=complex)
-    for rows, proj in _dense_blocks(model.grid, np.atleast_1d(xs)):
-        out[rows] = _determinant(model, proj, side)
-    return complex(out[0]) if xs.ndim == 0 else out
+    r1 = _cut_boundary(model, x, 1)[int(_as_side(side) is Side.PLUS)]
+    D = _det(np.atleast_1d(x), np.eye(model.rank) + r1 * model.coupling_array())
+    return complex(D[0]) if np.ndim(x) == 0 else D
 
 
-def _cut_boundary(model: FiniteRankModel, x: float, n: int) -> np.ndarray:
-    """(r^(n)(x - i0), r^(n)(x + i0)), (2, N, N), from one plane-wave row on
-    the order-(n-1) pair densities' momentum band and one line-kernel row on
-    their node band, so the cost follows their support, not M.  The two sides
-    split the band, x + i0 the k > 0 sum plus half the k = 0 term (P+), x - i0
-    minus the k < 0 sum and minus that half (P+ - 1): neither uses the jump."""
+def _cut_boundary(model: FiniteRankModel, x, n: int) -> np.ndarray:
+    """(r^(n)(x - i0), r^(n)(x + i0)), (2, Nx, N, N), at x, a number or a 1-D
+    array: plane-wave rows on the order-(n-1) pair densities' momentum band
+    and line-kernel rows on their node band, _BLOCK_ENTRIES band entries a
+    block, so the cost follows their support, not M.  The two sides split the
+    band, x + i0 the k > 0 sum plus half the k = 0 term (P+), x - i0 minus
+    the k < 0 sum and minus that half (P+ - 1): neither uses the jump.  Each
+    energy's sums are products of its own rows: an array's values are
+    bitwise its single energies'."""
     xs, (samples, coeffs, cols, nodes) = _interior(model.grid, x), model.pair_densities(n - 1)
-    row, band = evaluation_matrix(model.grid, xs, cols)[0], coeffs[cols]
+    band, dens = coeffs[cols], samples[nodes].view(float)
     k0 = model.grid.points // 2 - cols.start                # where k = 0 falls on the band
     a, b = max(k0, 0), max(k0 + 1, 0)
-    row[a:b] *= 0.5                                         # the k = 0 term, if the band holds it
-    halves = np.array((-(row[:b] @ band[:b]), row[a:] @ band[a:]))
-    line = _line_kernel(model.grid, xs, nodes)[0] @ samples[nodes].view(float)
-    r = 2j * math.pi * halves + line.view(complex)
-    return r.reshape(2, model.rank, model.rank) / math.factorial(n - 1)
+    r = np.empty((2, xs.size, band.shape[1]), dtype=complex)
+    size = max(1, _BLOCK_ENTRIES // max(band.shape[0] + dens.shape[0], 1))
+    for lo in range(0, xs.size, size):
+        block = xs[lo:lo + size]
+        rows = evaluation_matrix(model.grid, block, cols)
+        rows[:, a:b] *= 0.5                                 # the k = 0 term, if the band holds it
+        for i, row, kern in zip(range(lo, xs.size), rows, _line_kernel(model.grid, block, nodes)):
+            halves = np.array((-(row[:b] @ band[:b]), row[a:] @ band[a:]))
+            r[:, i] = 2j * math.pi * halves + (kern @ dens).view(complex)
+    r = r.reshape(2, xs.size, model.rank, model.rank)
+    return r if n == 1 else r / math.factorial(n - 1)
 
 
 def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
     """(D(x - i0), D(x + i0)) from the two sides of one _cut_boundary at x."""
-    r1 = _cut_boundary(model, float(x), 1)
+    r1 = _cut_boundary(model, float(x), 1)[:, 0]
     D = _det([x, x], np.eye(model.rank) + r1 * model.coupling_array())
     return complex(D[0]), complex(D[1])
 

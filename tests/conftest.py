@@ -56,5 +56,20 @@ def free_propagator(grid):
     return build_propagator(finite_rank_model(grid, [], []))
 
 
+@pytest.fixture(scope="session")
+def full_width_determinant():
+    """D(x +- i0) at a 1-D array of energies from dense projections over
+    every momentum coefficient and node: the full-width reference the banded
+    determinants are checked against, independent of their band cut."""
+    from friedrichs.resolvent import _dense_blocks, _determinant
+
+    def determinant(model, xs, side):
+        xs = np.asarray(xs, dtype=float)
+        return np.concatenate([_determinant(model, proj, side)
+                               for _, proj in _dense_blocks(model.grid, xs)])
+
+    return determinant
+
+
 def rng(seed):
     return np.random.default_rng(seed)

@@ -190,16 +190,18 @@ def test_perturbation_determinant(gaussian_model, grid):
 
 
 def test_determinant_on_an_array_matches_scalar_calls(rank2_model, grid):
-    # not bitwise: a 1-row and a 6-row evaluation product differ near 1e-16
+    # bitwise: each energy's band sums are its own vector products, whatever
+    # block of the array its rows are formed in
     xs = np.array([-2.3, 0.0, 1e-7, float(grid.position_nodes()[1100]), 0.9, 3.1])
     for side in ("plus", "minus"):
         batch = fr.perturbation_determinant(rank2_model, xs, side)
         scalar = np.array([fr.perturbation_determinant(rank2_model, float(x), side)
                            for x in xs])
         assert batch.shape == xs.shape and batch.dtype == complex
-        assert np.all(np.abs(batch - scalar) <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+        assert np.array_equal(batch, scalar)
     empty = fr.finite_rank_model(grid, [], [])
     assert np.array_equal(fr.perturbation_determinant(empty, xs, "plus"), np.ones(xs.size))
+    assert fr.perturbation_determinant(empty, [], "minus").shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +247,13 @@ def test_point_spectrum_embedded_eigenvalue(grid):
 @pytest.mark.parametrize("a", np.linspace(0.6, 1.7, 12)[[0, 3, 7, 11]])
 def test_point_spectrum_refines_planted_roots_to_1e10(grid, a):
     # the refine narrows its bracket to 1e-10, so the root it returns lies
-    # that close to the planted one, well inside AC-11's 1e-4
+    # that close to the planted one, well inside AC-11's 1e-4; the first
+    # exclusion probe, one scan step out, already reads |D| above 100x
+    # threshold, so the radius is its 0.02 floor
     ps = fr.point_spectrum(_planted_model(grid, a))
     assert len(ps.eigenvalues) == 1
     assert abs(ps.eigenvalues[0] - a) <= 1e-10
+    assert ps.radii == (0.02,)
 
 
 def _planted_rank_two(grid, a, lam2):
@@ -309,14 +314,14 @@ def test_point_spectrum_witness_couples_to_the_vectors(coarse_grid):
 
 
 @pytest.mark.parametrize("model", ["gaussian_model", "rank2_model"])
-def test_chirp_scan_matches_the_dense_determinant(request, grid, model):
+def test_chirp_scan_matches_the_dense_determinant(request, grid, full_width_determinant, model):
     # the default scan on the demo grid: unreduced chirp phases err by about
     # 6e-13 here, the exactly reduced ones by below 1e-14
     model = request.getfixturevalue(model)
     L = grid.half_width
     lo, hi, n = -0.8 * L, 0.8 * L, 4001
     chirp = _determinant(model, _ChirpProjection(grid, lo, hi, n), "plus")
-    dense = fr.perturbation_determinant(model, np.linspace(lo, hi, n), "plus")
+    dense = full_width_determinant(model, np.linspace(lo, hi, n), "plus")
     assert np.all(np.abs(chirp - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))
 
 
@@ -768,19 +773,25 @@ def _full_width(model, x, side, n):
     return resolvent._boundary_batch(model, resolvent._Projection(model.grid, x), side, (n,))[0][0]
 
 
-@pytest.mark.parametrize("points", [512, 2048, 8192])
-def test_single_energies_read_the_band_as_the_full_width_route(points):
-    # Hermite ranks 1-3, a complex vector, and a tent whose kinked pair
-    # density has no negligible momentum coefficient, at a node and at the
-    # smallest subnormal energy
-    g = fr.make_grid(16.0, points)
+def _band_models(g):
+    """Hermite ranks 1-3, a complex vector, and a tent whose kinked pair
+    density has no negligible momentum coefficient (its band is the grid)."""
     x = g.position_nodes()
     models = [fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(n)],
                                    [0.8, -0.5, 0.3][:n]) for n in (1, 2, 3)]
     for v in (np.exp(-0.5 * (x - 0.3) ** 2 + 1.3j * x), np.clip(1.0 - np.abs(x) / 2.0, 0.0, None)):
         unit = fr.grid_function(g, v / (math.sqrt(g.spacing) * np.linalg.norm(v)))
         models.append(fr.finite_rank_model(g, [unit], [0.7]))
-    assert models[-1].pair_densities(0)[2] == slice(0, points)
+    assert models[-1].pair_densities(0)[2] == slice(0, g.points)
+    return models
+
+
+@pytest.mark.parametrize("points", [512, 2048, 8192])
+def test_single_energies_read_the_band_as_the_full_width_route(points):
+    # the band models at a node and at the smallest subnormal energy
+    g = fr.make_grid(16.0, points)
+    x = g.position_nodes()
+    models = _band_models(g)
     for model in models:
         for e in (float(x[points // 2 + 3]), 5e-324, -1.37, 2.9, -4.4):
             for n in (1, 2, 3):
@@ -791,6 +802,64 @@ def test_single_energies_read_the_band_as_the_full_width_route(points):
             lower, upper = (_determinant(model, resolvent._Projection(g, e), side)[0]
                             for side in ("minus", "plus"))
             assert abs(fr.s_matrix_chain(model, e) - lower / upper) <= 1e-14
+
+
+@pytest.mark.parametrize("points", [512, 2048, 8192])
+def test_determinants_read_the_band_as_the_full_width_route(points, full_width_determinant):
+    # the band models on 40 energies, more than one block of the full-band
+    # tent at M = 8192 (16 rows), as an array and one number at a time
+    g = fr.make_grid(16.0, points)
+    es = np.concatenate([[float(g.position_nodes()[points // 2 + 3]), 5e-324, -1.37],
+                         np.random.default_rng(31).uniform(-14.0, 14.0, 37)])
+    for model in _band_models(g):
+        for side in ("minus", "plus"):
+            want = full_width_determinant(model, es, side)
+            got = fr.perturbation_determinant(model, es, side)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            assert np.array_equal(got, [fr.perturbation_determinant(model, e, side) for e in es])
+
+
+def test_probe_blocks_stay_within_the_entry_budget():
+    # 199 exclusion-probe energies at M = 16384, where the Hermite 0-2 band
+    # is 135 coefficients and 6815 nodes: 37 energies a block peak near
+    # 11 MB, one unblocked (199, band) kernel and its temporaries at 46 MB,
+    # and the dense projection's 16-energy blocks at 19 MB
+    import tracemalloc
+
+    g = fr.make_grid(16.0, 16384)
+    model = _hermite_model(g, [0.8, -0.5, 0.3])
+    nodes = model.pair_densities(0)[3]
+    assert nodes.stop - nodes.start > 6000
+    probes = 1.0 + 1.6 * g.half_width / 4000 * np.arange(1, 200)
+    tracemalloc.start()
+    try:
+        fr.perturbation_determinant(model, probes, "plus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * resolvent._BLOCK_ENTRIES * 8
+
+
+def test_half_turns_reduce_q_m_exactly():
+    # e^{i pi q m} against q m reduced mod 2 in exact rational arithmetic, for
+    # random q and m of both signs past the 2^26 split, whose direct phase
+    # loses up to 1e-4 here; skipping an all-zero part of m changes no bit of
+    # the four-part sum
+    from fractions import Fraction
+
+    gen = np.random.default_rng(37)
+    for m in (gen.integers(-2 ** 51, 2 ** 51, 40), gen.integers(-2 ** 26, 2 ** 26, 40),
+              gen.integers(0, 2 ** 26, 40), np.array([0, 2 ** 26, -2 ** 27, 5 * 2 ** 26])):
+        for q in gen.uniform(-2.0, 2.0, 4):
+            exact = np.array([float(Fraction(q) * int(k) % 2) for k in m])
+            got = resolvent._half_turns(q, m)
+            assert np.max(np.abs(got - np.exp(1j * math.pi * exact))) <= 1e-14
+            c = 134217729.0 * q
+            turns = 0.0
+            for a in (c - (c - q), q - (c - (c - q))):
+                for b in ((m >> 26) << 26, m & (2 ** 26 - 1)):
+                    turns = np.mod(turns + np.mod(a * b.astype(float), 2.0), 2.0)
+            assert np.array_equal(got, np.exp(1j * math.pi * turns))
 
 
 def test_the_band_is_kept_as_two_slices_beside_the_densities(grid):

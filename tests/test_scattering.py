@@ -67,10 +67,10 @@ def test_born_regime_small_coupling(grid):
         assert abs(s - born) < 20.0 * lam ** 2
 
 
-def test_chain_route_agreement(grid, gaussian_model):
+def test_chain_route_agreement(grid, gaussian_model, full_width_determinant):
     # product of boundary-determinant ratios against the direct formula; each
-    # side of the chain's shared projection against one perturbation_determinant
-    # per side, and the chain against the ratio of those two calls
+    # side of the chain's shared band cut against the full-width dense
+    # determinant of that side, and the chain against the ratio of the two
     couplings = [0.8, -0.5, 0.3]
     xs = [float(x) for x in np.linspace(-5.0, 5.0, 41)]
     models = [gaussian_model] + [
@@ -79,9 +79,8 @@ def test_chain_route_agreement(grid, gaussian_model):
     for model in models:
         worst = max(abs(fr.s_matrix(model, x) - fr.s_matrix_chain(model, x)) for x in xs)
         assert worst < 1e-8
-        for x in xs:
-            lower = fr.perturbation_determinant(model, x, "minus")
-            upper = fr.perturbation_determinant(model, x, "plus")
+        sides = (full_width_determinant(model, xs, side) for side in ("minus", "plus"))
+        for x, lower, upper in zip(xs, *sides):
             for got, want in zip(_cut_determinants(model, x), (lower, upper)):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
             assert abs(fr.s_matrix_chain(model, x) - lower / upper) <= 1e-13
@@ -293,8 +292,9 @@ def _orthonormal_gaussians(grid, shapes):
                        min_size=3, max_size=3),
        lams=st.lists(_couplings, min_size=3, max_size=3),
        energies=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
-def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, hermite, center,
-                                                     width, shapes, lams, energies):
+def test_random_hermite_models_keep_their_invariants(coarse_grid, full_width_determinant, rank,
+                                                     hermite, center, width, shapes, lams,
+                                                     energies):
     # every array the model and its propagator derive from the vectors
     # enters one of these checks, so a stale or misfiled one shows here
     if hermite:
@@ -338,7 +338,7 @@ def test_random_hermite_models_keep_their_invariants(coarse_grid, rank, hermite,
     L, h = g.half_width, g.spacing
     for lo, hi, n in ((-L + 10 * h, L - 10 * h, 1001), (0.3, 0.9, 4001)):
         chirp = _determinant(model, _ChirpProjection(g, lo, hi, n), "plus")
-        dense = fr.perturbation_determinant(model, np.linspace(lo, hi, n), "plus")
+        dense = full_width_determinant(model, np.linspace(lo, hi, n), "plus")
         assert np.all(np.abs(chirp - dense) <= 1e-11 * np.maximum(1.0, np.abs(dense)))
         assert np.array_equal(np.sign(chirp.real[:-1]) * np.sign(chirp.real[1:]) < 0,
                               np.sign(dense.real[:-1]) * np.sign(dense.real[1:]) < 0)
