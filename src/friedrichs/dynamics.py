@@ -21,12 +21,12 @@ Discretization choices worth knowing about:
   sampling f at nodes would break it at O(dk/r).
 
 * A full sojourn is Re sum_mn conj(c_m) c_n G_mn 2T sinc((E_m - E_n)T/pi)
-  with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum.  A
-  sweep builds the union of its scales' kept columns (Propagator.columns)
-  and transforms each once, a block at a time, keeping only the rows some
-  window reads; each scale reads its window rows and kept columns from
-  them.  The fitted decay tail
-  reads the integrand only at _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
+  with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum,
+  summed as dk sum_k fbar_k <Bw[k] o c, 2T sinc (Bw[k] o c)> over blocks of
+  rows k, so G is never formed.  A sweep transforms its scales' union of
+  kept columns (Propagator.columns) once, in blocks, keeping only the rows
+  some window reads.  The fitted decay tail reads the integrand only at
+  _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
@@ -372,11 +372,35 @@ def _free_sojourn(psi: GridFunction, f: LocalizationProfile, r: float) -> float:
     return r * norm(psi) ** 2 * f.integral()
 
 
+def _window_form(B: np.ndarray, pick: np.ndarray, at: np.ndarray, fbar: np.ndarray,
+                 c: np.ndarray, E: np.ndarray, T: float, half: np.ndarray) -> tuple:
+    """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -+half)
+    over the window rows k in at, a_k = B[pick, k] o c: S = 2T sinc((E_m - E_n)T/pi)
+    is real and symmetric, so a block of rows, holding _BLOCK_ENTRIES reals,
+    takes one real product S A on the float view of A = B[pick, block] o c."""
+    x = np.multiply(np.subtract.outer(E, E), T)          # sinc((E_m - E_n)T/pi) = sin(x)/x
+    x[x == 0.0] = np.finfo(float).eps                    # where sin(x) = x
+    sinc = np.divide(np.sin(x), x, out=x)
+    P = np.multiply.outer(E, -1j * np.concatenate((-half[::-1], half)))
+    np.multiply(np.exp(P, out=P), c[:, None], out=P)         # e^{-iEt} c
+    form, samples = 0.0, np.zeros(P.shape[1])
+    n = max(1, _BLOCK_ENTRIES // (4 * (c.size + P.shape[1])))
+    for lo in range(0, at.size, n):
+        A = B[pick, at[lo:lo + n]]
+        samples += fbar[lo:lo + n] @ np.abs(A.T @ P) ** 2
+        A *= c[:, None]
+        SA = sinc @ A.view(float)                        # real and imaginary parts interleaved
+        SA *= A.view(float)
+        form += float(fbar[lo:lo + n] @ SA.sum(axis=0).reshape(-1, 2).sum(axis=1))
+    return 2.0 * T * form, samples
+
+
 def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
               rs, tol: float) -> list:
     """(value, tail, zeta, modes kept, discarded mass) of the sojourn at each
-    r in rs; what depends on psi alone is formed once for all of them.  A
-    diagonal propagator gives the free sojourn, exact with no tail."""
+    r in rs; what depends on psi alone, B among it, is formed once for all of
+    them, and each scale sums its form over blocks of its window's rows of B
+    (_window_form).  A diagonal propagator gives the free sojourn, exact."""
     g = prop.grid
     if prop.is_diagonal:
         return [(_free_sojourn(psi, f, r), 0.0, math.inf, g.points, 0.0) for r in rs]
@@ -391,28 +415,25 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     wins = [np.flatnonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))
             for fbar in fbars]
     rows = np.flatnonzero(np.bincount(np.concatenate(wins), minlength=M))
-    # fftshift(fft(ifftshift(.))) with the two shifts as index gathers, a
-    # block of kept columns at a time, keeping only the window rows
-    B, n = np.empty((rows.size, union.size), dtype=complex), max(1, _BLOCK_ENTRIES // M)
+    # B: fftshift(fft(ifftshift(.))) of the kept columns, a row each, on the window
+    # rows; blocks of _BLOCK_ENTRIES reals are rolled into one buffer, transformed there
+    n, h = max(1, _BLOCK_ENTRIES // (2 * M)), M // 2
+    B, buf = np.empty((union.size, rows.size), dtype=complex), np.empty((M, n), dtype=complex)
     for lo in range(0, union.size, n):
-        cols = prop.columns(union[lo:lo + n])[(np.arange(M) + M // 2) % M]
-        B[:, lo:lo + n] = np.fft.fft(cols, axis=0)[(rows - M // 2) % M]
+        block = buf[:, :union[lo:lo + n].size]
+        np.concatenate(np.split(prop.columns(union[lo:lo + n]), [h])[::-1], out=block)
+        B[lo:lo + n] = np.fft.fft(block, axis=0, out=block)[(rows - h) % M].T
+    buf = block = None                  # released before the scales' blocks
     B *= g.spacing / math.sqrt(2.0 * math.pi)
     kn = np.abs(g.momentum_nodes())
     out = []
     for r, (K, T), fbar, win, (kept, discarded, window_term) in zip(rs, horizons, fbars, wins,
                                                                       windows):
-        Bw = B if (win.size, kept.size) == B.shape else B[np.ix_(np.searchsorted(rows, win),
-                                                                 np.searchsorted(union, kept))]
-        c, E = c_all[kept], prop.eigenvalues[kept]
-        G = Bw.T * fbar[win]          # dk conj(Bw)^T fbar, in one temporary: f and dk are real
-        G = np.multiply(np.conjugate(G, out=G), dk, out=G) @ Bw
-        kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
-        value = float(np.real(c.conj() @ (G * kernel) @ c))
         half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
-        times = np.concatenate((-half[::-1], half))
-        hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
-        gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
+        form, samples = _window_form(B, np.searchsorted(union, kept)[:, None],
+                                     np.searchsorted(rows, win), fbar[win], c_all[kept],
+                                     prop.eigenvalues[kept], T, half)
+        gabs = np.abs(dk * samples)
         tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
         tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
         tail, zeta = tail_hi + tail_lo, min(z_hi, z_lo)
@@ -424,8 +445,7 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
         overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
         tail += float((dens_psi * overlap).sum() * dk)
         tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
-        out.append((value, tail + window_term, zeta, kept.size, discarded))
-        del Bw, G, kernel, hat              # release this scale's arrays before the next
+        out.append((dk * form, tail + window_term, zeta, kept.size, discarded))
     return out
 
 

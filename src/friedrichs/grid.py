@@ -220,7 +220,7 @@ def evaluate_many(phi: GridFunction, taus) -> np.ndarray:
     Exact at grid nodes.  Cost O(M) per point; taus may be an array.
     """
     if phi.representation is not Representation.POSITION:
-        raise ValidationError("evaluate_at expects a position-representation state")
+        raise ValidationError("evaluate_many expects a position-representation state")
     return evaluation_matrix(phi.grid, taus) @ _as_momentum(phi)
 
 

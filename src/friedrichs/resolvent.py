@@ -277,8 +277,8 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
     base, K = dk[origin], keep.size
     # zhat_j^2 = prod_i (d_j - mu_i) / (d_j - d_i), the i = j term over -rho
     prod = np.ones(K)
-    for rows, G in _gap_blocks(dk, base, tau):
-        P = np.subtract(dk, dk[rows, None])
+    for rows, G in _gap_blocks(dk, base, tau):    # P: the first block's buffer, reused
+        P = np.subtract(dk, dk[rows, None], out=P[:G.shape[0]] if rows.start else None)
         P[np.arange(P.shape[0]), np.arange(K)[rows]] = -rho
         prod *= np.prod(np.divide(G, P, out=G), axis=0)
     zhat = np.copysign(np.sqrt(prod), zk)

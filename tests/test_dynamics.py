@@ -669,15 +669,14 @@ def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaus
     union = np.unique(np.concatenate([kept for kept, _, _ in windows]))
     assert len(windows) == 5 and len(shapes) >= 1
     assert all(rows == grid.points for rows, _ in shapes)
-    assert sum(cols for _, cols in shapes) == union.size  # measured 451 in 4 blocks
+    assert sum(cols for _, cols in shapes) == union.size  # measured 451 in 8 blocks
     assert all(rows * cols <= resolvent._BLOCK_ENTRIES for rows, cols in shapes)
 
 
-def _reference_sojourns(prop, psi, f, rs, tol):
-    """The single-transform Gram route: every kept column of the union
-    transformed at once over all M rows, and each scale's Bw gathered from
-    that M x |union| array."""
-    g, M, dk = prop.grid, prop.grid.points, prop.grid.momentum_spacing
+def _sojourn_setup(prop, psi, f, rs, tol):
+    """What _sojourns forms before its transform: (M, dk, c, horizons,
+    fbars, windows, union)."""
+    g = prop.grid
     dens = dynamics._momentum_density(psi)
     c_all = prop.coefficients(psi)
     horizons = [dynamics._sojourn_horizon(dens, g, f, r) for r in rs]
@@ -685,35 +684,76 @@ def _reference_sojourns(prop, psi, f, rs, tol):
     spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
     windows = dynamics._spectral_windows(c_all, g.spacing, spans, tol)
     union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
+    return g.points, g.momentum_spacing, c_all, horizons, fbars, windows, union
+
+
+def _sojourn_record(prop, psi, f, r, K, T, samples, value, kept, discarded, window_term):
+    """One scale's record from its form and tail samples, as _sojourns makes it."""
+    g, half = prop.grid, np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
+    dens, dk, kn = dynamics._momentum_density(psi), g.momentum_spacing, np.abs(g.momentum_nodes())
+    gabs = np.abs(dk * samples)
+    tail_hi, z_hi = dynamics._fitted_tail(half, gabs[dynamics._TAIL_SAMPLES:])
+    tail_lo, z_lo = dynamics._fitted_tail(half, gabs[:dynamics._TAIL_SAMPLES][::-1])
+    reach = r * f.support_radius
+    overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
+    tail = tail_hi + tail_lo + float((dens * overlap).sum() * dk)
+    tail += float(dens[kn > K].sum() * dk) * 2.0 * reach
+    return value, tail + window_term, min(z_hi, z_lo), kept.size, discarded
+
+
+def _reference_sojourns(prop, psi, f, rs, tol):
+    """The single-transform route: every kept column of the union
+    transformed at once over all M rows, each scale's window rows read
+    from that M x |union| array by the same row-block form."""
+    M, dk, c_all, horizons, fbars, windows, union = _sojourn_setup(prop, psi, f, rs, tol)
+    g = prop.grid
+    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0).T
+    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    out = []
+    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
+        win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
+        form, samples = dynamics._window_form(
+            B, np.searchsorted(union, kept)[:, None], (win - M // 2) % M, fbar[win],
+            c_all[kept], prop.eigenvalues[kept], T,
+            np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES))
+        out.append(_sojourn_record(prop, psi, f, r, K, T, samples, dk * form, kept, discarded,
+                                 window_term))
+    return out
+
+
+def _gram_sojourns(prop, psi, f, rs, tol):
+    """The Gram route: G = dk Bw^* diag(fbar) Bw over each scale's window
+    rows and kept columns, T = Re c^* (G o S) c and the tail samples
+    dk fbar^T |Bw e^{-iEt} c|^2, all unblocked."""
+    M, dk, c_all, horizons, fbars, windows, union = _sojourn_setup(prop, psi, f, rs, tol)
+    g = prop.grid
     B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0)
     B *= g.spacing / math.sqrt(2.0 * math.pi)
-    kn = np.abs(g.momentum_nodes())
     out = []
     for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
         win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
         Bw = B[np.ix_((win - M // 2) % M, np.searchsorted(union, kept))]
         c, E = c_all[kept], prop.eigenvalues[kept]
         G = dk * (Bw.conj().T * fbar[win]) @ Bw
-        kernel = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
-        value = float(np.real(c.conj() @ (G * kernel) @ c))
+        S = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
+        value = float(np.real(c.conj() @ (G * S) @ c))
         half = np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
-        times = np.concatenate((-half[::-1], half))
-        hat = Bw @ (np.exp(-1j * np.outer(E, times)) * c[:, None])
-        gabs = np.abs(dk * (fbar[win] @ (np.abs(hat) ** 2)))
-        tail_hi, z_hi = dynamics._fitted_tail(half, gabs[dynamics._TAIL_SAMPLES:])
-        tail_lo, z_lo = dynamics._fitted_tail(half, gabs[:dynamics._TAIL_SAMPLES][::-1])
-        reach = r * f.support_radius
-        overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
-        tail = tail_hi + tail_lo + float((dens * overlap).sum() * dk)
-        tail += float(dens[kn > K].sum() * dk) * 2.0 * reach
-        out.append((value, tail + window_term, min(z_hi, z_lo), kept.size, discarded))
+        hat = Bw @ (np.exp(-1j * np.outer(E, np.concatenate((-half[::-1], half)))) * c[:, None])
+        samples = fbar[win] @ (np.abs(hat) ** 2)
+        out.append(_sojourn_record(prop, psi, f, r, K, T, samples, value, kept, discarded,
+                                 window_term))
     return out
 
 
+_SOJOURN_MODELS = [
+    (lambda g: [fr.gaussian_state(g)], [1.0]),
+    (lambda g: [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], [0.8, -0.5]),
+    (lambda g: [fr.gaussian_state(g, 0.0, 1.0, momentum=1.5)], [1.0]),
+]
+
+
 @pytest.mark.parametrize("vectors, lams, exact", [
-    (lambda g: [fr.gaussian_state(g)], [1.0], True),
-    (lambda g: [fr.hermite_state(g, 0), fr.hermite_state(g, 1)], [0.8, -0.5], False),
-    (lambda g: [fr.gaussian_state(g, 0.0, 1.0, momentum=1.5)], [1.0], False),
+    (*_SOJOURN_MODELS[0], True), (*_SOJOURN_MODELS[1], False), (*_SOJOURN_MODELS[2], False),
 ], ids=["demo", "hermite-0-1", "complex"])
 def test_blocked_sojourn_transform_matches_the_single_transform(grid, f_ind, vectors, lams,
                                                                 exact):
@@ -732,6 +772,27 @@ def test_blocked_sojourn_transform_matches_the_single_transform(grid, f_ind, vec
         assert abs(value - ref[0]) <= 1e-14 * abs(ref[0])
         assert abs(tail - ref[1]) <= 1e-14 * abs(ref[1])
         assert abs(zeta - ref[2]) <= 1e-12 * abs(ref[2])
+
+
+@pytest.mark.parametrize("vectors, lams, profile", [
+    (*_SOJOURN_MODELS[0], "f_ind"), (*_SOJOURN_MODELS[1], "f_ind"),
+    (*_SOJOURN_MODELS[2], "f_ind"), (*_SOJOURN_MODELS[0], "f_smooth"),
+], ids=["demo", "hermite-0-1", "complex", "smooth-bump"])
+def test_row_block_form_matches_the_gram_route(grid, vectors, lams, profile, request):
+    # T = dk sum_k fbar_k <a_k, S a_k> over row blocks is the Gram form
+    # Re c^* (G o S) c summed in another order, and so are the tail samples
+    # (the smooth bump's fit at r = 64 reads zeta 0.24, an infinite tail on
+    # both routes)
+    f = request.getfixturevalue(profile)
+    prop = fr.build_propagator(fr.finite_rank_model(grid, vectors(grid), lams))
+    w = fr.wave_operator(prop, fr.bump_state(grid, (0.25, 0.75)), "minus", tol=1e-5)
+    rs, tol = [4, 8, 16, 32, 64], 1e-6
+    for (value, tail, zeta, kept, mass), ref in zip(dynamics._sojourns(prop, w, f, rs, tol),
+                                                    _gram_sojourns(prop, w, f, rs, tol)):
+        assert (kept, mass) == ref[3:]
+        assert value == pytest.approx(ref[0], rel=1e-14, abs=0.0)
+        assert tail == pytest.approx(ref[1], rel=1e-14, abs=0.0)
+        assert zeta == pytest.approx(ref[2], rel=1e-12, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -766,6 +827,25 @@ def test_wave_operator_memory_does_not_grow_with_m(demo_at_large_m):
     assert peaks[1] <= 1.25 * peaks[0]  # measured 14.1 / 14.1 MiB
 
 
+def test_sojourn_of_the_zero_state_keeps_no_modes(gaussian_propagator, grid, f_ind):
+    # every eigenmode holds no mass, so every one is dropped and the union of
+    # kept columns is empty: nothing is transformed and the sojourn is 0
+    zero = fr.grid_function(grid, np.zeros(grid.points))
+    value, info = fr.sojourn(gaussian_propagator, zero, f_ind, 4.0, return_info=True)
+    assert (value, info["tail_estimate"], info["modes_kept"]) == (0.0, 0.0, 0)
+
+
+def test_sojourn_stage_forms_no_gram_matrix(gaussian_propagator, grid, f_ind):
+    # the demo's five sojourns at M = 2048 hold the window rows of the
+    # union's transforms (4.5 MiB) and one scale's kernel, phases and row
+    # block at a time; the Gram route's G, G o K, Bw copies and full tail
+    # samples peaked at 17.0 MiB
+    w = fr.wave_operator(gaussian_propagator, fr.bump_state(grid, (0.25, 0.75)), "minus", 1e-5)
+    _, peak = _traced_peak(dynamics._sojourns, gaussian_propagator, w, f_ind,
+                           [4, 8, 16, 32, 64], 1e-6)
+    assert peak <= 12 * 2 ** 20  # measured 10.1 MiB
+
+
 def test_sojourn_stage_holds_no_full_height_column_array(demo_at_large_m, f_ind):
     # the sweep's five sojourns transform their kept columns in blocks and
     # keep only the window rows: the stage peaks below one complex
@@ -775,7 +855,8 @@ def test_sojourn_stage_holds_no_full_height_column_array(demo_at_large_m, f_ind)
     w = fr.wave_operator(prop, phi, "minus", tol=1e-5)
     out, peak = _traced_peak(dynamics._sojourns, prop, w, f_ind, [4, 8, 16, 32, 64], 1e-6)
     kept = max(modes for _, _, _, modes, _ in out)
-    assert peak < prop.grid.points * kept * 16  # measured 11.6 MiB < 14.0 MiB (35.5 before)
+    assert peak < prop.grid.points * kept * 16  # measured 6.2 MiB < 14.0 MiB
+    # (11.6 with a Gram matrix, 35.5 with one transform)
 
 
 def test_sweep_refuses_as_sojourn_does_at_the_scale_that_fails(gaussian_propagator,

@@ -188,9 +188,11 @@ def test_a_column_band_is_bitwise_the_full_rows_columns(grid):
 
 
 def test_evaluate_at_requires_position_rep(grid):
+    # evaluate_at reaches the refusal through evaluate_many, which it names
     phi = fr.transform(fr.gaussian_state(grid))
-    with pytest.raises(ValidationError):
-        fr.evaluate_at(phi, 0.0)
+    for call in (lambda: fr.evaluate_at(phi, 0.0), lambda: fr.evaluate_many(phi, [0.0])):
+        with pytest.raises(ValidationError, match="^evaluate_many expects a position-"):
+            call()
     psi = fr.gaussian_state(grid)
     with pytest.raises(ValidationError):
         fr.evaluate_at(psi, 17.0)

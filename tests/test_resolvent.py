@@ -57,6 +57,26 @@ def test_pv_integral_gaussian_closed_form(grid):
         assert abs(got.imag) < 1e-15  # real density, real PV
 
 
+def test_line_kernel_near_its_nodes_at_16384():
+    # h c(u) = h (1/u - a cot(a u)): at M = 16384 ten or eleven nodes lie
+    # within 1e-2 of an energy and take the odd series.  On a node, 1e-4
+    # and exactly +-1e-2 from one, and between nodes, every weight within
+    # 0.05 matches a 40-digit value to 1e-16 (measured 2.8e-17); the direct
+    # form is inf on the node and 4e-15 off at 1e-4
+    mpmath = pytest.importorskip("mpmath")
+    grid = fr.make_grid(16.0, 16384)
+    x, h, a = grid.position_nodes(), grid.spacing, math.pi / 32.0
+    xs = x[8000] + np.array([0.0, 1e-4, 1e-2, -1e-2, 0.3 * h])
+    kern = resolvent._line_kernel(grid, xs)
+    with mpmath.workdps(40):
+        for row, e in zip(kern, xs):
+            near = np.flatnonzero(np.abs(x - e) < 0.05)
+            assert np.count_nonzero(np.abs(x - e) < 1e-2) >= 10
+            u = [mpmath.mpf(float(x[j])) - mpmath.mpf(float(e)) for j in near]
+            ref = [0.0 if v == 0 else float(h * (1 / v - a / mpmath.tan(a * v))) for v in u]
+            assert np.max(np.abs(row[near] - ref)) <= 1e-16
+
+
 def test_boundary_matrix_faddeeva_closed_form(gaussian_model):
     for x, ref in R11_PLUS.items():
         bd = fr.boundary_matrix(gaussian_model, x, "plus")
