@@ -13,7 +13,6 @@ from .grid import (
     Representation,
     certify_support,
     derivative,
-    evaluate_at,
     evaluate_many,
     grid_function,
     inner_product,

@@ -22,10 +22,11 @@ r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation of line sums
 on the densities' node band.  Other energies, one or an array
-(perturbation_determinant, boundary_matrix, the chain route: _cut_boundary),
-read only the band of the pair densities above round-off: plane-wave rows on
-their momentum band (135 of M for Hermite 0-2, at any M) and line-kernel rows
-on their node band; each side slices out its own half of the coefficients
+(perturbation_determinant, boundary_matrix, the chain route), are read one
+at a time on the pair densities' band above round-off, kept per model and
+order (_Cut): a plane-wave row on the momentum band (135 of M for Hermite
+0-2, at any M) and a line-kernel row on the node band; each side reads its
+own half of the coefficients
 rather than taking the jump from the other.  The stationary assembly uses
 the dense projection (_dense_blocks), whose plane-wave row is the outer
 product of two sqrt(M)-long phase tables (grid.evaluation_matrix).
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +53,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     Representation,
+    _as_momentum,
     boundary_decay,
     derivative,
     evaluate_many,
@@ -78,7 +81,7 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps, dense
-                          # projections, band cuts, dynamics' sojourn transform and Cook kernel
+                          # projections, dynamics' sojourn transform and Cook kernel
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -161,7 +164,7 @@ class FiniteRankModel:
         """(N, M) stacked momentum coefficients of the vectors."""
         if not self.rank:
             return np.zeros((0, self.grid.points), complex)
-        return np.stack([transform(v).samples for v in self.vectors])
+        return np.stack([_as_momentum(v) for v in self.vectors])
 
     @cached_property
     def eigendecomposition(self) -> tuple:
@@ -208,6 +211,9 @@ class FiniteRankModel:
         column j N + k the order-th spectral derivative of conj(v_j) v_k, and
         the band where some column exceeds eps times the largest entry,
         momentum indices cols and position nodes."""
+        return self._pair_data(order)[:4]
+
+    def _pair_data(self, order: int) -> tuple:  # pair_densities(order) and its _Cut
         if order not in self._pair_store:
             N = self.rank
             dens = np.zeros((2, self.grid.points, N * N), dtype=complex)
@@ -217,7 +223,14 @@ class FiniteRankModel:
                                             np.conj(vj) * vk), order)
                 dens[:, :, p] = g.samples, transform(g).samples
             dens.setflags(write=False)
-            self._pair_store[order] = (dens[0], dens[1], _band(dens[1]), _band(dens[0]))
+            cols, nodes = _band(dens[1]), _band(dens[0])
+            k0 = self.grid.points // 2 - cols.start             # where k = 0 falls on the band
+            zero = slice(max(k0, 0), max(k0 + 1, 0))            # empty if the band misses it
+            band, x = dens[1][cols].copy(), self.grid.position_nodes()
+            band[zero] *= 0.5                                   # P+ at k = 0, exact in binary64
+            self._pair_store[order] = (dens[0], dens[1], cols, nodes, _Cut(
+                cols, band[:zero.stop], band[zero.start:], x[nodes], float(x[nodes.start]),
+                dens[0][nodes].view(float), np.eye(N, dtype=complex), self.coupling_array() + 0j))
         return self._pair_store[order]
 
 
@@ -227,6 +240,10 @@ def _band(values: np.ndarray) -> slice:
     peak = np.max(np.abs(values), axis=1, initial=0.0)
     rows = np.flatnonzero(peak > np.finfo(float).eps * peak.max())
     return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
+
+
+# One order's pair-density band as _cut_boundary reads it (see _pair_data), and I and Lambda.
+_Cut = namedtuple("_Cut", "cols lower upper pos x0 dens eye lam")
 
 
 def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
@@ -476,11 +493,11 @@ class PointSpectrum:
 def _interior(grid: GridSpec, xs) -> np.ndarray:
     """xs as a 1-D array, refused if it has more axes, or if any energy is
     not finite or lies within the boundary margin."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.array(xs, dtype=float, ndmin=1, copy=None)
     if xs.ndim > 1:
         raise ValidationError("energies must be a number or a 1-D array")
-    L, h = grid.half_width, grid.spacing
-    if not (L - np.abs(xs) >= _BOUNDARY_MARGIN * h).all():     # false for NaN too
+    L, bound = grid.half_width, _BOUNDARY_MARGIN * grid.spacing
+    if not all(L - abs(x) >= bound for x in xs.tolist()):      # false for NaN too
         worst = xs[np.argmax(np.abs(xs))]                       # a NaN if there is one
         if not math.isfinite(worst):
             raise ValidationError(f"energy {worst:g} is not finite")
@@ -491,16 +508,33 @@ def _interior(grid: GridSpec, xs) -> np.ndarray:
 
 
 def _line_kernel(grid: GridSpec, xs: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
-    """(Nx, M) weights h c(k - x), or their columns nodes; below |u| = 1e-2
-    c is summed as its odd series, which the direct form loses to cancellation."""
-    a = math.pi / (2.0 * grid.half_width)
-    u = grid.position_nodes()[None, nodes] - xs[:, None]
-    near = np.abs(u) < 1e-2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = 1.0 / u - a / np.tan(a * u)
-    z = a * u[near]
-    c[near] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * z ** 4)
-    return grid.spacing * c
+    """(Nx, M) weights h c(k - x), or their columns nodes: one _line_row an energy."""
+    x = grid.position_nodes()
+    pos, x0 = x[nodes], float(x[nodes.indices(grid.points)[0]])
+    kern = np.empty((xs.size, pos.size))
+    for i, e in enumerate(xs.tolist()):
+        kern[i] = _line_row(grid, pos, x0, e)
+    return kern
+
+
+def _line_row(grid: GridSpec, pos: np.ndarray, x0: float, x: float) -> np.ndarray:
+    """h c(k - x) at the nodes pos = x0 + j h, c(u) = 1/u - a cot(a u), a = pi/2L.
+    Below |u| = 1e-2 c is its odd series (z ** 4 numpy's power), as the direct
+    form cancels; those nodes are a run, found in a window read off (x - x0)/h
+    with a node of margin a side, where the direct form reads u = 1."""
+    a, h, u = math.pi / (2.0 * grid.half_width), grid.spacing, pos - x
+    lo = max(math.floor((x - 1e-2 - x0) / h), 0)
+    window = u[lo:max(math.floor((x + 1e-2 - x0) / h) + 2, 0)].tolist()
+    i, j = bisect_right(window, -1e-2), bisect_left(window, 1e-2)
+    z, near = [a * w for w in window[i:j]], slice(lo + i, lo + j)
+    u[near] = 1.0
+    c = np.divide(1.0, u)
+    u *= a
+    c -= np.divide(a, np.tan(u, out=u), out=u)
+    c[near] = [(a / 3.0) * t * (1.0 + t * t / 15.0 + (2.0 / 315.0) * q)
+               for t, q in zip(z, np.power(z, 4).tolist())]
+    c *= h
+    return c
 
 
 def _projection_mask(grid: GridSpec, side: Side) -> np.ndarray:
@@ -600,7 +634,7 @@ def pv_integral(g: GridFunction, x: float) -> complex:
         raise ValidationError("pv_integral expects a position-representation density")
     proj = _Projection(g.grid, float(x))
     mask = _projection_mask(g.grid, Side.PLUS) - 0.5
-    periodic = 2j * math.pi * proj.periodic(mask * transform(g).samples)
+    periodic = 2j * math.pi * proj.periodic(mask * _as_momentum(g))
     return complex(periodic[0] + proj.line(g.samples[:, None])[0, 0])
 
 
@@ -633,12 +667,12 @@ def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> li
     return outs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _det(xs, A: np.ndarray) -> np.ndarray:
     """det A for the stack A = I + r Lambda at the energies xs, refused by
     name where it overflows: a non-finite D has no digits left to report."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = np.linalg.det(A)
-    if not np.isfinite(D).all():
+    D = np.linalg.det(A)
+    if not all(map(math.isfinite, D.view(float).tolist())):
         k = int(np.argmin(np.isfinite(D)))                     # the first that is not
         raise ValidationError(f"perturbation determinant at energy {xs[k]:g} overflows to "
                               f"{D.flat[k]}: the couplings are too large for binary64")
@@ -655,9 +689,9 @@ def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> Bound
     side = _as_side(side)
     if n < 1:
         raise ValidationError("derivative order n must be >= 1")
-    mat = _cut_boundary(model, float(x), n)[int(side is Side.PLUS), 0]
-    det = complex(_det([x], np.eye(model.rank) + mat * model.coupling_array())) if n == 1 else None
-    return BoundaryData(float(x), side, n, mat, det)
+    r = _cut_boundary(model, float(x), n)[int(side is Side.PLUS)]
+    det = complex(_cut_det(model, [x], r)[0]) if n == 1 else None
+    return BoundaryData(float(x), side, n, r[0], det)
 
 
 def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
@@ -672,9 +706,9 @@ def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
 def _refuse_point_spectrum(xs, dets) -> None:
     """Raise PointSpectrumProximity, naming the energy, where a determinant
     D(x + i0) at the energies xs has |D| < _DET_FLOOR."""
-    D = np.abs(dets)
-    if D.size and D.min() < _DET_FLOOR:                     # one min when nothing is near
-        k = int(np.argmin(D))
+    D = np.abs(dets).tolist()
+    if D and min(D) < _DET_FLOOR:                           # one min when nothing is near
+        k = D.index(min(D))
         raise PointSpectrumProximity(
             f"energy {xs[k]:g} is at or near the point spectrum (|D| = {D[k]:.2e})")
 
@@ -687,41 +721,33 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     complex array), read on the pair densities' band by _cut_boundary.
     """
     r1 = _cut_boundary(model, x, 1)[int(_as_side(side) is Side.PLUS)]
-    D = _det(np.atleast_1d(x), np.eye(model.rank) + r1 * model.coupling_array())
+    D = _cut_det(model, np.atleast_1d(x), r1)
     return complex(D[0]) if np.ndim(x) == 0 else D
 
 
 def _cut_boundary(model: FiniteRankModel, x, n: int) -> np.ndarray:
     """(r^(n)(x - i0), r^(n)(x + i0)), (2, Nx, N, N), at x, a number or a 1-D
-    array: plane-wave rows on the order-(n-1) pair densities' momentum band
-    and line-kernel rows on their node band, _BLOCK_ENTRIES band entries a
-    block, so the cost follows their support, not M.  The two sides split the
-    band, x + i0 the k > 0 sum plus half the k = 0 term (P+), x - i0 minus
-    the k < 0 sum and minus that half (P+ - 1): neither uses the jump.  Each
-    energy's sums are products of its own rows: an array's values are
-    bitwise its single energies'."""
-    xs, (samples, coeffs, cols, nodes) = _interior(model.grid, x), model.pair_densities(n - 1)
-    band, dens = coeffs[cols], samples[nodes].view(float)
-    k0 = model.grid.points // 2 - cols.start                # where k = 0 falls on the band
-    a, b = max(k0, 0), max(k0 + 1, 0)
-    r = np.empty((2, xs.size, band.shape[1]), dtype=complex)
-    size = max(1, _BLOCK_ENTRIES // max(band.shape[0] + dens.shape[0], 1))
-    for lo in range(0, xs.size, size):
-        block = xs[lo:lo + size]
-        rows = evaluation_matrix(model.grid, block, cols)
-        rows[:, a:b] *= 0.5                                 # the k = 0 term, if the band holds it
-        for i, row, kern in zip(range(lo, xs.size), rows, _line_kernel(model.grid, block, nodes)):
-            halves = np.array((-(row[:b] @ band[:b]), row[a:] @ band[a:]))
-            r[:, i] = 2j * math.pi * halves + (kern @ dens).view(complex)
+    array, read one energy at a time on the order-(n-1) pair densities' band
+    (_Cut), so an array's values are bitwise its single energies': one
+    plane-wave row, its part up to k = 0 read by the minus side (P+ - 1) and
+    from k = 0 by the plus side (P+), neither using the jump, and one
+    line-kernel row on the node band."""
+    xs, cut = _interior(model.grid, x), model._pair_data(n - 1)[4]
+    r = np.empty((2, xs.size, model.rank ** 2), dtype=complex)
+    for out, e in zip(r.swapaxes(0, 1), xs.tolist()):
+        row = evaluation_matrix(model.grid, e, cut.cols)[0]
+        np.negative(np.dot(row[:len(cut.lower)], cut.lower, out=out[0]), out=out[0])
+        np.dot(row[row.size - len(cut.upper):], cut.upper, out=out[1])
+        out *= 2j * math.pi
+        out += _line_row(model.grid, cut.pos, cut.x0, e).dot(cut.dens).view(complex)
     r = r.reshape(2, xs.size, model.rank, model.rank)
     return r if n == 1 else r / math.factorial(n - 1)
 
 
-def _cut_determinants(model: FiniteRankModel, x: float) -> tuple:
-    """(D(x - i0), D(x + i0)) from the two sides of one _cut_boundary at x."""
-    r1 = _cut_boundary(model, float(x), 1)[:, 0]
-    D = _det([x, x], np.eye(model.rank) + r1 * model.coupling_array())
-    return complex(D[0]), complex(D[1])
+def _cut_det(model: FiniteRankModel, xs, r1: np.ndarray) -> np.ndarray:
+    """det(I + r1 Lambda) for order-1 boundary values r1 at the energies xs."""
+    cut = model._pair_data(0)[4]
+    return _det(xs, cut.eye + r1 * cut.lam)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from .resolvent import (
     Side,
     _boundary_batch,
     _ChirpProjection,
-    _cut_determinants,
+    _cut_boundary,
+    _cut_det,
     _dense_blocks,
     _det,
     _projection_mask,
@@ -143,8 +144,9 @@ def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
     formula, so this shares no Plemelj sign with the stationary assembly and
     serves as its oracle.  It refuses point spectrum as s_matrix does.
     """
-    lower, upper = _cut_determinants(model, x)
-    _refuse_point_spectrum([x], [upper])
+    D = _cut_det(model, [x, x], _cut_boundary(model, x, 1)[:, 0])
+    _refuse_point_spectrum([x], D[1:])
+    lower, upper = D.tolist()
     return lower / upper
 
 

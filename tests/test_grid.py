@@ -7,6 +7,7 @@ machine epsilon.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ def test_evaluate_at_between_nodes(grid):
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def test_a_state_is_transformed_once(grid, monkeypatch):
+    # repeated point values and the model's stacked coefficients read the
+    # coefficients a state keeps, read-only, from its one transform; every
+    # binding of transform in the package is counted
+    from friedrichs import grid as grid_module
+
+    calls, transform = [], grid_module.transform
+
+    def counted(phi):
+        calls.append(phi)
+        return transform(phi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("friedrichs") and getattr(module, "transform", None) is transform:
+            monkeypatch.setattr(module, "transform", counted)
+    vecs = [fr.hermite_state(grid, j) for j in range(2)]
+    for x in (0.3, -1.1, 0.3):
+        for v in vecs:
+            fr.evaluate_many(v, [x])[0]
+    assert len(calls) == 2 and all(a is b for a, b in zip(calls, vecs))
+    fr.finite_rank_model(grid, vecs, [0.8, -0.5]).vectors_momentum
+    assert len(calls) == 2
+    coeffs = grid_module._as_momentum(vecs[0])
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0] = 1.0
+    assert np.array_equal(coeffs, transform(vecs[0]).samples)
+
+
 def test_a_row_costs_two_short_phase_tables(grid, monkeypatch):
     # M/J + J = 32 + 64 exponentials for one energy at M = 2048, not M
     from friedrichs import grid as grid_module
@@ -187,15 +217,16 @@ def test_a_column_band_is_bitwise_the_full_rows_columns(grid):
         assert np.array_equal(evaluation_matrix(grid, xs, slice(lo, hi)), full[:, lo:hi])
 
 
-def test_evaluate_at_requires_position_rep(grid):
-    # evaluate_at reaches the refusal through evaluate_many, which it names
+def test_evaluate_many_requires_position_rep(grid):
+    # one point and an array reach the same refusal, which names evaluate_many;
+    # a point outside the box is refused by name
     phi = fr.transform(fr.gaussian_state(grid))
-    for call in (lambda: fr.evaluate_at(phi, 0.0), lambda: fr.evaluate_many(phi, [0.0])):
+    for call in (lambda: fr.evaluate_many(phi, [0.0])[0], lambda: fr.evaluate_many(phi, [0.0])):
         with pytest.raises(ValidationError, match="^evaluate_many expects a position-"):
             call()
     psi = fr.gaussian_state(grid)
-    with pytest.raises(ValidationError):
-        fr.evaluate_at(psi, 17.0)
+    with pytest.raises(ValidationError, match="^evaluation point 17 outside"):
+        fr.evaluate_many(psi, [17.0])[0]
 
 
 def test_derivative_spectral(grid):

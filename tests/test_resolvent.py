@@ -765,9 +765,9 @@ def test_boundary_margin_guard(gaussian_model, grid):
     lambda m, x: fr.boundary_matrix(m, x, "plus"),
     lambda m, x: fr.pv_integral(m.vectors[0], x),
     lambda m, x: fr.perturbation_determinant(m, [0.1, x], "plus"),
-    lambda m, x: fr.evaluate_at(m.vectors[0], x),
+    lambda m, x: fr.evaluate_many(m.vectors[0], [x])[0],
 ], ids=["s_matrix", "s_matrix_chain", "boundary_matrix", "pv_integral",
-        "perturbation_determinant", "evaluate_at"])
+        "perturbation_determinant", "evaluate_many"])
 def test_non_finite_energies_are_refused_by_name(gaussian_model, call, bad):
     with pytest.raises(ValidationError, match=f"{bad:g}"):
         call(gaussian_model, bad)
@@ -839,11 +839,64 @@ def test_determinants_read_the_band_as_the_full_width_route(points, full_width_d
             assert np.array_equal(got, [fr.perturbation_determinant(model, e, side) for e in es])
 
 
+def _masked_line_kernel(grid, xs):
+    """h c(k - x) with the odd series put in through a mask over the whole row."""
+    a = math.pi / (2.0 * grid.half_width)
+    u = grid.position_nodes()[None, :] - xs[:, None]
+    near = np.abs(u) < 1e-2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = 1.0 / u - a / np.tan(a * u)
+    z = a * u[near]
+    c[near] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * z ** 4)
+    return grid.spacing * c
+
+
+@pytest.mark.parametrize("points", [512, 2048, 65536])
+def test_near_node_run_is_bitwise_the_mask_rule(points):
+    # the run of nodes within 1e-2, read off (x - x0)/h, against the mask over
+    # the whole row: on nodes, at +-1e-2 from one and one ulp either side of
+    # that bound, between nodes and at the box margin, on the whole row and on
+    # a band of it whose first node x0 is not -L; at M = 65536 some 41 nodes
+    # take the series
+    g = fr.make_grid(16.0, points)
+    x, h, L = g.position_nodes(), g.spacing, g.half_width
+    nodes = x[[points // 2, points // 2 + 7, points // 3, 10]]
+    xs = [0.0, 5e-324, -5e-324, 0.3 * h, L - 10 * h, -(L - 10 * h)]
+    for e in nodes:
+        for d in (1e-2, -1e-2):
+            xs += [e, e + d, np.nextafter(e + d, e), np.nextafter(e + d, e + 2 * d)]
+    xs = np.array(xs)
+    want = _masked_line_kernel(g, xs)
+    assert np.array_equal(resolvent._line_kernel(g, xs), want)
+    band = slice(points // 3 - 5, points - 7)
+    assert np.array_equal(resolvent._line_kernel(g, xs, band), want[:, band])
+    if points == 65536:
+        assert np.count_nonzero(np.abs(x - nodes[0]) < 1e-2) == 41
+
+
+def test_a_number_and_an_array_read_the_band_bitwise_alike():
+    # each energy of an array is cut by the same kernel as the number alone,
+    # so the values are the same bits; the chain is the ratio of the two sides
+    g = fr.make_grid(16.0, 2048)
+    x = g.position_nodes()
+    es = np.array([x[1024], x[1027], x[700], 5e-324, -1.37, 2.9])
+    for model in _band_models(g):
+        for n in (1, 2, 3):
+            batch = resolvent._cut_boundary(model, es, n)
+            for i, e in enumerate(es.tolist()):
+                for side in ("minus", "plus"):
+                    got = fr.boundary_matrix(model, e, side, n).matrix
+                    assert np.array_equal(got, batch[int(side == "plus"), i])
+        for e in es.tolist():
+            lower, upper = (fr.perturbation_determinant(model, e, side) for side in ("minus", "plus"))
+            assert fr.s_matrix_chain(model, e) == lower / upper
+
+
 def test_probe_blocks_stay_within_the_entry_budget():
     # 199 exclusion-probe energies at M = 16384, where the Hermite 0-2 band
-    # is 135 coefficients and 6815 nodes: 37 energies a block peak near
-    # 11 MB, one unblocked (199, band) kernel and its temporaries at 46 MB,
-    # and the dense projection's 16-energy blocks at 19 MB
+    # is 135 coefficients and 6815 nodes: read one energy at a time they peak
+    # near 0.2 MB, against 46 MB for one unblocked (199, band) kernel and its
+    # temporaries and 19 MB for the dense projection's 16-energy blocks
     import tracemalloc
 
     g = fr.make_grid(16.0, 16384)
@@ -858,6 +911,7 @@ def test_probe_blocks_stay_within_the_entry_budget():
     finally:
         tracemalloc.stop()
     assert peak < 6 * resolvent._BLOCK_ENTRIES * 8
+    assert peak < 1 << 20
 
 
 def test_half_turns_reduce_q_m_exactly():
@@ -883,8 +937,7 @@ def test_half_turns_reduce_q_m_exactly():
 
 
 def test_the_band_is_kept_as_two_slices_beside_the_densities(grid):
-    # the store holds the densities and two slices, and each side is sliced
-    # out of the band at call time; rank 0 has an empty band
+    # the store holds the densities and two slices; rank 0 has an empty band
     model = fr.finite_rank_model(grid, [fr.hermite_state(grid, j) for j in range(3)], [0.8, -0.5, 0.3])
     for order in (0, 1, 2):
         samples, coeffs, cols, nodes = model.pair_densities(order)
