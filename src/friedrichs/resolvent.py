@@ -22,14 +22,13 @@ r(x - i0) = r(x + i0) - 2 pi i g(x).  A uniform energy grid, the
 point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation of line sums
 on the densities' node band.  Other energies, one or an array
-(perturbation_determinant, boundary_matrix, the chain route), are read one
-at a time on the pair densities' band above round-off, kept per model and
-order (_Cut): a plane-wave row on the momentum band (135 of M for Hermite
-0-2, at any M) and a line-kernel row on the node band; each side reads its
-own half of the coefficients
-rather than taking the jump from the other.  The stationary assembly uses
-the dense projection (_dense_blocks), whose plane-wave row is the outer
-product of two sqrt(M)-long phase tables (grid.evaluation_matrix).
+(perturbation_determinant, boundary_matrix, the chain route, the stationary
+assembly off the grid), are read one at a time on the pair densities' band
+above round-off, kept per model and order (_Cut): a plane-wave row on the
+momentum band (135 of M for Hermite 0-2, at any M) and a line-kernel row on
+the node band; each side reads its own half of the coefficients rather
+than taking the jump from the other.  At the grid nodes both parts are
+convolutions, read by FFT (_node_boundary).
 
 Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
 inertia counts on the N x N Schur complement of the discretized H (_Slices).
@@ -80,8 +79,8 @@ _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
-_BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps, dense
-                          # projections, dynamics' sojourn transform and Cook kernel
+_BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps,
+                          # dynamics' sojourn transform and Cook kernel
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -508,13 +507,25 @@ def _interior(grid: GridSpec, xs) -> np.ndarray:
 
 
 def _line_kernel(grid: GridSpec, xs: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
-    """(Nx, M) weights h c(k - x), or their columns nodes: one _line_row an energy."""
-    x = grid.position_nodes()
-    pos, x0 = x[nodes], float(x[nodes.indices(grid.points)[0]])
-    kern = np.empty((xs.size, pos.size))
-    for i, e in enumerate(xs.tolist()):
-        kern[i] = _line_row(grid, pos, x0, e)
-    return kern
+    """(Nx, n) weights h c(k - x) at the grid nodes, or their slice nodes: the
+    direct form over the whole array at once, and each row's near-node run
+    by _line_row's window rule, every row's window gathered at once."""
+    a, h, x = math.pi / (2.0 * grid.half_width), grid.spacing, grid.position_nodes()
+    x0, u = float(x[nodes.indices(grid.points)[0]]), x[nodes] - xs[:, None]
+    if not u.size:
+        return u
+    lo = np.maximum(np.floor((xs - 1e-2 - x0) / h), 0).astype(int)[:, None]
+    cols = np.minimum(lo + np.arange(int(2e-2 / h) + 3), u.shape[1] - 1)
+    rows, k = np.nonzero(np.abs(np.take_along_axis(u, cols, 1)) < 1e-2)
+    cols = cols[rows, k]
+    z = a * u[rows, cols]
+    u[rows, cols] = 1.0
+    c = np.divide(1.0, u)
+    u *= a
+    c -= np.divide(a, np.tan(u, out=u), out=u)
+    c[rows, cols] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * np.power(z, 4))
+    c *= h
+    return c
 
 
 def _line_row(grid: GridSpec, pos: np.ndarray, x0: float, x: float) -> np.ndarray:
@@ -547,25 +558,23 @@ def _projection_mask(grid: GridSpec, side: Side) -> np.ndarray:
     return p - (side is Side.MINUS)
 
 
-class _Projection:
-    """The periodic read-out and the line sum at any batch of energies xs.
-
-    periodic(c) is the band-limited interpolant of (M, P) momentum
-    coefficients c; line(g) is h sum_k c(k - x) g(k) for (M, P) position
-    samples g.
-    """
-
-    def __init__(self, grid: GridSpec, xs):
-        self.xs = xs = _interior(grid, xs)
-        self.eval_mat = evaluation_matrix(grid, xs)         # (Nx, M) band-limited
-        self.kernel = _line_kernel(grid, xs)                # (Nx, M) real
-
-    def periodic(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.eval_mat @ coeffs
-
-    def line(self, samples: np.ndarray) -> np.ndarray:
-        # the real kernel meets the interleaved real and imaginary parts
-        return (self.kernel @ samples.view(float)).view(complex)
+def _node_boundary(grid: GridSpec, samples: np.ndarray, side: Side) -> np.ndarray:
+    """r(x_m +- i0) at every grid node for (M, P) position samples g, both
+    parts as convolutions (Kak, Proc. IEEE 58 (1970) 585; Weideman, Math.
+    Comp. 64 (1995) 745): 2 pi i (P+- g)(x_m) by the masked FFT pair, and
+    the line sum h sum_k c(x_k - x_m) g_k, a Toeplitz product whose symbol
+    h c(j h), |j| < M, is one _line_row over the lags, by one zero-padded
+    FFT of length 2M."""
+    M, h = grid.points, grid.spacing
+    coeffs = np.fft.fft(np.fft.ifftshift(samples, axes=0), axis=0)     # unshifted momentum order
+    coeffs *= np.fft.ifftshift(_projection_mask(grid, side))[:, None]
+    periodic = np.fft.fftshift(np.fft.ifft(coeffs, axis=0), axes=0)
+    symbol = np.zeros(2 * M)                                # lag j at j + M; lag -M meets padding
+    symbol[1:] = _line_row(grid, h * np.arange(1 - M, M), h * (1 - M), 0.0)
+    # sum_j s_j g_{m+j} is a correlation: conj of the real symbol's spectrum
+    spectrum = np.conj(np.fft.fft(np.fft.ifftshift(symbol)))[:, None]
+    line = np.fft.ifft(spectrum * np.fft.fft(samples, 2 * M, axis=0), axis=0)[:M]
+    return 2j * math.pi * periodic + line
 
 
 def _half_turns(q: float, m: np.ndarray) -> np.ndarray:
@@ -584,7 +593,8 @@ def _half_turns(q: float, m: np.ndarray) -> np.ndarray:
 
 
 class _ChirpProjection:
-    """The same two maps on the uniform grid xs, x_m = lo + m (hi - lo)/(n - 1).
+    """The read-out of (M, P) momentum coefficients, periodic(c), and the line
+    sum of (M, P) samples, line(g), on the grid x_m = lo + m (hi - lo)/(n - 1).
 
     With k_l = (l - M/2) pi/L and q = step/2L, x_m k_l is
     pi (lo/L)(l - M/2) + 2 pi q m l - pi q M m.  The outer phases are a lead
@@ -629,33 +639,23 @@ class _ChirpProjection:
 
 def pv_integral(g: GridFunction, x: float) -> complex:
     """P.V. of g(k)/(k-x) dk over the box, x allowed anywhere off the edge:
-    r(x + i0) - i pi g(x), read from the same projection."""
+    r(x + i0) - i pi g(x), from one plane-wave row and one line-kernel row."""
     if g.representation is not Representation.POSITION:
         raise ValidationError("pv_integral expects a position-representation density")
-    proj = _Projection(g.grid, float(x))
-    mask = _projection_mask(g.grid, Side.PLUS) - 0.5
-    periodic = 2j * math.pi * proj.periodic(mask * _as_momentum(g))
-    return complex(periodic[0] + proj.line(g.samples[:, None])[0, 0])
+    grid, x = g.grid, float(_interior(g.grid, float(x))[0])
+    mask = _projection_mask(grid, Side.PLUS) - 0.5
+    periodic = 2j * math.pi * (evaluation_matrix(grid, x)[0] @ (mask * _as_momentum(g)))
+    return complex(periodic + _line_row(grid, grid.position_nodes(), -grid.half_width, x)
+                   @ g.samples)
 
 
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
-def _dense_blocks(grid: GridSpec, xs: np.ndarray):
-    """(rows, _Projection at xs[rows]) for each block of _BLOCK_ENTRIES // M
-    energies of the 1-D array xs, one empty block for none: each (rows, M)
-    projection stays within the entry budget at any M.  It serves the stationary
-    assembly and _state_scattering, whose W- line sum reads each block's kernel."""
-    n = max(1, _BLOCK_ENTRIES // grid.points)
-    for lo in range(0, max(xs.size, 1), n):
-        rows = slice(lo, lo + n)
-        yield rows, _Projection(grid, xs[rows])
-
-
 def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
-    """r^(n)(x +- i0) at every energy of proj (a _Projection or a
-    _ChirpProjection), one (Nx, N, N) array per n in orders: the
-    order-(n-1) derivative of each pair density over (n-1)!."""
+    """r^(n)(x +- i0) at every energy of the _ChirpProjection proj, one
+    (Nx, N, N) array per n in orders: the order-(n-1) derivative of each
+    pair density over (n-1)!."""
     side = _as_side(side)
     N = model.rank
     mask = _projection_mask(model.grid, side)[:, None]
@@ -680,7 +680,7 @@ def _det(xs, A: np.ndarray) -> np.ndarray:
 
 
 def _determinant(model: FiniteRankModel, proj, side) -> np.ndarray:
-    """D(x +- i0) at every energy of proj."""
+    """D(x +- i0) at every energy of the _ChirpProjection proj."""
     r1 = _boundary_batch(model, proj, side)[0]
     return _det(proj.xs, np.eye(model.rank) + r1 * model.coupling_array())
 

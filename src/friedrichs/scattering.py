@@ -29,8 +29,10 @@ ew_time_delay and apply_scattering do not read the table: they evaluate
 S and theta' from the curve's model at the grid nodes of the state's
 support, so nothing is interpolated.  The curve still supplies the model
 and the exclusion balls a state's support must avoid.  The same batch at
-those nodes, one dense block at a time, also gives the stationary W- phi,
-the time sweep's check on Cook's integral that shares no code with it.
+those nodes also gives the stationary W- phi, the time sweep's check on
+Cook's integral that shares no code with it.  The one assembly takes
+(r1, r2, v, v') from the curve's chirp-z reads, from band rows off the
+grid, or from the FFT reader at grid nodes, where v and v' are samples.
 """
 
 from __future__ import annotations
@@ -41,18 +43,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
-from .grid import GridFunction, Representation
+from .grid import GridFunction, Representation, derivative, evaluation_matrix
 from .resolvent import (
     FiniteRankModel,
     PointSpectrum,
     Side,
+    _band,
     _boundary_batch,
     _ChirpProjection,
     _cut_boundary,
     _cut_det,
-    _dense_blocks,
     _det,
-    _projection_mask,
+    _interior,
+    _node_boundary,
     _refuse_point_spectrum,
     perturbation_determinant,  # noqa: F401  unused; perfbench's install test reads it here
 )
@@ -76,26 +79,19 @@ _SUPPORT_REL = 1e-14
 # ---------------------------------------------------------------------------
 # assembly
 
-def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dict:
+def _stationary_batch(model: FiniteRankModel, xs, r1, r2, vals, d1) -> dict:
     """S, S', the delay density theta' = Re[-i conj(S) S'], the
     determinant-route shift density and X = <v, R(x + i0) v> (the rank-N
-    solve, (K, N, N)) at the energies xs[keep]: xs are the
-    energies proj reads (a _Projection or a _ChirpProjection), and only
-    the rows keep selects reach a solve.
+    solve, (K, N, N)) at the K energies xs from their boundary data: r1, r2
+    (K, N, N), the orders 1 and 2 of r(x + i0), and vals, d1 (K, N), v_j(x), v_j'(x).
 
     Raises PointSpectrumProximity, naming the energy, where |D(x + i0)|
     falls below the resolvent's floor.
     """
     lam = model.coupling_array()
     N = model.rank
-    r1, r2 = (r[keep] for r in _boundary_batch(model, proj, Side.PLUS, (1, 2)))
-    vm = model.vectors_momentum
-    k = model.grid.momentum_nodes()
-    vals = proj.periodic(vm.T)[keep]                   # v_j(x_i), (K, N)
-    d1 = proj.periodic((1j * k * vm).T)[keep]          # v_j'(x_i)
-
     A = np.eye(N) + r1 * lam[None, None, :]            # I + r1 Lambda
-    _refuse_point_spectrum(xs[keep], _det(xs[keep], A))
+    _refuse_point_spectrum(xs, _det(xs, A))
     X = np.linalg.solve(A, r1)
     lamX = lam[None, :, None] * X
     Xp = np.linalg.solve(A, r2 @ (np.eye(N) - lamX))
@@ -103,13 +99,10 @@ def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dic
     wv = lam[None, :] * vals
     wd = lam[None, :] * d1
     diag = np.sum(lam[None, :] * np.abs(vals) ** 2, axis=1)
-    form = np.einsum("ij,ik,ijk->i", wv, wv.conj(), X)
-    s = 1.0 - 2j * math.pi * (diag - form)
+    s = 1.0 - 2j * math.pi * (diag - _forms(wv, X, wv))
 
     diag_p = 2.0 * np.sum(lam[None, :] * np.real(d1 * vals.conj()), axis=1)
-    form_p = (np.einsum("ij,ik,ijk->i", wd, wv.conj(), X)
-              + np.einsum("ij,ik,ijk->i", wv, wd.conj(), X)
-              + np.einsum("ij,ik,ijk->i", wv, wv.conj(), Xp))
+    form_p = _forms(wd, X, wv) + _forms(wv, X, wd) + _forms(wv, Xp, wv)
     sp = -2j * math.pi * (diag_p - form_p)
 
     Y = np.linalg.solve(A, r2 * lam[None, None, :])
@@ -117,15 +110,23 @@ def _stationary_batch(model: FiniteRankModel, proj, xs, keep=slice(None)) -> dic
             "xi_det": np.einsum("ijj->i", Y).imag / math.pi, "X": X}
 
 
-def _joined(parts: list) -> dict:
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+def _forms(a: np.ndarray, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_jk a_ij X_ijk conj(b_ik), one product a row i: no batch moves its bits."""
+    return (a[:, None, :] @ X @ b.conj()[:, :, None])[:, 0, 0]
 
 
-def _stationary_at(model: FiniteRankModel, xs) -> dict:
-    """_stationary_batch at arbitrary energies, one dense block at a time."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _joined([_stationary_batch(model, proj, xs[rows])
-                    for rows, proj in _dense_blocks(model.grid, xs)])
+def _stationary_at(model: FiniteRankModel, x) -> dict:
+    """_stationary_batch at x, a number or a 1-D array, one energy at a time:
+    r1, r2 by _cut_boundary, v, v' by one plane-wave row on the vectors' band,
+    so an array is bitwise its single energies and memory O(M) at any length."""
+    xs, N = _interior(model.grid, x), model.rank
+    r1, r2 = (_cut_boundary(model, xs, n)[1] for n in (1, 2))
+    vm, cols = model.vectors_momentum, _band(model.vectors_momentum.T)
+    coeffs = np.concatenate([vm, 1j * model.grid.momentum_nodes() * vm])[:, cols]
+    v = np.empty((xs.size, 2 * N), dtype=complex)      # v_j(x), then v_j'(x)
+    for out, e in zip(v, xs.tolist()):                  # one contiguous dot a column
+        np.dot(coeffs, evaluation_matrix(model.grid, e, cols)[0], out=out)
+    return _stationary_batch(model, xs, r1, r2, v[:, :N], v[:, N:])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,10 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
     if np.count_nonzero(keep) < 4:
         raise ValidationError("exclusions leave too few energy points")
 
-    out = _stationary_batch(model, _ChirpProjection(model.grid, a, b, xs.size), xs, keep)
+    proj, vm = _ChirpProjection(model.grid, a, b, xs.size), model.vectors_momentum
+    r1, r2 = (r[keep] for r in _boundary_batch(model, proj, Side.PLUS, (1, 2)))
+    vals, d1 = (proj.periodic(c.T)[keep] for c in (vm, 1j * model.grid.momentum_nodes() * vm))
+    out = _stationary_batch(model, xs[keep], r1, r2, vals, d1)
     curve = ScatteringCurve(model, xs[keep], out["s"], out["s_prime"], out["delay"],
                             out["xi_det"], excl)
     res = curve.residuals()
@@ -291,29 +295,24 @@ def _state_scattering(model: FiniteRankModel, phi: GridFunction, exclusions) -> 
     (Friedrichs, Comm. Pure Appl. Math. 1 (1948) 361; Yafaev, Mathematical
     Scattering Theory, ch. 2).  With the batch's X at the nodes E,
 
-        W- phi(x) = phi(x) - sum_k v_k(x) int a_k(E) / (x - E - i0) dE,
-        a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E),
+        W- phi(x) = phi(x) + sum_k v_k(x) r_{a_k}(x - i0),
+        a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E).
 
-    and the E-integral is -r_a(x - i0) at every node: the periodic part by
-    one FFT, the line sum through the kernel of each block's projection.
+    _node_boundary reads r1, r2 (plus side) and each r_{a_k} at the nodes; v
+    and v' are the samples of the vectors and of their spectral derivatives.
     """
-    g, lam, vm = phi.grid, model.coupling_array(), model.vector_matrix()
+    g, lam, vm, N = phi.grid, model.coupling_array(), model.vector_matrix(), model.rank
     on = _support_nodes(phi, exclusions)
-    xs, phi_on = g.position_nodes()[on], phi.samples[on]
+    xs = _interior(g, g.position_nodes()[on])               # refused within the boundary margin
+    dens = np.hstack([model.pair_densities(n)[0] for n in (0, 1)])
+    r = _node_boundary(g, dens, Side.PLUS)[on].reshape(on.size, 2, N, N)
+    d1 = np.reshape([derivative(v).samples[on] for v in model.vectors], (N, on.size)).T
+    data = _stationary_batch(model, xs, r[:, 0], r[:, 1], vm[:, on].T, d1)
     w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
-    amp = np.zeros((g.points, model.rank), dtype=complex)
-    line, parts = np.zeros_like(amp), []
-    for rows, proj in _dense_blocks(g, xs):
-        parts.append(_stationary_batch(model, proj, xs[rows]))
-        Xw = np.einsum("ekj,ej->ek", parts[-1]["X"], w[rows])
-        amp[on[rows]] = a = phi_on[rows, None] * (w[rows] - lam * Xw)
-        line += (proj.kernel.T @ a.view(float)).view(complex)
-    data = _joined(parts)
-    coeffs = np.fft.fft(np.fft.ifftshift(amp, axes=0), axis=0)    # unshifted momentum order
-    mask = np.fft.ifftshift(_projection_mask(g, Side.MINUS))[:, None]
-    periodic = np.fft.fftshift(np.fft.ifft(mask * coeffs, axis=0), axes=0)
-    w_phi = phi.samples + np.sum(vm.T * (2j * math.pi * periodic - line), axis=1)
-    h, weight = g.spacing, np.abs(phi_on) ** 2
+    amp = np.zeros((g.points, N), dtype=complex)
+    amp[on] = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", data["X"], w))
+    w_phi = phi.samples + np.sum(vm.T * _node_boundary(g, amp, Side.MINUS), axis=1)
+    h, weight = g.spacing, np.abs(phi.samples[on]) ** 2
     out = np.array(phi.samples, dtype=complex)
     out[on] *= data["s"]
     return (GridFunction(g, Representation.POSITION, out),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,17 +58,84 @@ def free_propagator(grid):
     return build_propagator(finite_rank_model(grid, [], []))
 
 
+def _masked_line_kernel(grid, xs):
+    """h c(k - x) with the odd series put in through a mask over the whole row."""
+    a = math.pi / (2.0 * grid.half_width)
+    u = grid.position_nodes()[None, :] - xs[:, None]
+    near = np.abs(u) < 1e-2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = 1.0 / u - a / np.tan(a * u)
+    z = a * u[near]
+    c[near] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * z ** 4)
+    return grid.spacing * c
+
+
+def full_width_boundary(grid, samples, xs, side):
+    """r(x +- i0), (Nx, P), for (M, P) position samples at a 1-D array of
+    energies, from dense projections over every momentum coefficient and
+    node, 2^18 / M energies a block: 2 pi i (P+- g)(x) by full plane-wave
+    rows (grid.evaluation_matrix), plus the line sum by full masked kernel
+    rows.  The full-width reference the banded, chirp-z and node readers are
+    checked against, independent of their band cuts and convolutions."""
+    from friedrichs.grid import evaluation_matrix
+
+    M = grid.points
+    mask = np.where(np.arange(M) > M // 2, 1.0, 0.0) - (side == "minus")
+    mask[M // 2] = 0.5 - (side == "minus")              # P+ is 1/2 at k = 0
+    coeffs = mask[:, None] * _coefficients(grid, samples)
+    return np.concatenate([2j * math.pi * (evaluation_matrix(grid, xs) @ coeffs)
+                           + _masked_line_kernel(grid, xs) @ samples
+                           for xs in _dense_blocks(grid, xs)])
+
+
+def full_width_stationary(model, xs):
+    """The stationary assembly at a 1-D array of energies from
+    full_width_boundary's r1 and r2 (plus side) and full plane-wave rows
+    for v and v'."""
+    from friedrichs.grid import evaluation_matrix
+    from friedrichs.scattering import _stationary_batch
+
+    g, N, vm = model.grid, model.rank, model.vectors_momentum
+    r1, r2 = (full_width_boundary(g, model.pair_densities(n)[0], xs, "plus").reshape(-1, N, N)
+              for n in (0, 1))
+    coeffs = np.concatenate([vm, 1j * g.momentum_nodes() * vm]).T
+    v = np.concatenate([evaluation_matrix(g, b) @ coeffs for b in _dense_blocks(g, xs)])
+    return _stationary_batch(model, np.asarray(xs, dtype=float), r1, r2, v[:, :N], v[:, N:])
+
+
+def _dense_blocks(grid, xs):
+    """The 1-D array xs in blocks of 2^18 / M energies, one empty block for none."""
+    xs, n = np.asarray(xs, dtype=float).reshape(-1), max(1, (1 << 18) // grid.points)
+    return [xs[lo:lo + n] for lo in range(0, max(xs.size, 1), n)]
+
+
+def _coefficients(grid, samples):
+    """Momentum coefficients of (M, P) position samples, as grid.transform forms them."""
+    return (grid.spacing / math.sqrt(2.0 * math.pi)) * np.fft.fftshift(
+        np.fft.fft(np.fft.ifftshift(samples, axes=0), axis=0), axes=0)
+
+
+def _band_models(g):
+    """Hermite ranks 1-3, a complex vector, and a tent whose kinked pair
+    density has no negligible momentum coefficient (its band is the grid)."""
+    x = g.position_nodes()
+    models = [fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(n)],
+                                   [0.8, -0.5, 0.3][:n]) for n in (1, 2, 3)]
+    for v in (np.exp(-0.5 * (x - 0.3) ** 2 + 1.3j * x), np.clip(1.0 - np.abs(x) / 2.0, 0.0, None)):
+        unit = fr.grid_function(g, v / (math.sqrt(g.spacing) * np.linalg.norm(v)))
+        models.append(fr.finite_rank_model(g, [unit], [0.7]))
+    assert models[-1].pair_densities(0)[2] == slice(0, g.points)
+    return models
+
+
 @pytest.fixture(scope="session")
 def full_width_determinant():
-    """D(x +- i0) at a 1-D array of energies from dense projections over
-    every momentum coefficient and node: the full-width reference the banded
-    determinants are checked against, independent of their band cut."""
-    from friedrichs.resolvent import _dense_blocks, _determinant
+    """D(x +- i0) at a 1-D array of energies from full_width_boundary."""
 
     def determinant(model, xs, side):
-        xs = np.asarray(xs, dtype=float)
-        return np.concatenate([_determinant(model, proj, side)
-                               for _, proj in _dense_blocks(model.grid, xs)])
+        N = model.rank
+        r1 = full_width_boundary(model.grid, model.pair_densities(0)[0], xs, side)
+        return np.linalg.det(np.eye(N) + r1.reshape(-1, N, N) * model.coupling_array())
 
     return determinant
 

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs import Representation, ToleranceError, ValidationError, dynamics, resolvent
+from friedrichs import (Representation, ToleranceError, ValidationError, dynamics, resolvent,
+                        scattering)
 from friedrichs.scattering import _state_scattering, _support_nodes
 
 
@@ -164,9 +165,9 @@ def test_wave_operator_methods_agree(gaussian_model, rank2_model, grid):
         gap, tail, stat = _route_gap(grid, model, phi)
         assert 0.0 < gap <= tail  # measured 1.1e-8 / 6.7e-9 / 1.0e-8
         assert abs(fr.norm(stat) - fr.norm(phi)) < 1e-12
-    # a box-wide bump holds 1495 support nodes, more than one dense block,
-    # so the stationary line sum is read block by block; there too the gap
-    # is round-off, which the estimate's phase term covers
+    # a box-wide bump holds 1495 support nodes, more rows than one working
+    # block holds at this M, all read by the node FFTs at once; there too
+    # the gap is round-off, which the estimate's phase term covers
     wide = fr.bump_state(grid, (-12.0, 12.0))
     assert _support_nodes(wide).size > resolvent._BLOCK_ENTRIES // grid.points
     for model in (gaussian_model, rank2_model):
@@ -599,18 +600,20 @@ def test_sweep_identities_and_convergence(gaussian_propagator, gaussian_curve,
 def test_sweep_reads_the_support_nodes_once(gaussian_propagator, gaussian_curve,
                                             grid, f_ind, monkeypatch):
     # S phi, tau_EW, the shift integral and the stationary W- phi all come
-    # from one dense projection per block of the state's support nodes
+    # from one node read of the pair densities (orders 0 and 1, plus side)
+    # and one of the W- amplitudes (minus side)
     phi = fr.bump_state(grid, (0.25, 0.75))
-    reads, init = [], resolvent._Projection.__init__
+    reads, read = [], scattering._node_boundary
 
-    def counted(self, grid, xs):
-        reads.append(np.size(xs))
-        init(self, grid, xs)
+    def counted(grid, samples, side):
+        reads.append((samples.shape, side))
+        return read(grid, samples, side)
 
-    monkeypatch.setattr(resolvent._Projection, "__init__", counted)
+    monkeypatch.setattr(scattering, "_node_boundary", counted)
     with pytest.warns(UserWarning, match="single scale"):
         fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4])
-    assert reads == [_support_nodes(phi).size]
+    M = grid.points
+    assert reads == [((M, 2), resolvent.Side.PLUS), ((M, 1), resolvent.Side.MINUS)]
 
 
 @pytest.fixture(scope="module")

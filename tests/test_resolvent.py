@@ -28,7 +28,8 @@ from friedrichs import (
 )
 from friedrichs import resolvent
 from friedrichs.resolvent import _ChirpProjection, _determinant
-from friedrichs.scattering import _stationary_at
+
+from conftest import _band_models, _masked_line_kernel, full_width_boundary, full_width_stationary
 
 SQRT_PI = 1.7724538509055159
 
@@ -355,7 +356,7 @@ def test_chirp_curve_matches_the_dense_batch(request, grid, model):
     else:
         model = request.getfixturevalue(model)
     curve = fr.compute_curve(model, (-6.0, 6.0), 1001)
-    dense = _stationary_at(model, curve.energies)
+    dense = full_width_stationary(model, curve.energies)
     for got, key in ((curve.s, "s"), (curve.s_prime, "s_prime"),
                      (curve.delay_density, "delay"), (curve.shift_density, "xi_det")):
         assert np.all(np.abs(got - dense[key]) <= 1e-12 * np.maximum(1.0, np.abs(dense[key])))
@@ -790,24 +791,12 @@ def test_an_overflowing_determinant_is_refused_by_name(grid):
 
 def _full_width(model, x, side, n):
     """r^(n)(x +- i0) from one dense projection over every coefficient and node."""
-    return resolvent._boundary_batch(model, resolvent._Projection(model.grid, x), side, (n,))[0][0]
-
-
-def _band_models(g):
-    """Hermite ranks 1-3, a complex vector, and a tent whose kinked pair
-    density has no negligible momentum coefficient (its band is the grid)."""
-    x = g.position_nodes()
-    models = [fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(n)],
-                                   [0.8, -0.5, 0.3][:n]) for n in (1, 2, 3)]
-    for v in (np.exp(-0.5 * (x - 0.3) ** 2 + 1.3j * x), np.clip(1.0 - np.abs(x) / 2.0, 0.0, None)):
-        unit = fr.grid_function(g, v / (math.sqrt(g.spacing) * np.linalg.norm(v)))
-        models.append(fr.finite_rank_model(g, [unit], [0.7]))
-    assert models[-1].pair_densities(0)[2] == slice(0, g.points)
-    return models
+    r = full_width_boundary(model.grid, model.pair_densities(n - 1)[0], [x], side)[0]
+    return r.reshape(model.rank, model.rank) / math.factorial(n - 1)
 
 
 @pytest.mark.parametrize("points", [512, 2048, 8192])
-def test_single_energies_read_the_band_as_the_full_width_route(points):
+def test_single_energies_read_the_band_as_the_full_width_route(points, full_width_determinant):
     # the band models at a node and at the smallest subnormal energy
     g = fr.make_grid(16.0, points)
     x = g.position_nodes()
@@ -819,7 +808,7 @@ def test_single_energies_read_the_band_as_the_full_width_route(points):
                     want = _full_width(model, e, side, n)
                     got = fr.boundary_matrix(model, e, side, n).matrix
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            lower, upper = (_determinant(model, resolvent._Projection(g, e), side)[0]
+            lower, upper = (full_width_determinant(model, [e], side)[0]
                             for side in ("minus", "plus"))
             assert abs(fr.s_matrix_chain(model, e) - lower / upper) <= 1e-14
 
@@ -837,18 +826,6 @@ def test_determinants_read_the_band_as_the_full_width_route(points, full_width_d
             got = fr.perturbation_determinant(model, es, side)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
             assert np.array_equal(got, [fr.perturbation_determinant(model, e, side) for e in es])
-
-
-def _masked_line_kernel(grid, xs):
-    """h c(k - x) with the odd series put in through a mask over the whole row."""
-    a = math.pi / (2.0 * grid.half_width)
-    u = grid.position_nodes()[None, :] - xs[:, None]
-    near = np.abs(u) < 1e-2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = 1.0 / u - a / np.tan(a * u)
-    z = a * u[near]
-    c[near] = (a / 3.0) * z * (1.0 + z * z / 15.0 + (2.0 / 315.0) * z ** 4)
-    return grid.spacing * c
 
 
 @pytest.mark.parametrize("points", [512, 2048, 65536])
@@ -872,6 +849,22 @@ def test_near_node_run_is_bitwise_the_mask_rule(points):
     assert np.array_equal(resolvent._line_kernel(g, xs, band), want[:, band])
     if points == 65536:
         assert np.count_nonzero(np.abs(x - nodes[0]) < 1e-2) == 41
+
+
+@pytest.mark.parametrize("points", [512, 2048, 65536])
+def test_a_line_row_is_bitwise_its_kernel_row(points):
+    # _line_row bisects one energy's window; _line_kernel gathers every
+    # row's window at once: the same run, so the same bits, on the whole row
+    # and on a band whose first node x0 is not -L
+    g = fr.make_grid(16.0, points)
+    x, h, L = g.position_nodes(), g.spacing, g.half_width
+    e = x[points // 3]
+    xs = np.array([0.0, 5e-324, 0.3 * h, L - 10 * h, -(L - 10 * h), e, e + 1e-2,
+                   np.nextafter(e - 1e-2, e), np.nextafter(e + 1e-2, e + 1.0)])
+    for nodes in (slice(None), slice(points // 3 - 5, points - 7)):
+        pos = x[nodes]
+        for row, e in zip(resolvent._line_kernel(g, xs, nodes), xs.tolist()):
+            assert np.array_equal(resolvent._line_row(g, pos, float(pos[0]), e), row)
 
 
 def test_a_number_and_an_array_read_the_band_bitwise_alike():

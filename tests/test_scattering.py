@@ -24,7 +24,10 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from friedrichs import (PointSpectrumProximity, StateNotAdmissible, ToleranceError,
                         ValidationError, scattering)
+from friedrichs import resolvent
 from friedrichs.resolvent import _ChirpProjection, _determinant
+
+from conftest import _band_models, full_width_boundary, full_width_stationary
 
 SQRT_PI = 1.7724538509055159
 
@@ -85,6 +88,64 @@ def test_chain_route_agreement(grid, gaussian_model, full_width_determinant):
                                   for side in ("minus", "plus")), (lower, upper)):
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
             assert abs(fr.s_matrix_chain(model, x) - lower / upper) <= 1e-13
+
+
+@pytest.mark.parametrize("points", [2048, 8192])
+def test_node_reads_match_the_full_width_route(points):
+    # r1 and r2 by the node FFTs, and the stationary W- phi they feed, on the
+    # band models against dense rows over every coefficient and node, at the
+    # sweep bump's support nodes and every 16th node of the box (measured
+    # at most 3.1e-15 relative); the reference's a_k come from its own X
+    g = fr.make_grid(16.0, points)
+    x, phi = g.position_nodes(), fr.bump_state(g, (0.25, 0.75))
+    on = scattering._support_nodes(phi)
+    nodes = np.union1d(on, np.arange(0, points, 16))
+    for model in _band_models(g):
+        lam, vm = model.coupling_array(), model.vector_matrix()
+        for n in (0, 1):
+            dens = model.pair_densities(n)[0]
+            got = resolvent._node_boundary(g, dens, resolvent.Side.PLUS)[nodes]
+            want = full_width_boundary(g, dens, x[nodes], "plus")
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        w = vm[:, on].T.conj() * lam
+        X = full_width_stationary(model, x[on])["X"]
+        amp = np.zeros((points, model.rank), dtype=complex)
+        amp[on] = phi.samples[on, None] * (w - lam * np.einsum("ekj,ej->ek", X, w))
+        want = phi.samples[nodes] + np.sum(
+            vm[:, nodes].T * full_width_boundary(g, amp, x[nodes], "minus"), axis=1)
+        got = scattering._state_scattering(model, phi, ())[3].samples[nodes]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("points", [2048, 8192])
+def test_off_grid_assembly_matches_the_full_width_route(points):
+    # band rows for r1, r2, v and v' against dense rows over every
+    # coefficient and node, relative to each quantity's largest value
+    # (measured S, X, xi' 4.7e-15; S', theta' 6.2e-14)
+    g = fr.make_grid(16.0, points)
+    es = np.concatenate([[float(g.position_nodes()[points // 2 + 3]), 5e-324, -1.37, 2.9],
+                         np.random.default_rng(41).uniform(-6.0, 6.0, 20)])
+    for model in _band_models(g):
+        got, want = scattering._stationary_at(model, es), full_width_stationary(model, es)
+        for key, tol in (("s", 1e-14), ("X", 1e-14), ("xi_det", 1e-14),
+                         ("s_prime", 1e-13), ("delay", 1e-13)):
+            assert np.max(np.abs(got[key] - want[key])) <= tol * np.max(np.abs(want[key])), key
+
+
+def test_a_number_and_an_array_assemble_bitwise_alike():
+    # each energy of an array is read by its own band rows, so S, S' and
+    # the determinant-route xi' at a number are the same bits as at that
+    # energy inside an array
+    g = fr.make_grid(16.0, 2048)
+    x = g.position_nodes()
+    es = np.array([x[1024], x[1027], x[700], 5e-324, -1.37, 2.9])
+    for model in _band_models(g):
+        batch = scattering._stationary_at(model, es)
+        xi = fr.spectral_shift_density_determinant(model, es)
+        for i, e in enumerate(es.tolist()):
+            assert fr.s_matrix(model, e) == batch["s"][i]
+            assert fr.s_prime(model, e) == batch["s_prime"][i]
+            assert fr.spectral_shift_density_determinant(model, e)[0] == xi[i]
 
 
 def test_s_prime_against_finite_differences(rank2_model):
@@ -436,26 +497,26 @@ def test_exclusions_only_drop_rows(gaussian_model):
 
 def test_s_prime_interpolates_each_pair_density_order_once(coarse_grid, monkeypatch):
     from friedrichs import resolvent
+    from friedrichs.grid import evaluation_matrix
 
-    products = []
+    rows = []
 
-    class Counting(np.ndarray):
-        def __matmul__(self, other):
-            products.append(np.shape(other))
-            return np.asarray(self) @ other
+    def recorded(grid, taus, cols=slice(None)):
+        rows.append((np.size(taus), len(range(*cols.indices(grid.points)))))
+        return evaluation_matrix(grid, taus, cols)
 
-    build = resolvent.evaluation_matrix
-    monkeypatch.setattr(resolvent, "evaluation_matrix",
-                        lambda grid, xs: build(grid, xs).view(Counting))
+    for module in (resolvent, scattering):
+        monkeypatch.setattr(module, "evaluation_matrix", recorded)
     vecs = [fr.hermite_state(coarse_grid, n) for n in range(2)]
     model = fr.finite_rank_model(coarse_grid, vecs, [0.8, -0.5])
     fr.s_prime(model, 0.3)
-    products.clear()
+    rows.clear()
     fr.s_prime(model, -1.1)
-    # one column per pair density and order (4 pairs x orders 0..1, for r1
-    # and r2), then v_j and v_j' at x
-    M = coarse_grid.points
-    assert products == [(M, 4), (M, 4), (M, 2), (M, 2)]
+    # one plane-wave row per pair-density order (all 4 pairs, orders 0..1,
+    # for r1 and r2) on that order's band, then one for v_j and v_j' at x on
+    # the vectors' band
+    bands = [model.pair_densities(n)[2] for n in (0, 1)] + [resolvent._band(model.vectors_momentum.T)]
+    assert rows == [(1, band.stop - band.start) for band in bands]
 
 
 def test_curve_residuals_name_the_summary_invariants(gaussian_curve):
