@@ -24,9 +24,10 @@ Discretization choices worth knowing about:
   with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum,
   summed as dk sum_k fbar_k <Bw[k] o c, 2T sinc (Bw[k] o c)> over blocks of
   rows k, so G is never formed.  A sweep transforms its scales' union of
-  kept columns (Propagator.columns) once, in blocks, keeping only the rows
-  some window reads.  The fitted decay tail reads the integrand only at
-  _TAIL_SAMPLES times a side on T/2 <= |t| <= T.
+  kept columns (Propagator.columns) once, in blocks, by a real FFT of each
+  column's parts, keeping only the rows some window reads.  The fitted
+  decay tail reads the integrand only at _TAIL_SAMPLES times a side on
+  T/2 <= |t| <= T.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
@@ -36,8 +37,12 @@ Discretization choices worth knowing about:
   E_H(D) W- = W- E_H0(D), W- phi carries H-spectral mass only where phi
   carries position mass (H0 = Q), so on the grid most eigenmodes hold
   almost none of it.  The lightest modes are dropped while the most they
-  can move the integral by stays within 1e-3 tol, and that bound is
-  charged to the tail estimate.
+  can move the integral by stays within 1e-3 tol.  Of the kept modes, the
+  lightest holding eps ||psi||^2 between them (about 420 of 440 on the
+  demo) enter the form only through their cross terms with the rest, so
+  the sinc kernel has a row per heavy mode only; their own block lies in
+  [0, span m_L], below the form's round-off.  Both bounds are charged to
+  the tail estimate.
 
 * Cook's W+- phi = phi + i s int_0^T e^{i s tau H} V e^{-i s tau H0} phi dtau
   is exact on H's eigenmodes and the grid nodes, so its cost does not
@@ -218,8 +223,10 @@ def _cook_couplings(prop: Propagator, phi: GridFunction, taus: np.ndarray) -> np
     g = prop.grid
     on = np.flatnonzero(phi.samples)
     vm = prop.model.vector_matrix()[:, on]
-    phases = np.exp(-1j * np.outer(g.position_nodes()[on], taus))
-    return g.spacing * (vm.conj() @ (phases * phi.samples[on, None]))
+    phases = -1j * np.outer(g.position_nodes()[on], taus)
+    np.exp(phases, out=phases)
+    phases *= phi.samples[on, None]
+    return g.spacing * (vm.conj() @ phases)
 
 
 def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tuple:
@@ -234,7 +241,8 @@ def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tup
     (a left-endpoint sum), plus a power law C tau^-zeta, fitted over the
     probe's tail half, past the probe's end.  The closed form's phases
     theta = s T (E_m - x) reach T max|E| rad, each rounded to eps
-    relative, which leaves eps T max|E| ||phi|| in W+- phi.
+    relative, which leaves eps T max|E| ||phi|| in W+- phi.  The probe
+    times go in blocks whose phases hold _BLOCK_ENTRIES entries.
     """
     step = 0.5
     probe = np.arange(step, cap, step)
@@ -242,7 +250,9 @@ def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tup
         raise ValidationError(
             f"grid too coarse for the wave operator: its revival cap pi/h - {_MARGIN:g} "
             f"= {cap:.3g} leaves no probe step; raise grid.M")
-    amps = np.abs(_cook_couplings(prop, phi, s * probe)).max(axis=0)
+    n = max(1, _BLOCK_ENTRIES // max(np.count_nonzero(phi.samples), 1))
+    amps = np.concatenate([np.abs(_cook_couplings(prop, phi, s * probe[lo:lo + n])).max(axis=0)
+                           for lo in range(0, probe.size, n)])
     beyond, zeta = _fitted_tail(probe, amps)
     lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
     roundoff = np.finfo(float).eps * cap * float(np.abs(prop.eigenvalues).max()) * norm(phi)
@@ -373,24 +383,33 @@ def _free_sojourn(psi: GridFunction, f: LocalizationProfile, r: float) -> float:
 
 
 def _window_form(B: np.ndarray, pick: np.ndarray, at: np.ndarray, fbar: np.ndarray,
-                 c: np.ndarray, E: np.ndarray, T: float, half: np.ndarray) -> tuple:
-    """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -+half)
-    over the window rows k in at, a_k = B[pick, k] o c: S = 2T sinc((E_m - E_n)T/pi)
-    is real and symmetric, so a block of rows, holding _BLOCK_ENTRIES reals,
-    takes one real product S A on the float view of A = B[pick, block] o c."""
-    x = np.multiply(np.subtract.outer(E, E), T)          # sinc((E_m - E_n)T/pi) = sin(x)/x
+                 c: np.ndarray, E: np.ndarray, T: float, half: np.ndarray,
+                 light: np.ndarray) -> tuple:
+    """(sum_k fbar_k <a_k, S a_k> less its light block, sum_k fbar_k |a_k . e^{-iEt}|^2
+    at t = -+half) over the window rows k in at, a_k = B[pick, k] o c.
+
+    S = 2T sinc((E_m - E_n)T/pi) is real and symmetric, so with a_k split as
+    a_H + a_L on the modes light marks, <a, S a> = Re <a_H, S[H, :] (a_H + 2 a_L)>
+    + <a_L, S_LL a_L>: only the heavy rows of S are formed, and the light block,
+    which lies in [0, span m_L], is left to the caller's charge.  A block of
+    rows, holding _BLOCK_ENTRIES reals, takes one real product on the float
+    view of A = B[pick, block] o c; the tail samples read every mode."""
+    heavy = ~light
+    x = np.multiply(np.subtract.outer(E[heavy], E), T)   # sinc((E_m - E_n)T/pi) = sin(x)/x
     x[x == 0.0] = np.finfo(float).eps                    # where sin(x) = x
     sinc = np.divide(np.sin(x), x, out=x)
-    P = np.multiply.outer(E, -1j * np.concatenate((-half[::-1], half)))
-    np.multiply(np.exp(P, out=P), c[:, None], out=P)         # e^{-iEt} c
+    Q = np.exp(np.multiply.outer(E, -1j * half))             # e^{-iEt}; at -t its conjugate
+    P = np.concatenate((Q[:, ::-1].conj(), Q), axis=1)
+    P *= c[:, None]                                          # e^{-iEt} c
+    weight = np.where(light, 2.0, 1.0) * c                   # c, doubled on the light modes
     form, samples = 0.0, np.zeros(P.shape[1])
     n = max(1, _BLOCK_ENTRIES // (4 * (c.size + P.shape[1])))
     for lo in range(0, at.size, n):
         A = B[pick, at[lo:lo + n]]
         samples += fbar[lo:lo + n] @ np.abs(A.T @ P) ** 2
-        A *= c[:, None]
+        A *= weight[:, None]
         SA = sinc @ A.view(float)                        # real and imaginary parts interleaved
-        SA *= A.view(float)
+        SA *= A[heavy].view(float)
         form += float(fbar[lo:lo + n] @ SA.sum(axis=0).reshape(-1, 2).sum(axis=1))
     return 2.0 * T * form, samples
 
@@ -411,28 +430,19 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     fbars = [_f_cell_averages(f, g, r) for r in rs]
     spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
     windows = _spectral_windows(c_all, g.spacing, spans, tol)
-    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
+    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _, _ in windows])))
     wins = [np.flatnonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))
             for fbar in fbars]
     rows = np.flatnonzero(np.bincount(np.concatenate(wins), minlength=M))
-    # B: fftshift(fft(ifftshift(.))) of the kept columns, a row each, on the window
-    # rows; blocks of _BLOCK_ENTRIES reals are rolled into one buffer, transformed there
-    n, h = max(1, _BLOCK_ENTRIES // (2 * M)), M // 2
-    B, buf = np.empty((union.size, rows.size), dtype=complex), np.empty((M, n), dtype=complex)
-    for lo in range(0, union.size, n):
-        block = buf[:, :union[lo:lo + n].size]
-        np.concatenate(np.split(prop.columns(union[lo:lo + n]), [h])[::-1], out=block)
-        B[lo:lo + n] = np.fft.fft(block, axis=0, out=block)[(rows - h) % M].T
-    buf = block = None                  # released before the scales' blocks
-    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    B = _momentum_rows(prop, union, rows)
     kn = np.abs(g.momentum_nodes())
     out = []
-    for r, (K, T), fbar, win, (kept, discarded, window_term) in zip(rs, horizons, fbars, wins,
-                                                                      windows):
+    for r, (K, T), fbar, win, (kept, light, discarded, window_term) in zip(
+            rs, horizons, fbars, wins, windows):
         half = np.linspace(0.5 * T, T, _TAIL_SAMPLES)
         form, samples = _window_form(B, np.searchsorted(union, kept)[:, None],
                                      np.searchsorted(rows, win), fbar[win], c_all[kept],
-                                     prop.eigenvalues[kept], T, half)
+                                     prop.eigenvalues[kept], T, half, light)
         gabs = np.abs(dk * samples)
         tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
         tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
@@ -449,14 +459,43 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
     return out
 
 
+def _momentum_rows(prop: Propagator, modes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """B[m, i]: the momentum coefficient at node rows[i] of the eigenvector of
+    mode modes[m], (modes, rows).
+
+    The columns go in blocks of _BLOCK_ENTRIES reals, rolled into the rows
+    of one real buffer (a complex column as two rows, its parts) and
+    transformed there by rfft along the rows; a row k >= 0 reads the
+    transform at k/dk, a row k < 0 the conjugate at -k/dk, each part's own."""
+    g = prop.grid
+    M, h = g.points, g.points // 2
+    n = max(1, _BLOCK_ENTRIES // (2 * M))
+    at, neg = np.abs(rows - h), rows < h
+    B, buf = np.empty((modes.size, rows.size), dtype=complex), np.empty((2 * n, M))
+    for lo in range(0, modes.size, n):
+        cols = prop.columns(modes[lo:lo + n])
+        X = cols.view(float)
+        block = buf[:X.shape[1]]
+        block[:, :M - h], block[:, M - h:] = X[h:].T, X[:h].T
+        F = np.fft.rfft(block)[:, at]
+        F.imag[:, neg] *= -1.0
+        B[lo:lo + n] = F[0::2] + 1j * F[1::2] if np.iscomplexobj(cols) else F
+    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    return B
+
+
 def _spectral_windows(c: np.ndarray, h: float, spans, tol: float) -> list:
-    """(kept, discarded mass, charge) of the eigenmodes a sojourn runs on, per span.
+    """(kept, light, discarded mass, charge) of the eigenmodes a sojourn runs
+    on, per span; light marks the kept modes _window_form leaves to the charge.
 
     Dropping modes that hold a share delta of ||psi||^2 moves each sample
     dk sum_k fbar_k |psi_t(k)|^2 by at most max|fbar| ||psi||^2 (2 sqrt(delta)
-    + delta); span = 2T max|fbar| turns that into a bound on the integral,
-    the charge.  The smallest modes go while the charge stays within
-    1e-3 tol, a negligible part of the tolerance the tail is held to.
+    + delta); span = 2T max|fbar| turns that into a bound on the integral.
+    The smallest modes go while that bound stays within 1e-3 tol, a
+    negligible part of the tolerance the tail is held to.  Of the kept
+    modes, the lightest whose mass m_L stays within eps ||psi||^2 are light:
+    their own block of the form is an integral of dk sum_k fbar_k |psi_L,t(k)|^2,
+    in [0, span m_L], below the form's round-off.  The charge is both bounds.
     """
     mass = h * np.abs(c) ** 2
     order = np.argsort(mass, kind="stable")
@@ -468,7 +507,11 @@ def _spectral_windows(c: np.ndarray, h: float, spans, tol: float) -> list:
     for span in spans:
         charges = span * total * growth
         n_drop = int(np.searchsorted(charges, 1e-3 * tol, side="right")) - 1
-        out.append((np.sort(order[n_drop:]), float(dropped[n_drop]), float(charges[n_drop])))
+        n_light = n_drop - 1 + int(np.searchsorted(
+            dropped[n_drop:] - dropped[n_drop], np.finfo(float).eps * total, side="right"))
+        kept = np.sort(order[n_drop:])
+        out.append((kept, np.isin(kept, order[n_drop:n_light]), float(dropped[n_drop]),
+                    float(charges[n_drop] + span * (dropped[n_light] - dropped[n_drop]))))
     return out
 
 

@@ -80,7 +80,7 @@ _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
 _BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps,
-                          # dynamics' sojourn transform and Cook kernel
+                          # dynamics' sojourn transform, Cook kernel and probe
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -297,15 +297,18 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
         P = np.subtract(dk, dk[rows, None], out=P[:G.shape[0]] if rows.start else None)
         P[np.arange(P.shape[0]), np.arange(K)[rows]] = -rho
         prod *= np.prod(np.divide(G, P, out=G), axis=0)
+    P = G = None                                  # released before the norms' blocks
     zhat = np.copysign(np.sqrt(prod), zk)
     # column norms, and the live residual (diag(d) + rho z z^T - mu_i) q_i
-    # = (zhat + rho z t_i) / n_i with t_i = sum_j z_j zhat_j / (d_j - mu_i)
+    # = (zhat + rho z t_i) / n_i with t_i = sum_j z_j zhat_j / (d_j - mu_i),
+    # both formed in the gap block itself
     norms, live2 = np.empty(K), 0.0
     for rows, G in _gap_blocks(dk, base, tau):
         np.reciprocal(G, out=G)
         t = G @ (zk * zhat)
-        norms[rows] = np.linalg.norm(G * zhat, axis=1)
-        live2 += np.sum((np.linalg.norm(zhat + rho * t[:, None] * zk, axis=1) / norms[rows]) ** 2)
+        norms[rows] = np.linalg.norm(np.multiply(G, zhat, out=G), axis=1)
+        live = np.add(zhat, np.multiply(rho * t[:, None], zk, out=G), out=G)
+        live2 += np.sum((np.linalg.norm(live, axis=1) / norms[rows]) ** 2)
     d[keep] = base + tau
     # the deflated weights leave rho (z z_defl^T + z_defl z_keep^T), |z| = 1
     residual = (math.sqrt(live2) + 2.0 * rho * float(np.linalg.norm(np.delete(z, keep)))

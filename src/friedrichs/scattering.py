@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
-from .grid import GridFunction, Representation, derivative, evaluation_matrix
+from .grid import GridFunction, Representation, evaluation_matrix, transform
 from .resolvent import (
     FiniteRankModel,
     PointSpectrum,
@@ -299,14 +299,20 @@ def _state_scattering(model: FiniteRankModel, phi: GridFunction, exclusions) -> 
         a_k(E)    = phi(E) sum_j (delta_kj - lambda_k X_kj) lambda_j conj v_j(E).
 
     _node_boundary reads r1, r2 (plus side) and each r_{a_k} at the nodes; v
-    and v' are the samples of the vectors and of their spectral derivatives.
+    are the vectors' samples and v' their spectral derivatives, i k v_hat cut
+    on the vectors' momentum band, where the round-off beyond it would be
+    amplified by |k|.
     """
     g, lam, vm, N = phi.grid, model.coupling_array(), model.vector_matrix(), model.rank
     on = _support_nodes(phi, exclusions)
     xs = _interior(g, g.position_nodes()[on])               # refused within the boundary margin
     dens = np.hstack([model.pair_densities(n)[0] for n in (0, 1)])
     r = _node_boundary(g, dens, Side.PLUS)[on].reshape(on.size, 2, N, N)
-    d1 = np.reshape([derivative(v).samples[on] for v in model.vectors], (N, on.size)).T
+    vm_hat, cols = model.vectors_momentum, _band(model.vectors_momentum.T)
+    dv = np.zeros_like(vm_hat)                              # i k v_hat, cut on the vectors' band
+    dv[:, cols] = 1j * g.momentum_nodes()[cols] * vm_hat[:, cols]
+    d1 = np.reshape([transform(GridFunction(g, Representation.MOMENTUM, d)).samples[on]
+                     for d in dv], (N, on.size)).T
     data = _stationary_batch(model, xs, r[:, 0], r[:, 1], vm[:, on].T, d1)
     w = vm[:, on].T.conj() * lam                            # (n, N): lambda_j conj v_j(E)
     amp = np.zeros((g.points, N), dtype=complex)

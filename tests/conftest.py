@@ -142,3 +142,17 @@ def full_width_determinant():
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def full_window_form(B, pick, at, fbar, c, E, T, half):
+    """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -+half)
+    over the window rows k in at, a_k = B[pick, k] o c, with every kept mode
+    in the K x K kernel S = 2T sinc((E_m - E_n)T/pi): the all-modes form the
+    split form of dynamics._window_form is held against."""
+    x = np.multiply(np.subtract.outer(E, E), T)
+    x[x == 0.0] = np.finfo(float).eps
+    sinc = np.sin(x) / x
+    P = np.exp(np.multiply.outer(E, -1j * np.concatenate((-half[::-1], half)))) * c[:, None]
+    A = B[pick, at] * c[:, None]
+    form = float(fbar @ np.sum(A.real * (sinc @ A.real) + A.imag * (sinc @ A.imag), axis=0))
+    return 2.0 * T * form, fbar @ np.abs(B[pick, at].T @ P) ** 2

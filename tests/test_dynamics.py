@@ -22,6 +22,8 @@ from friedrichs import (Representation, ToleranceError, ValidationError, dynamic
                         scattering)
 from friedrichs.scattering import _state_scattering, _support_nodes
 
+from conftest import full_window_form
+
 
 @pytest.fixture(scope="module")
 def f_ind():
@@ -429,7 +431,7 @@ def test_closed_form_sojourn_matches_a_time_grid_trapezoid(gaussian_propagator, 
     _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, r)
     fbar = dynamics._f_cell_averages(f_ind, grid, r)
     c = prop.coefficients(w)
-    kept, _, _ = dynamics._spectral_windows(c, grid.spacing, [2.0 * T * fbar.max()], tol)[0]
+    kept = dynamics._spectral_windows(c, grid.spacing, [2.0 * T * fbar.max()], tol)[0][0]
     E = prop.eigenvalues
     dt = min(0.04, 0.45 * math.pi / (E[-1] - E[0]))
     tgrid = np.linspace(-T, T, int(math.ceil(2.0 * T / dt)) + 1)
@@ -647,15 +649,17 @@ def test_sweep_sojourns_equal_sojourn_bit_for_bit(demo_models, free_propagator, 
 
 def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaussian_curve,
                                                        grid, f_ind, monkeypatch):
-    # numpy as dynamics sees it, with np.fft.fft counted: the union of the
-    # five scales' kept columns is transformed in column blocks within the
-    # entry budget, each of all M rows, whose column counts sum to the
-    # union's size, so every kept column is transformed exactly once
+    # numpy as dynamics sees it, with np.fft.rfft counted: the union of the
+    # five scales' kept columns, real here, is transformed in blocks of
+    # columns, laid out as rows, within the entry budget, each of all M
+    # nodes, whose counts sum to the union's size, so every kept column is
+    # transformed exactly once
     shapes, windows, spectral_windows = [], [], dynamics._spectral_windows
 
     def counted(a, *args, **kwargs):
+        assert not np.iscomplexobj(a)
         shapes.append(np.shape(a))
-        return np.fft.fft(a, *args, **kwargs)
+        return np.fft.rfft(a, *args, **kwargs)
 
     def spied(*args):
         out = spectral_windows(*args)
@@ -664,16 +668,16 @@ def test_sweep_transforms_the_eigenvector_columns_once(gaussian_propagator, gaus
 
     view = types.ModuleType("numpy")
     view.__dict__.update(vars(np))
-    view.fft = types.SimpleNamespace(**{**vars(np.fft), "fft": counted})
+    view.fft = types.SimpleNamespace(**{**vars(np.fft), "rfft": counted})
     monkeypatch.setattr(dynamics, "np", view)
     monkeypatch.setattr(dynamics, "_spectral_windows", spied)
     phi = fr.bump_state(grid, (0.25, 0.75))
     fr.time_delay_sweep(gaussian_propagator, gaussian_curve, phi, f_ind, [4, 8, 16, 32, 64])
-    union = np.unique(np.concatenate([kept for kept, _, _ in windows]))
+    union = np.unique(np.concatenate([kept for kept, _, _, _ in windows]))
     assert len(windows) == 5 and len(shapes) >= 1
-    assert all(rows == grid.points for rows, _ in shapes)
-    assert sum(cols for _, cols in shapes) == union.size  # measured 451 in 8 blocks
-    assert all(rows * cols <= resolvent._BLOCK_ENTRIES for rows, cols in shapes)
+    assert all(nodes == grid.points for _, nodes in shapes)
+    assert sum(cols for cols, _ in shapes) == union.size  # measured 451 in 8 blocks
+    assert all(cols * nodes <= resolvent._BLOCK_ENTRIES for cols, nodes in shapes)
 
 
 def _sojourn_setup(prop, psi, f, rs, tol):
@@ -686,7 +690,7 @@ def _sojourn_setup(prop, psi, f, rs, tol):
     fbars = [dynamics._f_cell_averages(f, g, r) for r in rs]
     spans = [2.0 * T * float(np.abs(fbar).max()) for (_, T), fbar in zip(horizons, fbars)]
     windows = dynamics._spectral_windows(c_all, g.spacing, spans, tol)
-    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _ in windows])))
+    union = np.flatnonzero(np.bincount(np.concatenate([kept for kept, _, _, _ in windows])))
     return g.points, g.momentum_spacing, c_all, horizons, fbars, windows, union
 
 
@@ -704,21 +708,33 @@ def _sojourn_record(prop, psi, f, r, K, T, samples, value, kept, discarded, wind
     return value, tail + window_term, min(z_hi, z_lo), kept.size, discarded
 
 
+def _single_transform(prop, modes):
+    """(M, modes) momentum coefficients of the modes' eigenvectors by one
+    rfft of every column's parts over all M rows, the negative frequencies
+    read as conjugates: the arithmetic of dynamics._momentum_rows, unblocked."""
+    M = prop.grid.points
+    cols = prop.columns(modes)[(np.arange(M) + M // 2) % M]
+    F = np.fft.rfft(cols.view(float), axis=0)
+    F = np.concatenate((F, F[1:M // 2].conj()[::-1]))
+    if np.iscomplexobj(cols):
+        F = F[:, 0::2] + 1j * F[:, 1::2]
+    return F * (prop.grid.spacing / math.sqrt(2.0 * math.pi))
+
+
 def _reference_sojourns(prop, psi, f, rs, tol):
     """The single-transform route: every kept column of the union
     transformed at once over all M rows, each scale's window rows read
     from that M x |union| array by the same row-block form."""
     M, dk, c_all, horizons, fbars, windows, union = _sojourn_setup(prop, psi, f, rs, tol)
-    g = prop.grid
-    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0).T
-    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    B = _single_transform(prop, union).T
     out = []
-    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
+    for r, (K, T), fbar, (kept, light, discarded, window_term) in zip(rs, horizons, fbars,
+                                                                    windows):
         win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
         form, samples = dynamics._window_form(
             B, np.searchsorted(union, kept)[:, None], (win - M // 2) % M, fbar[win],
             c_all[kept], prop.eigenvalues[kept], T,
-            np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES))
+            np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES), light)
         out.append(_sojourn_record(prop, psi, f, r, K, T, samples, dk * form, kept, discarded,
                                  window_term))
     return out
@@ -729,11 +745,10 @@ def _gram_sojourns(prop, psi, f, rs, tol):
     rows and kept columns, T = Re c^* (G o S) c and the tail samples
     dk fbar^T |Bw e^{-iEt} c|^2, all unblocked."""
     M, dk, c_all, horizons, fbars, windows, union = _sojourn_setup(prop, psi, f, rs, tol)
-    g = prop.grid
-    B = np.fft.fft(prop.columns(union)[(np.arange(M) + M // 2) % M], axis=0)
-    B *= g.spacing / math.sqrt(2.0 * math.pi)
+    B = _single_transform(prop, union)
     out = []
-    for r, (K, T), fbar, (kept, discarded, window_term) in zip(rs, horizons, fbars, windows):
+    for r, (K, T), fbar, (kept, _, discarded, window_term) in zip(rs, horizons, fbars,
+                                                                  windows):
         win = np.nonzero(np.abs(fbar) > 1e-16 * max(float(np.abs(fbar).max()), 1e-300))[0]
         Bw = B[np.ix_((win - M // 2) % M, np.searchsorted(union, kept))]
         c, E = c_all[kept], prop.eigenvalues[kept]
@@ -860,6 +875,91 @@ def test_sojourn_stage_holds_no_full_height_column_array(demo_at_large_m, f_ind)
     kept = max(modes for _, _, _, modes, _ in out)
     assert peak < prop.grid.points * kept * 16  # measured 6.2 MiB < 14.0 MiB
     # (11.6 with a Gram matrix, 35.5 with one transform)
+
+
+_SPLIT_MODELS = {
+    "demo": (lambda g: [fr.gaussian_state(g)], [1.0], (0.25, 0.75)),
+    "resonant-a": (lambda g: [fr.hermite_state(g, 1), fr.hermite_state(g, 2)],
+                   [-1.1606, 0.5558], (0.2971 - 0.25, 0.2971 + 0.25)),
+    "rank-3": (lambda g: [fr.hermite_state(g, j) for j in range(3)], [0.7, -0.5, 0.4],
+               (-0.6, 0.2)),
+    "complex": (lambda g: [fr.gaussian_state(g, 0.0, 1.0, momentum=1.5)], [1.0], (0.25, 0.75)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_MODELS))
+def test_split_form_is_the_full_form_less_a_charged_light_block(grid, f_ind, name):
+    # each scale's form, with the light modes' own block left out, against
+    # the all-modes K x K form on the same window rows of B: what is left out
+    # is the light block L = 2T dk sum_k fbar_k <a_L, S_LL a_L>, which lies in
+    # [0, span m_L], and that charge is at most eps span ||psi||^2.  The two
+    # forms sum in different orders, which moves them by a few ulps of T
+    # (measured at most 2.9), more than the charge itself on rank 3 (2.1e-14
+    # against 2.9e-15 at r = 32); the tail samples read every kept mode
+    vectors, lams, support = _SPLIT_MODELS[name]
+    prop = fr.build_propagator(fr.finite_rank_model(grid, vectors(grid), lams))
+    w = fr.wave_operator(prop, fr.bump_state(grid, support), "minus", tol=1e-5)
+    rs, tol, eps = [4, 8, 16, 32, 64], 1e-6, np.finfo(float).eps
+    M, dk, c, horizons, fbars, windows, union = _sojourn_setup(prop, w, f_ind, rs, tol)
+    B = dynamics._momentum_rows(prop, union, np.arange(M))
+    norm2 = fr.norm(w) ** 2
+    for r, (value, *_), (K, T), fbar, (kept, light, _, _) in zip(
+            rs, dynamics._sojourns(prop, w, f_ind, rs, tol), horizons, fbars, windows):
+        win = np.flatnonzero(fbar > 1e-16 * fbar.max())
+        pick, E, half = np.searchsorted(union, kept)[:, None], prop.eigenvalues[kept], \
+            np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
+        ref, ref_samples = full_window_form(B, pick, win, fbar[win], c[kept], E, T, half)
+        split, samples = dynamics._window_form(B, pick, win, fbar[win], c[kept], E, T, half,
+                                               light)
+        span = 2.0 * T * fbar.max()
+        charge = span * grid.spacing * float(np.sum(np.abs(c[kept[light]]) ** 2))
+        block = dk * full_window_form(B, pick[light], win, fbar[win], c[kept[light]], E[light],
+                                      T, half)[0]
+        assert 0.0 < charge <= eps * span * norm2
+        assert 0.0 <= block <= charge
+        assert abs(value + block - dk * ref) <= 4.0 * eps * abs(dk * ref)
+        assert abs(value - dk * ref) <= charge + 4.0 * eps * abs(dk * ref)
+        assert dk * split == value
+        np.testing.assert_allclose(samples, ref_samples, rtol=1e-12, atol=0.0)
+
+
+def test_window_form_forms_sinc_rows_only_for_the_heavy_modes(grid, f_ind, monkeypatch):
+    # numpy as dynamics sees it, with np.sin counted: on the demo sweep each
+    # scale's kernel is (heavy modes) x (kept modes), at most 32 rows where
+    # 440-451 modes are kept (measured 23 rows a scale)
+    sins, windows, spectral_windows = [], [], dynamics._spectral_windows
+
+    def counted(x, *args, **kwargs):
+        sins.append(np.shape(x))
+        return np.sin(x, *args, **kwargs)
+
+    def spied(*args):
+        out = spectral_windows(*args)
+        windows.extend(out)
+        return out
+
+    view = types.ModuleType("numpy")
+    view.__dict__.update(vars(np))
+    view.sin = counted
+    monkeypatch.setattr(dynamics, "np", view)
+    monkeypatch.setattr(dynamics, "_spectral_windows", spied)
+    prop = fr.build_propagator(fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [1.0]))
+    w = fr.wave_operator(prop, fr.bump_state(grid, (0.25, 0.75)), "minus", tol=1e-5)
+    dynamics._sojourns(prop, w, f_ind, [4, 8, 16, 32, 64], 1e-6)
+    assert sins == [(int(np.sum(~light)), kept.size) for kept, light, _, _ in windows]
+    assert all(rows <= 32 < 400 < cols for rows, cols in sins)
+
+
+def test_cook_tail_probe_stays_within_the_entry_budget():
+    # the probe's (support nodes x probe times) phases go in blocks of
+    # _BLOCK_ENTRIES entries: at M = 16384 the bump's 257 support nodes and
+    # 3206 probe times read 6.2 MiB, against 25.3 MiB in one piece
+    g = fr.make_grid(16.0, 16384)
+    prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [1.0]))
+    phi = fr.bump_state(g, (0.25, 0.75))
+    _, peak = _traced_peak(dynamics._cook_tail, prop, phi, -1.0,
+                           g.momentum_cutoff - dynamics._MARGIN)
+    assert peak < 6 * resolvent._BLOCK_ENTRIES * 8
 
 
 def test_sweep_refuses_as_sojourn_does_at_the_scale_that_fails(gaussian_propagator,

@@ -539,6 +539,24 @@ def test_inertia_count_matches_the_dense_solver(coarse_grid, build):
     assert counts == [np.count_nonzero(E < mu) for mu in mus]
 
 
+def test_rank_one_step_holds_at_most_two_gap_blocks():
+    # the sweep's Gaussian model at M = 2048: the weights' products and the
+    # column norms each run over one gap block at a time, the second with its
+    # products formed in the block itself, so the solver peaks at 4.2 MiB;
+    # four fresh 2 MiB blocks at once read 8.1 MiB
+    import tracemalloc
+
+    g = fr.make_grid(16.0, 2048)
+    w = fr.gaussian_state(g).samples.real
+    tracemalloc.start()
+    try:
+        resolvent._rank_one_eigh(g.position_nodes(), w, g.spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * resolvent._BLOCK_ENTRIES * 8
+
+
 @pytest.mark.parametrize("rho", [0.7, -0.7])
 def test_rank_one_step_deflates_repeated_poles_and_zero_weights(rho):
     d = np.linspace(-1.0, 1.0, 40)

@@ -117,6 +117,27 @@ def test_node_reads_match_the_full_width_route(points):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("points", [2048, 16384])
+def test_state_scattering_takes_v_prime_on_the_vectors_band(points, monkeypatch):
+    # Hermite 0 has v' = -x v: the derivative cut on the vectors' momentum
+    # band reads 3.0e-16 and 4.3e-16 of max|v'| at the bump's support nodes;
+    # over every coefficient it carried round-off amplified by |k|, 4.4e-14
+    # and 3.1e-13
+    g = fr.make_grid(16.0, points)
+    model = fr.finite_rank_model(g, [fr.hermite_state(g, 0)], [0.8])
+    phi, batch, seen = fr.bump_state(g, (0.25, 0.75)), scattering._stationary_batch, []
+
+    def spied(model, xs, r1, r2, v, d1):
+        seen.append(d1[:, 0])
+        return batch(model, xs, r1, r2, v, d1)
+
+    monkeypatch.setattr(scattering, "_stationary_batch", spied)
+    scattering._state_scattering(model, phi, ())
+    x, v = g.position_nodes(), model.vector_matrix()[0]
+    on = scattering._support_nodes(phi)
+    assert np.max(np.abs(seen[0] - (-x * v)[on])) <= 1e-15 * np.max(np.abs(x * v))
+
+
 @pytest.mark.parametrize("points", [2048, 8192])
 def test_off_grid_assembly_matches_the_full_width_route(points):
     # band rows for r1, r2, v and v' against dense rows over every
