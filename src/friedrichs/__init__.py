@@ -51,7 +51,6 @@ from .scattering import (
     s_matrix,
     s_matrix_chain,
     s_prime,
-    spectral_shift_density,
     spectral_shift_density_determinant,
     state_support,
 )

@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from ._errors import PointSpectrumProximity, ToleranceError, ValidationError
-from .dynamics import build_propagator, propagation_functional, time_delay_sweep
+from .dynamics import _sweep_scales, build_propagator, propagation_functional, time_delay_sweep
 from .grid import Representation, grid_function, make_grid, transform
 from .localization import make_localization
 from .resolvent import _interior, _scan_triple, finite_rank_model, point_spectrum
@@ -543,6 +543,8 @@ def _assemble_sweep(cfg: dict, base: Path) -> dict:
     f = _build_localization(cfg)
     phi = _build_state(cfg, grid, densities=False)
     rs = _r_list(cfg)
+    with _field("experiment.r-list"):
+        _sweep_scales(rs)
     tol = _positive("experiment.tolerance", cfg.get("experiment.tolerance", "1e-6"))
     span, npts = _energy_grid(cfg, grid, phi)
     excl = _exclusions(cfg, model, default="auto")

@@ -69,7 +69,7 @@ from .grid import (
     norm,
 )
 from .localization import LocalizationProfile
-from .resolvent import _BLOCK_ENTRIES, FiniteRankModel, Side, _apply_steps, _as_side
+from .resolvent import FiniteRankModel, Side, _apply_steps, _as_side, _blocks
 from .scattering import _state_scattering
 from .states import MomentumDensity
 
@@ -101,9 +101,9 @@ class Propagator:
     """Eigendecomposition of the discretized H = Q + V.
 
     U = Q_1 ... Q_n is held as its rank-one steps, O(M) data each, never
-    as an M x M matrix: _apply runs U or U^* through them and columns
-    builds the columns asked for.  For V = 0 there are no steps and U is
-    the identity: the eigenvalues are the grid nodes.
+    as an M x M matrix: _apply_steps runs U or U^* through them and
+    columns builds the columns asked for.  For V = 0 there are no steps
+    and U is the identity: the eigenvalues are the grid nodes.
     """
 
     model: FiniteRankModel
@@ -120,12 +120,7 @@ class Propagator:
 
     def coefficients(self, phi: GridFunction) -> np.ndarray:
         """Eigenbasis coefficients of a position-representation state."""
-        return self._apply(phi.samples, adjoint=True)
-
-    def _apply(self, z: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """U z, or U^* z, for z of shape (M,) or (M, P); z itself when U is
-        the identity."""
-        return _apply_steps(self.steps, z, adjoint)
+        return _apply_steps(self.steps, phi.samples, adjoint=True)
 
     def columns(self, idx) -> np.ndarray:
         """U[:, idx], the eigenvectors of the eigenvalues idx, as an (M, n) array."""
@@ -151,7 +146,7 @@ def evolve(prop: Propagator, phi: GridFunction, t: float) -> GridFunction:
     """e^{-itH} phi under the propagator's H: a phase per eigenmode, which
     is a phase per node when the propagator is diagonal (H = H0 = Q)."""
     _require_position_state(prop, phi, "evolve")
-    out = prop._apply(np.exp(-1j * t * prop.eigenvalues) * prop.coefficients(phi))
+    out = _apply_steps(prop.steps, np.exp(-1j * t * prop.eigenvalues) * prop.coefficients(phi))
     return GridFunction(prop.grid, Representation.POSITION, out)
 
 
@@ -211,6 +206,20 @@ def _require_scales(rs) -> None:
         raise ValidationError(f"localization scale r must be positive and finite, got {bad[0]:g}")
 
 
+def _sweep_scales(r_list) -> np.ndarray:
+    """The scales of a sweep, ascending: at least one, each positive and
+    finite, none repeated."""
+    rs = np.asarray(sorted(float(r) for r in r_list))
+    if rs.size == 0:
+        raise ValidationError("r_list must contain at least one scale")
+    _require_scales(rs)
+    if np.any(rs[1:] == rs[:-1]):
+        # a repeated scale leaves a zero gap, which would certify a
+        # convergence never shown
+        raise ValidationError("r_list must not repeat a scale")
+    return rs
+
+
 # ---------------------------------------------------------------------------
 # wave operators
 
@@ -242,7 +251,7 @@ def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tup
     probe's tail half, past the probe's end.  The closed form's phases
     theta = s T (E_m - x) reach T max|E| rad, each rounded to eps
     relative, which leaves eps T max|E| ||phi|| in W+- phi.  The probe
-    times go in blocks whose phases hold _BLOCK_ENTRIES entries.
+    times go in _blocks as wide as phi's support.
     """
     step = 0.5
     probe = np.arange(step, cap, step)
@@ -250,9 +259,8 @@ def _cook_tail(prop: Propagator, phi: GridFunction, s: float, cap: float) -> tup
         raise ValidationError(
             f"grid too coarse for the wave operator: its revival cap pi/h - {_MARGIN:g} "
             f"= {cap:.3g} leaves no probe step; raise grid.M")
-    n = max(1, _BLOCK_ENTRIES // max(np.count_nonzero(phi.samples), 1))
-    amps = np.concatenate([np.abs(_cook_couplings(prop, phi, s * probe[lo:lo + n])).max(axis=0)
-                           for lo in range(0, probe.size, n)])
+    amps = np.concatenate([np.abs(_cook_couplings(prop, phi, s * probe[b])).max(axis=0)
+                           for b in _blocks(probe.size, np.count_nonzero(phi.samples))])
     beyond, zeta = _fitted_tail(probe, amps)
     lam_sum = float(np.sum(np.abs(prop.model.coupling_array())))
     roundoff = np.finfo(float).eps * cap * float(np.abs(prop.eigenvalues).max()) * norm(phi)
@@ -300,9 +308,9 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
     H is diagonal on its eigenmodes and H0 on the grid, so on mode m and
     node x the time integral is exact: int_0^T e^{i s tau (E_m - x)} dtau
     = T e^{i theta/2} sinc(theta/2pi), theta = s T (E_m - x).  Nodes where
-    phi vanishes add nothing; the kernel is built mode-major, every support
-    node in each block of _BLOCK_ENTRIES entries, so each mode's sum over
-    the nodes is one product.
+    phi vanishes add nothing; the kernel is built mode-major, in _blocks
+    of modes as wide as phi's support, so each mode's sum over the nodes
+    is one product.
     """
     g = prop.grid
     lam = prop.model.coupling_array()
@@ -311,12 +319,11 @@ def _cook_integral(prop: Propagator, phi: GridFunction, s: float,
     x, E = g.position_nodes()[on], prop.eigenvalues
     b = (g.spacing * vm[:, on].conj() * phi.samples[on]).T  # (n, N): h conj(v_j) phi
     kb = np.empty((E.size, lam.size), dtype=complex)
-    n = max(1, _BLOCK_ENTRIES // max(on.size, 1))
-    for lo in range(0, E.size, n):
-        theta = (s * horizon) * np.subtract.outer(E[lo:lo + n], x)
-        kb[lo:lo + n] = (np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))) @ b
-    W_eig = prop._apply((lam[:, None] * vm).T, adjoint=True)  # (M, N): U^* lambda_j v_j
-    return phi.samples + 1j * s * horizon * prop._apply(np.sum(W_eig * kb, axis=1))
+    for rows in _blocks(E.size, on.size):
+        theta = (s * horizon) * np.subtract.outer(E[rows], x)
+        kb[rows] = (np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))) @ b
+    W_eig = _apply_steps(prop.steps, (lam[:, None] * vm).T, True)  # (M, N): U^* lambda_j v_j
+    return phi.samples + 1j * s * horizon * _apply_steps(prop.steps, np.sum(W_eig * kb, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +398,10 @@ def _window_form(B: np.ndarray, pick: np.ndarray, at: np.ndarray, fbar: np.ndarr
     S = 2T sinc((E_m - E_n)T/pi) is real and symmetric, so with a_k split as
     a_H + a_L on the modes light marks, <a, S a> = Re <a_H, S[H, :] (a_H + 2 a_L)>
     + <a_L, S_LL a_L>: only the heavy rows of S are formed, and the light block,
-    which lies in [0, span m_L], is left to the caller's charge.  A block of
-    rows, holding _BLOCK_ENTRIES reals, takes one real product on the float
-    view of A = B[pick, block] o c; the tail samples read every mode."""
+    which lies in [0, span m_L], is left to the caller's charge.  Each of the
+    _blocks of rows, 4 (modes + 2 _TAIL_SAMPLES) reals wide, takes one real product
+    on the float view of A = B[pick, block] o c; the tail samples read every
+    mode."""
     heavy = ~light
     x = np.multiply(np.subtract.outer(E[heavy], E), T)   # sinc((E_m - E_n)T/pi) = sin(x)/x
     x[x == 0.0] = np.finfo(float).eps                    # where sin(x) = x
@@ -403,14 +411,13 @@ def _window_form(B: np.ndarray, pick: np.ndarray, at: np.ndarray, fbar: np.ndarr
     P *= c[:, None]                                          # e^{-iEt} c
     weight = np.where(light, 2.0, 1.0) * c                   # c, doubled on the light modes
     form, samples = 0.0, np.zeros(P.shape[1])
-    n = max(1, _BLOCK_ENTRIES // (4 * (c.size + P.shape[1])))
-    for lo in range(0, at.size, n):
-        A = B[pick, at[lo:lo + n]]
-        samples += fbar[lo:lo + n] @ np.abs(A.T @ P) ** 2
+    for rows in _blocks(at.size, 4 * (c.size + P.shape[1])):
+        A = B[pick, at[rows]]
+        samples += fbar[rows] @ np.abs(A.T @ P) ** 2
         A *= weight[:, None]
         SA = sinc @ A.view(float)                        # real and imaginary parts interleaved
         SA *= A[heavy].view(float)
-        form += float(fbar[lo:lo + n] @ SA.sum(axis=0).reshape(-1, 2).sum(axis=1))
+        form += float(fbar[rows] @ SA.sum(axis=0).reshape(-1, 2).sum(axis=1))
     return 2.0 * T * form, samples
 
 
@@ -463,23 +470,24 @@ def _momentum_rows(prop: Propagator, modes: np.ndarray, rows: np.ndarray) -> np.
     """B[m, i]: the momentum coefficient at node rows[i] of the eigenvector of
     mode modes[m], (modes, rows).
 
-    The columns go in blocks of _BLOCK_ENTRIES reals, rolled into the rows
-    of one real buffer (a complex column as two rows, its parts) and
-    transformed there by rfft along the rows; a row k >= 0 reads the
-    transform at k/dk, a row k < 0 the conjugate at -k/dk, each part's own."""
+    The columns go in _blocks 2M reals wide, rolled into the rows of one
+    real buffer (a complex column as two rows, its parts) and transformed
+    there by rfft along the rows; a row k >= 0 reads the transform at k/dk,
+    a row k < 0 the conjugate at -k/dk, each part's own."""
     g = prop.grid
     M, h = g.points, g.points // 2
-    n = max(1, _BLOCK_ENTRIES // (2 * M))
+    blocks = _blocks(modes.size, 2 * M)
     at, neg = np.abs(rows - h), rows < h
-    B, buf = np.empty((modes.size, rows.size), dtype=complex), np.empty((2 * n, M))
-    for lo in range(0, modes.size, n):
-        cols = prop.columns(modes[lo:lo + n])
+    B = np.empty((modes.size, rows.size), dtype=complex)
+    buf = np.empty((2 * blocks[0].stop if blocks else 0, M))
+    for part in blocks:
+        cols = prop.columns(modes[part])
         X = cols.view(float)
         block = buf[:X.shape[1]]
         block[:, :M - h], block[:, M - h:] = X[h:].T, X[:h].T
         F = np.fft.rfft(block)[:, at]
         F.imag[:, neg] *= -1.0
-        B[lo:lo + n] = F[0::2] + 1j * F[1::2] if np.iscomplexobj(cols) else F
+        B[part] = F[0::2] + 1j * F[1::2] if np.iscomplexobj(cols) else F
     B *= g.spacing / math.sqrt(2.0 * math.pi)
     return B
 
@@ -677,15 +685,7 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     abs_gap, rel_gap, zeta_measured and wave_operator_route_gap (the norm
     of Cook's W- phi less the stationary one).
     """
-    rs = np.asarray(sorted(float(r) for r in r_list))
-    if rs.size == 0:
-        raise ValidationError("r_list must contain at least one scale")
-    _require_scales(rs)
-    if np.any(rs[1:] == rs[:-1]):
-        # a repeated scale leaves a zero gap, which would certify a
-        # convergence never shown
-        raise ValidationError("r_list must not repeat a scale")
-
+    rs = _sweep_scales(r_list)
     if curve.model is not prop.model:
         raise ValidationError("the scattering curve was tabulated for another model "
                               "than the propagator's")

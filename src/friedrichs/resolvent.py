@@ -79,8 +79,7 @@ _DECAY_TOL = 1e-12
 _DET_FLOOR = 1e-8  # "at or near point spectrum" guard
 _BOUNDARY_MARGIN = 10  # boundary values refuse x within 10 h of the box edge
 _CHEB_POINTS = 64  # Chebyshev nodes carrying a uniform grid's line correction
-_BLOCK_ENTRIES = 1 << 18  # entries per rows x M working block: secular gaps,
-                          # dynamics' sojourn transform, Cook kernel and probe
+_BLOCK_ENTRIES = 1 << 18  # entries per working block; read only by _blocks
 _SECULAR_PASSES = 30  # evaluations a secular root may take before it is refused
 _RESIDUAL = 1e-12  # eigenpair residual bound, relative to H's scale
 _LOCALIZED_SHARE = 0.99  # norm share a confirming eigenvector holds in _eigenvector_window
@@ -327,16 +326,24 @@ def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
                             col, np.argsort(col), residual)
 
 
+def _blocks(total: int, width: int) -> list:
+    """The slices of range(total), in order, of max(1, _BLOCK_ENTRIES // width)
+    rows each: the one entry budget of every rows x width working block, in
+    _gap_blocks and dynamics' _cook_tail, _cook_integral, _window_form and
+    _momentum_rows."""
+    n = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, min(lo + n, total)) for lo in range(0, total, n)]
+
+
 def _gap_blocks(d: np.ndarray, base: np.ndarray, tau: np.ndarray):
     """(rows, block[i, j] = (d_j - base_i) - tau_i) for the roots base + tau
-    in rows, root-major, _BLOCK_ENTRIES entries a block: every gap keeps its
+    in rows, root-major, in _blocks of width d.size: every gap keeps its
     relative accuracy, where d_j - mu_i would lose digits near the poles.
     The blocks share one buffer: each is valid until the next is drawn."""
-    n = max(1, _BLOCK_ENTRIES // max(d.size, 1))
-    buf = np.empty((min(n, tau.size), d.size))
-    for lo in range(0, tau.size, n):
-        rows = slice(lo, lo + n)
-        G = np.subtract(d, base[rows, None], out=buf[:tau[rows].size])
+    blocks = _blocks(tau.size, d.size)
+    buf = np.empty((blocks[0].stop if blocks else 0, d.size))
+    for rows in blocks:
+        G = np.subtract(d, base[rows, None], out=buf[:rows.stop - rows.start])
         G -= tau[rows, None]
         yield rows, G
 
@@ -655,13 +662,12 @@ def pv_integral(g: GridFunction, x: float) -> complex:
 # ---------------------------------------------------------------------------
 # boundary matrices and the determinant
 
-def _boundary_batch(model: FiniteRankModel, proj, side: Side, orders=(1,)) -> list:
-    """r^(n)(x +- i0) at every energy of the _ChirpProjection proj, one
+def _boundary_batch(model: FiniteRankModel, proj, orders=(1,)) -> list:
+    """r^(n)(x + i0) at every energy of the _ChirpProjection proj, one
     (Nx, N, N) array per n in orders: the order-(n-1) derivative of each
     pair density over (n-1)!."""
-    side = _as_side(side)
     N = model.rank
-    mask = _projection_mask(model.grid, side)[:, None]
+    mask = _projection_mask(model.grid, Side.PLUS)[:, None]
     outs = []
     for n in orders:
         samples, coeffs = model.pair_densities(n - 1)[:2]
@@ -680,12 +686,6 @@ def _det(xs, A: np.ndarray) -> np.ndarray:
         raise ValidationError(f"perturbation determinant at energy {xs[k]:g} overflows to "
                               f"{D.flat[k]}: the couplings are too large for binary64")
     return D
-
-
-def _determinant(model: FiniteRankModel, proj, side) -> np.ndarray:
-    """D(x +- i0) at every energy of the _ChirpProjection proj."""
-    r1 = _boundary_batch(model, proj, side)[0]
-    return _det(proj.xs, np.eye(model.rank) + r1 * model.coupling_array())
 
 
 def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> BoundaryData:
@@ -849,7 +849,8 @@ def point_spectrum(model: FiniteRankModel, scan=None, threshold: float = 1e-6) -
         return PointSpectrum((), ())
     step = (hi - lo) / (n - 1)
     xs = np.linspace(lo, hi, n)
-    dets = _determinant(model, _ChirpProjection(model.grid, lo, hi, n), Side.PLUS)
+    proj = _ChirpProjection(model.grid, lo, hi, n)
+    dets = _cut_det(model, proj.xs, _boundary_batch(model, proj)[0])
     dvals = np.abs(dets)
 
     # candidate brackets: |D| behaves like |x - x0| near a real zero, so a

@@ -68,7 +68,6 @@ __all__ = [
     "s_prime",
     "ew_time_delay",
     "apply_scattering",
-    "spectral_shift_density",
     "spectral_shift_density_determinant",
     "state_support",
 ]
@@ -235,7 +234,7 @@ def compute_curve(model: FiniteRankModel, span, points: int = 1001,
         raise ValidationError("exclusions leave too few energy points")
 
     proj, vm = _ChirpProjection(model.grid, a, b, xs.size), model.vectors_momentum
-    r1, r2 = (r[keep] for r in _boundary_batch(model, proj, Side.PLUS, (1, 2)))
+    r1, r2 = (r[keep] for r in _boundary_batch(model, proj, (1, 2)))
     vals, d1 = (proj.periodic(c.T)[keep] for c in (vm, 1j * model.grid.momentum_nodes() * vm))
     out = _stationary_batch(model, xs[keep], r1, r2, vals, d1)
     curve = ScatteringCurve(model, xs[keep], out["s"], out["s_prime"], out["delay"],
@@ -343,11 +342,6 @@ def apply_scattering(curve: ScatteringCurve, phi: GridFunction) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # spectral shift
-
-def spectral_shift_density(curve: ScatteringCurve) -> np.ndarray:
-    """xi'(x) = -theta'(x) / (2 pi) from the curve's delay density."""
-    return -curve.delay_density / (2.0 * math.pi)
-
 
 def spectral_shift_density_determinant(model: FiniteRankModel, xs) -> np.ndarray:
     """xi'(x) from the perturbation determinant's logarithmic derivative.

@@ -144,6 +144,18 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of fn(*args)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def full_window_form(B, pick, at, fbar, c, E, T, half):
     """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -+half)
     over the window rows k in at, a_k = B[pick, k] o c, with every kept mode

@@ -352,6 +352,24 @@ experiment.energy-grid = -1, 2, 301
     assert "experiment.r-list: scales must be positive and finite" in capsys.readouterr().err
 
 
+def test_a_repeated_sweep_scale_is_refused_by_check_and_run_alike(tmp_path, capsys):
+    # --check used to pass a list the sweep itself then refused without its key
+    cfg = write_cfg(tmp_path, """
+grid.L = 16
+grid.M = 2048
+model.N = 0
+localization.kind = indicator
+localization.J = -1, 1
+state.family = bump
+state.support = 0.25, 0.75
+experiment.r-list = 4, 8, 8
+experiment.energy-grid = -1, 2, 301
+""")
+    for extra in (["--check"], ["--out", str(tmp_path / "out")]):
+        assert main(["timedelay-sweep", "--config", cfg, *extra]) == 2
+        assert "experiment.r-list: r_list must not repeat a scale" in capsys.readouterr().err
+
+
 _REFUSAL_BASES = {
     "propagation": """
 grid.L = 16

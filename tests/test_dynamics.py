@@ -22,7 +22,7 @@ from friedrichs import (Representation, ToleranceError, ValidationError, dynamic
                         scattering)
 from friedrichs.scattering import _state_scattering, _support_nodes
 
-from conftest import full_window_form
+from conftest import _traced_peak, full_window_form
 
 
 @pytest.fixture(scope="module")
@@ -822,18 +822,6 @@ def demo_at_large_m():
         prop = fr.build_propagator(fr.finite_rank_model(g, [fr.gaussian_state(g)], [1.0]))
         out[M] = prop, fr.bump_state(g, (0.25, 0.75))
     return out
-
-
-def _traced_peak(fn, *args):
-    """(result, tracemalloc peak in bytes) of fn(*args)."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_wave_operator_memory_does_not_grow_with_m(demo_at_large_m):

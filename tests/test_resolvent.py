@@ -27,9 +27,10 @@ from friedrichs import (
     ValidationError,
 )
 from friedrichs import resolvent
-from friedrichs.resolvent import _ChirpProjection, _determinant
+from friedrichs.resolvent import _apply_steps, _boundary_batch, _ChirpProjection, _cut_det
 
-from conftest import _band_models, _masked_line_kernel, full_width_boundary, full_width_stationary
+from conftest import (_band_models, _masked_line_kernel, _traced_peak, full_width_boundary,
+                      full_width_stationary)
 
 SQRT_PI = 1.7724538509055159
 
@@ -341,7 +342,8 @@ def test_chirp_scan_matches_the_dense_determinant(request, grid, full_width_dete
     model = request.getfixturevalue(model)
     L = grid.half_width
     lo, hi, n = -0.8 * L, 0.8 * L, 4001
-    chirp = _determinant(model, _ChirpProjection(grid, lo, hi, n), "plus")
+    proj = _ChirpProjection(grid, lo, hi, n)
+    chirp = _cut_det(model, proj.xs, _boundary_batch(model, proj)[0])
     dense = full_width_determinant(model, np.linspace(lo, hi, n), "plus")
     assert np.all(np.abs(chirp - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))
 
@@ -481,8 +483,8 @@ def test_factored_products_match_the_dense_columns(coarse_grid, build):
     for z in (rng.standard_normal(M),
               rng.standard_normal((M, 3)) + 1j * rng.standard_normal((M, 3))):
         bound = 1e-13 * np.max(np.abs(z))
-        assert np.max(np.abs(prop._apply(z) - U @ z)) <= bound
-        assert np.max(np.abs(prop._apply(z, adjoint=True) - U.conj().T @ z)) <= bound
+        assert np.max(np.abs(_apply_steps(prop.steps, z) - U @ z)) <= bound
+        assert np.max(np.abs(_apply_steps(prop.steps, z, adjoint=True) - U.conj().T @ z)) <= bound
 
 
 @_DENSE_CHECKED
@@ -502,17 +504,10 @@ def test_step_residuals_bound_the_dense_residual(coarse_grid, build, monkeypatch
 def test_rank_two_propagator_forms_no_dense_matrix():
     # the steps hold O(M) data: building the propagator never allocates
     # anything near one M x M float64 array (134 MB at M = 4096)
-    import tracemalloc
-
     g = fr.make_grid(16.0, 4096)
     model = _hermite_model(g, [0.8, -0.5])
     model.vector_matrix()
-    tracemalloc.start()
-    try:
-        fr.build_propagator(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(fr.build_propagator, model)
     assert peak < 0.25 * g.points ** 2 * 8
 
 
@@ -539,21 +534,29 @@ def test_inertia_count_matches_the_dense_solver(coarse_grid, build):
     assert counts == [np.count_nonzero(E < mu) for mu in mus]
 
 
+@pytest.mark.parametrize("total, width", [
+    (0, 2048), (1, 0), (7, 1), (300_000, 1), (451, 2 * 2048), (1000, 4 * (23 + 256)),
+    (5, resolvent._BLOCK_ENTRIES), (5, resolvent._BLOCK_ENTRIES + 1), (3, 10 ** 9)])
+def test_blocks_cover_the_rows_once_within_the_entry_budget(total, width):
+    # every rows x width working block takes its rows from _blocks
+    blocks = resolvent._blocks(total, width)
+    sizes = [len(range(total)[b]) for b in blocks]
+    assert [i for b in blocks for i in range(total)[b]] == list(range(total))
+    assert all(n * width <= resolvent._BLOCK_ENTRIES for n in sizes if n > 1)
+    if width > resolvent._BLOCK_ENTRIES:
+        assert sizes == [1] * total
+    if total == 0:
+        assert blocks == []
+
+
 def test_rank_one_step_holds_at_most_two_gap_blocks():
     # the sweep's Gaussian model at M = 2048: the weights' products and the
     # column norms each run over one gap block at a time, the second with its
     # products formed in the block itself, so the solver peaks at 4.2 MiB;
     # four fresh 2 MiB blocks at once read 8.1 MiB
-    import tracemalloc
-
     g = fr.make_grid(16.0, 2048)
     w = fr.gaussian_state(g).samples.real
-    tracemalloc.start()
-    try:
-        resolvent._rank_one_eigh(g.position_nodes(), w, g.spacing)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(resolvent._rank_one_eigh, g.position_nodes(), w, g.spacing)
     assert peak < 3 * resolvent._BLOCK_ENTRIES * 8
 
 
@@ -908,19 +911,12 @@ def test_probe_blocks_stay_within_the_entry_budget():
     # is 135 coefficients and 6815 nodes: read one energy at a time they peak
     # near 0.2 MB, against 46 MB for one unblocked (199, band) kernel and its
     # temporaries and 19 MB for the dense projection's 16-energy blocks
-    import tracemalloc
-
     g = fr.make_grid(16.0, 16384)
     model = _hermite_model(g, [0.8, -0.5, 0.3])
     nodes = model.pair_densities(0)[3]
     assert nodes.stop - nodes.start > 6000
     probes = 1.0 + 1.6 * g.half_width / 4000 * np.arange(1, 200)
-    tracemalloc.start()
-    try:
-        fr.perturbation_determinant(model, probes, "plus")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(fr.perturbation_determinant, model, probes, "plus")
     assert peak < 6 * resolvent._BLOCK_ENTRIES * 8
     assert peak < 1 << 20
 
