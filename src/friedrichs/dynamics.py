@@ -24,10 +24,10 @@ Discretization choices worth knowing about:
   with G = dk Bw^* diag(fbar) Bw, Bw the kept eigenvectors in momentum,
   summed as dk sum_k fbar_k <Bw[k] o c, 2T sinc (Bw[k] o c)> over blocks of
   rows k, so G is never formed.  A sweep transforms its scales' union of
-  kept columns (Propagator.columns) once, in blocks, by a real FFT of each
-  column's parts, keeping only the rows some window reads.  The fitted
-  decay tail reads the integrand only at _TAIL_SAMPLES times a side on
-  T/2 <= |t| <= T.
+  kept columns (Propagator.columns, built as rows) once, in blocks, by a real
+  FFT of each column's parts, keeping only the rows some window reads.  The
+  fitted decay tail reads the integrand only at _TAIL_SAMPLES uniform times a
+  side on T/2 <= |t| <= T, +-t from one real product on two phase tables.
 
 * The momentum box is periodic: content leaving one edge re-enters at the
   other.  Horizons are chosen from the state's measured momentum extent,
@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -123,11 +122,11 @@ class Propagator:
         return _apply_steps(self.steps, phi.samples, adjoint=True)
 
     def columns(self, idx) -> np.ndarray:
-        """U[:, idx], the eigenvectors of the eigenvalues idx, as an (M, n) array."""
+        """U[:, idx], the eigenvectors of the eigenvalues idx, as an (M, n) array: the
+        last step's columns, the transpose of contiguous rows, then the earlier steps."""
         idx = np.asarray(idx, dtype=int)
         if self.is_diagonal:
             return (np.arange(self.grid.points)[:, None] == idx).astype(float)
-        # the last step's columns directly, then the earlier steps on them
         return _apply_steps(self.steps[:-1], self.steps[-1].columns(idx))
 
 
@@ -389,34 +388,41 @@ def _free_sojourn(psi: GridFunction, f: LocalizationProfile, r: float) -> float:
     return r * norm(psi) ** 2 * f.integral()
 
 
+def _tail_phases(E: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """e^{-iE half} on uniform times half, e^{-iE half[Jp + q]} formed as e^{-iE half[Jp]}
+    e^{-iE q dt}: n/J + J exponentials a mode, not n (J = 16 at n = 128)."""
+    n, J = half.size, 1 << (half.size.bit_length() // 2)
+    coarse = np.exp(np.multiply.outer(E, -1j * half[::J]))[:, :, None]
+    fine = np.exp(np.multiply.outer(E, -1j * (half[-1] - half[0]) / (n - 1) * np.arange(J)))
+    return (coarse * fine[:, None, :]).reshape(E.size, coarse.shape[1] * J)[:, :n]
+
+
 def _window_form(B: np.ndarray, pick: np.ndarray, at: np.ndarray, fbar: np.ndarray,
                  c: np.ndarray, E: np.ndarray, T: float, half: np.ndarray,
                  light: np.ndarray) -> tuple:
     """(sum_k fbar_k <a_k, S a_k> less its light block, sum_k fbar_k |a_k . e^{-iEt}|^2
-    at t = -+half) over the window rows k in at, a_k = B[pick, k] o c.
+    at t = -half and at t = half, two rows) over the window rows k in at, a_k = B[pick, k] o c.
 
     S = 2T sinc((E_m - E_n)T/pi) is real and symmetric, so with a_k split as
     a_H + a_L on the modes light marks, <a, S a> = Re <a_H, S[H, :] (a_H + 2 a_L)>
     + <a_L, S_LL a_L>: only the heavy rows of S are formed, and the light block,
     which lies in [0, span m_L], is left to the caller's charge.  Each of the
-    _blocks of rows, 4 (modes + 2 _TAIL_SAMPLES) reals wide, takes one real product
-    on the float view of A = B[pick, block] o c; the tail samples read every
-    mode."""
+    _blocks of rows, 4 (modes + 2 _TAIL_SAMPLES) reals wide, takes two real products
+    on the float view of A = B[pick, block] o c, the form's and the tail's, which
+    reads every mode: U = sum A cos(Et), V = -sum A sin(Et), a_k . e^{-iEt} = U +- iV."""
     heavy = ~light
     x = np.multiply(np.subtract.outer(E[heavy], E), T)   # sinc((E_m - E_n)T/pi) = sin(x)/x
     x[x == 0.0] = np.finfo(float).eps                    # where sin(x) = x
-    sinc = np.divide(np.sin(x), x, out=x)
-    Q = np.exp(np.multiply.outer(E, -1j * half))             # e^{-iEt}; at -t its conjugate
-    P = np.concatenate((Q[:, ::-1].conj(), Q), axis=1)
-    P *= c[:, None]                                          # e^{-iEt} c
-    weight = np.where(light, 2.0, 1.0) * c                   # c, doubled on the light modes
-    form, samples = 0.0, np.zeros(P.shape[1])
-    for rows in _blocks(at.size, 4 * (c.size + P.shape[1])):
-        A = B[pick, at[rows]]
-        samples += fbar[rows] @ np.abs(A.T @ P) ** 2
-        A *= weight[:, None]
-        SA = sinc @ A.view(float)                        # real and imaginary parts interleaved
-        SA *= A[heavy].view(float)
+    sinc = np.divide(np.sin(x) * np.where(light, 2.0, 1.0), x, out=x)  # S[H, :] (a_H + 2 a_L)
+    R = _tail_phases(E, half).view(float)                # cos(Et), -sin(Et) interleaved
+    form, samples = 0.0, np.zeros((2, half.size))
+    for rows in _blocks(at.size, 4 * (c.size + 2 * half.size)):
+        A = (B[:, at[rows]][pick[:, 0]] * c[:, None]).view(float)  # parts interleaved
+        (ur, ui), (vr, vi) = np.moveaxis((R.T @ A).reshape(half.size, 2, -1, 2), (1, 3), (0, 1))
+        samples[0] += ((ur + vi) ** 2 + (ui - vr) ** 2) @ fbar[rows]   # |U - iV|^2 at -half
+        samples[1] += ((ur - vi) ** 2 + (ui + vr) ** 2) @ fbar[rows]   # |U + iV|^2 at half
+        SA = sinc @ A
+        SA *= A[heavy]
         form += float(fbar[rows] @ SA.sum(axis=0).reshape(-1, 2).sum(axis=1))
     return 2.0 * T * form, samples
 
@@ -450,19 +456,16 @@ def _sojourns(prop: Propagator, psi: GridFunction, f: LocalizationProfile,
         form, samples = _window_form(B, np.searchsorted(union, kept)[:, None],
                                      np.searchsorted(rows, win), fbar[win], c_all[kept],
                                      prop.eigenvalues[kept], T, half, light)
-        gabs = np.abs(dk * samples)
-        tail_hi, z_hi = _fitted_tail(half, gabs[_TAIL_SAMPLES:])
-        tail_lo, z_lo = _fitted_tail(half, gabs[:_TAIL_SAMPLES][::-1])
-        tail, zeta = tail_hi + tail_lo, min(z_hi, z_lo)
+        (tail_lo, z_lo), (tail_hi, z_hi) = (_fitted_tail(half, s) for s in np.abs(dk * samples))
         # The momentum box is periodic with period 2*cutoff: content at node k
         # re-enters the window spuriously once |t| reaches period - |k| - r*rho,
         # and stays in it for at most one full window transit.  Charge that
         # occupancy, and the mass beyond the truncation extent K, to the tail.
         reach = r * f.support_radius
         overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
-        tail += float((dens_psi * overlap).sum() * dk)
+        tail = tail_hi + tail_lo + float((dens_psi * overlap).sum() * dk)
         tail += float(dens_psi[kn > K].sum() * dk) * 2.0 * reach
-        out.append((dk * form, tail + window_term, zeta, kept.size, discarded))
+        out.append((dk * form, tail + window_term, min(z_hi, z_lo), kept.size, discarded))
     return out
 
 
@@ -470,10 +473,10 @@ def _momentum_rows(prop: Propagator, modes: np.ndarray, rows: np.ndarray) -> np.
     """B[m, i]: the momentum coefficient at node rows[i] of the eigenvector of
     mode modes[m], (modes, rows).
 
-    The columns go in _blocks 2M reals wide, rolled into the rows of one
-    real buffer (a complex column as two rows, its parts) and transformed
-    there by rfft along the rows; a row k >= 0 reads the transform at k/dk,
-    a row k < 0 the conjugate at -k/dk, each part's own."""
+    The columns go in _blocks 2M reals wide, each a contiguous row of
+    Propagator.columns' transpose rolled into a row of one real buffer (a complex
+    column into two, its parts) and transformed there by rfft along the rows; a
+    row k >= 0 reads the transform at k/dk, k < 0 the conjugate at -k/dk."""
     g = prop.grid
     M, h = g.points, g.points // 2
     blocks = _blocks(modes.size, 2 * M)
@@ -481,11 +484,11 @@ def _momentum_rows(prop: Propagator, modes: np.ndarray, rows: np.ndarray) -> np.
     B = np.empty((modes.size, rows.size), dtype=complex)
     buf = np.empty((2 * blocks[0].stop if blocks else 0, M))
     for part in blocks:
-        cols = prop.columns(modes[part])
-        X = cols.view(float)
-        block = buf[:X.shape[1]]
-        block[:, :M - h], block[:, M - h:] = X[h:].T, X[:h].T
-        F = np.fft.rfft(block)[:, at]
+        cols = np.ascontiguousarray(prop.columns(modes[part]).T)           # a row a column
+        X = np.moveaxis(cols.view(float).reshape(cols.shape[0], M, -1), 2, 1)  # a row a part
+        rolled = buf[:X.shape[0] * X.shape[1]].reshape(X.shape)
+        rolled[..., :M - h], rolled[..., M - h:] = X[..., h:], X[..., :h]
+        F = np.fft.rfft(rolled.reshape(-1, M))[:, at]
         F.imag[:, neg] *= -1.0
         B[part] = F[0::2] + 1j * F[1::2] if np.iscomplexobj(cols) else F
     B *= g.spacing / math.sqrt(2.0 * math.pi)
@@ -671,6 +674,12 @@ class SojournRecord:
     tail_estimate: float
 
 
+def _median(values: list) -> float:
+    """statistics.median of a nonempty list, without the fractions and decimal imports."""
+    s, mid = sorted(values), len(values) // 2
+    return s[mid] if len(values) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
                      f: LocalizationProfile, r_list, tol: float = 1e-6) -> tuple:
     """Sojourn-time sweep over r.
@@ -723,6 +732,6 @@ def time_delay_sweep(prop: Propagator, curve, phi: GridFunction,
     summary["abs_gap"] = abs(summary["tau_inf"] - ew)
     summary["rel_gap"] = summary["abs_gap"] / abs(ew) if abs(ew) > 1e-9 else math.nan
     finite_z = [z for z in zetas if math.isfinite(z)]
-    summary["zeta_measured"] = median(finite_z) if finite_z else math.inf
+    summary["zeta_measured"] = _median(finite_z) if finite_z else math.inf
     summary["wave_operator_route_gap"] = route_gap
     return records, summary

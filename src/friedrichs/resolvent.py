@@ -389,19 +389,20 @@ class _RankOneStep(namedtuple("_RankOneStep", "phase keep poles base tau zhat no
         return (t if self.phase is None else self.phase[:, None] * t).reshape(y.shape)
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        """Q[:, idx], built directly: a live root's column scatters its
-        Cauchy entries on the kept rows, O(M) a column."""
+        """Q[:, idx], built directly as the transpose of a row-major (idx.size, M) array:
+        a live root puts its Cauchy entries on the kept rows into its row, O(M) a column."""
         row = self.row[idx]
         root = np.full(self.col.size, -1)
         root[self.keep] = np.arange(self.keep.size)
         on = np.flatnonzero(root[row] >= 0)
-        t = np.zeros((self.col.size, row.size))
-        t[row, np.arange(row.size)] = 1.0
+        t = np.zeros((row.size, self.col.size))
+        t[np.arange(row.size), row] = 1.0
         r = root[row[on]]
         for rows, G in _gap_blocks(self.poles, self.base[r], self.tau[r]):
-            t[self.keep[:, None], on[rows]] = (self.zhat / G).T / self.norms[r[rows]]
-        self._rotate(t, adjoint=False)
-        return t if self.phase is None else self.phase[:, None] * t
+            G = np.divide(np.divide(self.zhat, G, out=G), self.norms[r[rows], None], out=G)
+            np.put(t, on[rows, None] * self.col.size + self.keep, G)
+        self._rotate(t.T, adjoint=False)
+        return t.T if self.phase is None else self.phase[:, None] * t.T
 
 
 def _apply_steps(steps: tuple, z: np.ndarray, adjoint: bool = False) -> np.ndarray:

@@ -156,15 +156,28 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def tail_samples(A, fbar, E, half):
+    """sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -half and at t = half, two rows,
+    over the columns a_k of A, unblocked, by the arithmetic of
+    dynamics._window_form: its phase table Q = _tail_phases(E, half), one real
+    product of Q's float view with A's for U = sum A cos(Et) and
+    V = -sum A sin(Et), and a_k . e^{-iEt} = U +- iV."""
+    from friedrichs import dynamics
+
+    Y = dynamics._tail_phases(E, half).view(float).T @ np.ascontiguousarray(A).view(float)
+    (ur, ui), (vr, vi) = np.moveaxis(Y.reshape(half.size, 2, -1, 2), (1, 3), (0, 1))
+    return np.stack(((ur + vi) ** 2 + (ui - vr) ** 2, (ur - vi) ** 2 + (ui + vr) ** 2)) @ fbar
+
+
 def full_window_form(B, pick, at, fbar, c, E, T, half):
-    """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -+half)
-    over the window rows k in at, a_k = B[pick, k] o c, with every kept mode
+    """(sum_k fbar_k <a_k, S a_k>, sum_k fbar_k |a_k . e^{-iEt}|^2 at t = -half and
+    at t = half) over the window rows k in at, a_k = B[pick, k] o c, with every kept mode
     in the K x K kernel S = 2T sinc((E_m - E_n)T/pi): the all-modes form the
-    split form of dynamics._window_form is held against."""
+    split form of dynamics._window_form is held against, its tail samples
+    summed over all rows at once (tail_samples)."""
     x = np.multiply(np.subtract.outer(E, E), T)
     x[x == 0.0] = np.finfo(float).eps
     sinc = np.sin(x) / x
-    P = np.exp(np.multiply.outer(E, -1j * np.concatenate((-half[::-1], half)))) * c[:, None]
     A = B[pick, at] * c[:, None]
     form = float(fbar @ np.sum(A.real * (sinc @ A.real) + A.imag * (sinc @ A.imag), axis=0))
-    return 2.0 * T * form, fbar @ np.abs(B[pick, at].T @ P) ** 2
+    return 2.0 * T * form, tail_samples(A, fbar, E, half)

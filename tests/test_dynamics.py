@@ -11,6 +11,7 @@ of Cook's time integral with the stationary resolvent formula for W-.
 
 import dataclasses
 import math
+import statistics
 import types
 import warnings
 
@@ -22,7 +23,7 @@ from friedrichs import (Representation, ToleranceError, ValidationError, dynamic
                         scattering)
 from friedrichs.scattering import _state_scattering, _support_nodes
 
-from conftest import _traced_peak, full_window_form
+from conftest import _traced_peak, full_window_form, tail_samples
 
 
 @pytest.fixture(scope="module")
@@ -699,8 +700,8 @@ def _sojourn_record(prop, psi, f, r, K, T, samples, value, kept, discarded, wind
     g, half = prop.grid, np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
     dens, dk, kn = dynamics._momentum_density(psi), g.momentum_spacing, np.abs(g.momentum_nodes())
     gabs = np.abs(dk * samples)
-    tail_hi, z_hi = dynamics._fitted_tail(half, gabs[dynamics._TAIL_SAMPLES:])
-    tail_lo, z_lo = dynamics._fitted_tail(half, gabs[:dynamics._TAIL_SAMPLES][::-1])
+    tail_lo, z_lo = dynamics._fitted_tail(half, gabs[0])
+    tail_hi, z_hi = dynamics._fitted_tail(half, gabs[1])
     reach = r * f.support_radius
     overlap = np.clip(T - (2.0 * g.momentum_cutoff - kn - reach), 0.0, 2.0 * reach)
     tail = tail_hi + tail_lo + float((dens * overlap).sum() * dk)
@@ -743,7 +744,8 @@ def _reference_sojourns(prop, psi, f, rs, tol):
 def _gram_sojourns(prop, psi, f, rs, tol):
     """The Gram route: G = dk Bw^* diag(fbar) Bw over each scale's window
     rows and kept columns, T = Re c^* (G o S) c and the tail samples
-    dk fbar^T |Bw e^{-iEt} c|^2, all unblocked."""
+    dk fbar^T |Bw e^{-iEt} c|^2, all unblocked, the samples through the
+    phase table and real product of dynamics._window_form (tail_samples)."""
     M, dk, c_all, horizons, fbars, windows, union = _sojourn_setup(prop, psi, f, rs, tol)
     B = _single_transform(prop, union)
     out = []
@@ -756,8 +758,7 @@ def _gram_sojourns(prop, psi, f, rs, tol):
         S = 2.0 * T * np.sinc(np.subtract.outer(E, E) * (T / math.pi))
         value = float(np.real(c.conj() @ (G * S) @ c))
         half = np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES)
-        hat = Bw @ (np.exp(-1j * np.outer(E, np.concatenate((-half[::-1], half)))) * c[:, None])
-        samples = fbar[win] @ (np.abs(hat) ** 2)
+        samples = tail_samples(Bw.T * c[:, None], fbar[win], E, half)
         out.append(_sojourn_record(prop, psi, f, r, K, T, samples, value, kept, discarded,
                                  window_term))
     return out
@@ -936,6 +937,72 @@ def test_window_form_forms_sinc_rows_only_for_the_heavy_modes(grid, f_ind, monke
     dynamics._sojourns(prop, w, f_ind, [4, 8, 16, 32, 64], 1e-6)
     assert sins == [(int(np.sum(~light)), kept.size) for kept, light, _, _ in windows]
     assert all(rows <= 32 < 400 < cols for rows, cols in sins)
+
+
+def test_window_form_takes_two_phase_tables_a_scale(grid, f_ind, monkeypatch):
+    # numpy as dynamics sees it, with np.exp counted: each scale's tail
+    # phases are a coarse table, (kept modes) x n/J, and a fine one,
+    # (kept modes) x J, J = 16 at n = 128, so 24 exponentials a mode where
+    # e^{-iEt} at every sample took 128
+    exps, windows, spectral_windows = [], [], dynamics._spectral_windows
+
+    def counted(x, *args, **kwargs):
+        exps.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
+
+    def spied(*args):
+        out = spectral_windows(*args)
+        windows.extend(out)
+        return out
+
+    prop = fr.build_propagator(fr.finite_rank_model(grid, [fr.gaussian_state(grid)], [1.0]))
+    w = fr.wave_operator(prop, fr.bump_state(grid, (0.25, 0.75)), "minus", tol=1e-5)
+    view = types.ModuleType("numpy")
+    view.__dict__.update(vars(np))
+    view.exp = counted
+    monkeypatch.setattr(dynamics, "np", view)
+    monkeypatch.setattr(dynamics, "_spectral_windows", spied)
+    dynamics._sojourns(prop, w, f_ind, [4, 8, 16, 32, 64], 1e-6)
+    n, J = dynamics._TAIL_SAMPLES, 16
+    assert len(exps) == 2 * len(windows) == 10
+    assert [exps[2 * i] + exps[2 * i + 1] for i in range(5)] == [
+        kept.size * (n // J + J) for kept, _, _, _ in windows]
+    assert n // J + J <= n / 5
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an extended-precision long double")
+def test_tail_phases_hold_the_direct_phases_round_off(gaussian_propagator, grid, f_ind):
+    # at the demo's r = 64 (T = 203.5, max|E| = 16), against e^{-iEt} taken
+    # in long double at the same float64 E and t, np.exp of the rounded
+    # products E t and the two-table phases, whose times half[Jp] + q dt
+    # differ from half[Jp + q] by an ulp of T, both lie within
+    # 2 eps max|E| T (measured 0.31 and 0.88 of eps max|E| T)
+    prop = gaussian_propagator
+    w = fr.wave_operator(prop, fr.bump_state(grid, (0.25, 0.75)), "minus", tol=1e-5)
+    _, T = dynamics._sojourn_horizon(dynamics._momentum_density(w), grid, f_ind, 64.0)
+    half, E = np.linspace(0.5 * T, T, dynamics._TAIL_SAMPLES), prop.eigenvalues
+    theta = np.multiply.outer(E.astype(np.longdouble), half.astype(np.longdouble))
+    cos, sin = np.cos(theta), np.sin(theta)
+    bound = 2.0 * np.finfo(float).eps * float(np.abs(E).max()) * T
+    for Q in (dynamics._tail_phases(E, half), np.exp(np.multiply.outer(E, -1j * half))):
+        assert Q.shape == (grid.points, dynamics._TAIL_SAMPLES)
+        err = np.hypot((Q.real - cos).astype(float), (Q.imag + sin).astype(float))
+        assert float(err.max()) <= bound
+
+
+@pytest.mark.parametrize("values", [
+    [2.0], [3.0, 1.0], [20.3, 21.0, 21.9, 23.3, 25.2], [25.2, 20.3, 23.3, 21.0],
+    [1.5, 1.5, -0.5], [1e308, 1.7e308, 1.6e308], [0.1, 0.2, 0.3, 0.7],
+])
+def test_median_is_the_statistics_median(values):
+    # the sweep's zeta_measured takes the median of at most five zetas
+    # without importing statistics (which loads fractions and decimal)
+    assert dynamics._median(values) == statistics.median(values)
+    rng = np.random.default_rng(len(values))
+    for n in range(1, 8):
+        draw = list(rng.standard_normal(n) * 10.0)
+        assert dynamics._median(draw) == statistics.median(draw)
 
 
 def test_cook_tail_probe_stays_within_the_entry_budget():
