@@ -94,7 +94,7 @@ class GridSpec:
     @cached_property
     def _nodes(self) -> tuple:
         """(x, k, J, phases), read-only, formed once per grid: the nodes, and
-        evaluation_matrix's momenta q dk, q < J, then k_{-M/2+Jp}, as complex."""
+        _row_plan's momenta q dk, q < J, then k_{-M/2+Jp}, as complex."""
         x = -self.half_width + self.spacing * np.arange(self.points)
         k = self.momentum_spacing * np.arange(-self.points // 2, self.points // 2)
         J = 1 << (self.points.bit_length() // 2)
@@ -203,18 +203,25 @@ def evaluation_matrix(grid: GridSpec, taus, cols: slice = slice(None)) -> np.nda
     Row entry j = -M/2 + J p + q, J = 2^floor(bit_length(M)/2), is formed as
     (dk/sqrt(2 pi)) e^{i tau k_{-M/2+Jp}} e^{i tau q dk}: two phase tables and
     their outer product, at most M/J + J exponentials a point (96 at M = 2048),
-    not M; only the coarse blocks p that cols meets are formed.
+    not M; only the coarse blocks p that cols meets are formed (_row_plan).
     Against exactly reduced phases the relative error is 5.8e-13 at M = 2048, L = 16.
     The taus are not checked: callers pass energies they have refused or kept.
     """
-    taus = np.asarray(taus, dtype=float).reshape(-1, 1)
-    M, (_, _, J, nodes) = grid.points, grid._nodes
-    lo, hi, _ = cols.indices(M)
-    first, last = lo - lo % J, -(-hi // J) * J                # the coarse blocks cols meets
-    phases = np.exp(1j * taus * nodes[:J + last // J])
-    coarse = (grid.momentum_spacing / _SQRT_2PI) * phases[:, J + first // J:, None]
-    block = (coarse * phases[:, None, :J]).reshape(taus.size, last - first)
-    return block[:, lo - first:hi - first]
+    return _plane_rows(grid, _row_plan(grid, cols), np.asarray(taus, dtype=float).reshape(-1, 1))
+
+
+def _row_plan(grid: GridSpec, cols: slice) -> tuple:
+    """(nodes, J, lo, hi): the J fine momenta, the coarse blocks cols meets, and cols' place."""
+    (lo, hi, _), (_, _, J, nodes) = cols.indices(grid.points), grid._nodes
+    p, q = lo // J, -(-hi // J)
+    return np.concatenate((nodes[:J], nodes[J + p:J + q])), J, lo - p * J, hi - p * J
+
+
+def _plane_rows(grid: GridSpec, plan: tuple, taus) -> np.ndarray:
+    """evaluation_matrix's rows on a _row_plan's columns at taus, (n, 1), or one float."""
+    (nodes, J, lo, hi), phases = plan, np.exp(1j * taus * plan[0])
+    block = (grid.momentum_spacing / _SQRT_2PI) * phases[..., J:, None] * phases[..., None, :J]
+    return block.reshape(*block.shape[:-2], (nodes.size - J) * J)[..., lo:hi]
 
 
 def evaluate_many(phi: GridFunction, taus) -> np.ndarray:

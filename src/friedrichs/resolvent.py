@@ -23,12 +23,12 @@ point-spectrum scan's or a scattering curve's, reads the periodic part by
 chirp-z and the smooth correction by Chebyshev interpolation of line sums
 on the densities' node band.  Other energies, one or an array
 (perturbation_determinant, boundary_matrix, the chain route, the stationary
-assembly off the grid), are read one at a time on the pair densities' band
-above round-off, kept per model and order (_Cut): a plane-wave row on the
-momentum band (135 of M for Hermite 0-2, at any M) and a line-kernel row on
-the node band; each side reads its own half of the coefficients rather
-than taking the jump from the other.  At the grid nodes both parts are
-convolutions, read by FFT (_node_boundary).
+assembly off the grid), are read one float at a time (_cut_read) on the pair
+densities' band, kept per model and order with its row plan (_Cut): one exp
+over the fine phases and the coarse blocks the momentum band meets gives its
+plane-wave row (135 of M for Hermite 0-2, at any M), then one line-kernel row
+on the node band; each side reads its own half of the coefficients, not the
+jump.  At the grid nodes both parts are convolutions, read by FFT (_node_boundary).
 
 Point spectrum: scan zeros of D(x + i0) are confirmed by spectrum slicing,
 inertia counts on the N x N Schur complement of the discretized H (_Slices).
@@ -53,6 +53,8 @@ from .grid import (
     GridSpec,
     Representation,
     _as_momentum,
+    _plane_rows,
+    _row_plan,
     boundary_decay,
     derivative,
     evaluate_many,
@@ -165,6 +167,11 @@ class FiniteRankModel:
         return np.stack([_as_momentum(v) for v in self.vectors])
 
     @cached_property
+    def _vector_band(self) -> tuple:  # the vectors' band: its _row_plan, [v_hat | i k v_hat] on it
+        vm, k, cols = self.vectors_momentum, self.grid._nodes[1], _band(self.vectors_momentum.T)
+        return _row_plan(self.grid, cols), np.concatenate([vm, 1j * k * vm])[:, cols]
+
+    @cached_property
     def eigendecomposition(self) -> tuple:
         """(E, steps): H = U diag(E) U^* for the discretized H = Q + V, E
         ascending, U = Q_1 ... Q_n the steps' product (_apply_steps).
@@ -213,21 +220,21 @@ class FiniteRankModel:
 
     def _pair_data(self, order: int) -> tuple:  # pair_densities(order) and its _Cut
         if order not in self._pair_store:
-            N = self.rank
-            dens = np.zeros((2, self.grid.points, N * N), dtype=complex)
+            N, grid = self.rank, self.grid
+            dens = np.zeros((2, grid.points, N * N), dtype=complex)
             for p in range(N * N):
                 vj, vk = self.vectors[p // N].samples, self.vectors[p % N].samples
-                g = derivative(GridFunction(self.grid, Representation.POSITION,
+                g = derivative(GridFunction(grid, Representation.POSITION,
                                             np.conj(vj) * vk), order)
                 dens[:, :, p] = g.samples, transform(g).samples
             dens.setflags(write=False)
             cols, nodes = _band(dens[1]), _band(dens[0])
-            k0 = self.grid.points // 2 - cols.start             # where k = 0 falls on the band
+            k0 = grid.points // 2 - cols.start                  # where k = 0 falls on the band
             zero = slice(max(k0, 0), max(k0 + 1, 0))            # empty if the band misses it
-            band, x = dens[1][cols].copy(), self.grid.position_nodes()
+            band, x, plan = dens[1][cols].copy(), grid.position_nodes(), _row_plan(grid, cols)
             band[zero] *= 0.5                                   # P+ at k = 0, exact in binary64
             self._pair_store[order] = (dens[0], dens[1], cols, nodes, _Cut(
-                cols, band[:zero.stop], band[zero.start:], x[nodes], float(x[nodes.start]),
+                plan, band[:zero.stop], band[zero.start:], x[nodes], float(x[nodes.start]),
                 dens[0][nodes].view(float), np.eye(N, dtype=complex), self.coupling_array() + 0j))
         return self._pair_store[order]
 
@@ -240,8 +247,8 @@ def _band(values: np.ndarray) -> slice:
     return slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
 
 
-# One order's pair-density band as _cut_boundary reads it (see _pair_data), and I and Lambda.
-_Cut = namedtuple("_Cut", "cols lower upper pos x0 dens eye lam")
+# One order's pair-density band as _cut_read reads it (see _pair_data), and I and Lambda.
+_Cut = namedtuple("_Cut", "plan lower upper pos x0 dens eye lam")
 
 
 def _rank_one_eigh(d: np.ndarray, w: np.ndarray, rho: float) -> tuple:
@@ -500,9 +507,13 @@ class PointSpectrum:
 # ---------------------------------------------------------------------------
 # the one-sided projection
 
-def _interior(grid: GridSpec, xs) -> np.ndarray:
-    """xs as a 1-D array, refused if it has more axes, or if any energy is
-    not finite or lies within the boundary margin."""
+def _interior(grid: GridSpec, xs, one: bool = False) -> np.ndarray | float:
+    """xs as a 1-D array, or with one as a float checked on itself, refused if it has
+    more axes (with one, any), or if an energy is not finite or is within the margin."""
+    if one and not isinstance(xs, float) and np.ndim(xs):
+        raise ValidationError(f"energy must be one number, got an array of shape {np.shape(xs)}")
+    if one and grid.half_width - abs(xs := float(xs)) >= _BOUNDARY_MARGIN * grid.spacing:
+        return xs
     xs = np.array(xs, dtype=float, ndmin=1, copy=None)
     if xs.ndim > 1:
         raise ValidationError("energies must be a number or a 1-D array")
@@ -653,7 +664,7 @@ def pv_integral(g: GridFunction, x: float) -> complex:
     r(x + i0) - i pi g(x), from one plane-wave row and one line-kernel row."""
     if g.representation is not Representation.POSITION:
         raise ValidationError("pv_integral expects a position-representation density")
-    grid, x = g.grid, float(_interior(g.grid, float(x))[0])
+    grid, x = g.grid, _interior(g.grid, x, one=True)
     mask = _projection_mask(grid, Side.PLUS) - 0.5
     periodic = 2j * math.pi * (evaluation_matrix(grid, x)[0] @ (mask * _as_momentum(g)))
     return complex(periodic + _line_row(grid, grid.position_nodes(), -grid.half_width, x)
@@ -678,10 +689,11 @@ def _boundary_batch(model: FiniteRankModel, proj, orders=(1,)) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _det(xs, A: np.ndarray) -> np.ndarray:
-    """det A for the stack A = I + r Lambda at the energies xs, refused by
-    name where it overflows: a non-finite D has no digits left to report."""
-    D = np.linalg.det(A)
+def _cut_det(model: FiniteRankModel, xs, r1: np.ndarray) -> np.ndarray:
+    """det(I + r1 Lambda) for order-1 boundary values r1 at the energies xs, refused
+    by name where it overflows: a non-finite D has no digits left to report."""
+    cut = model._pair_data(0)[4]
+    D = np.linalg.det(cut.eye + r1 * cut.lam)
     if not all(map(math.isfinite, D.view(float).tolist())):
         k = int(np.argmin(np.isfinite(D)))                     # the first that is not
         raise ValidationError(f"perturbation determinant at energy {xs[k]:g} overflows to "
@@ -693,9 +705,9 @@ def boundary_matrix(model: FiniteRankModel, x: float, side, n: int = 1) -> Bound
     side = _as_side(side)
     if n < 1:
         raise ValidationError("derivative order n must be >= 1")
-    r = _cut_boundary(model, float(x), n)[int(side is Side.PLUS)]
-    det = complex(_cut_det(model, [x], r)[0]) if n == 1 else None
-    return BoundaryData(float(x), side, n, r[0], det)
+    r = _cut_read(model, x, n)[int(side is Side.PLUS)]
+    det = complex(_cut_det(model, [x], r[None])[0]) if n == 1 else None
+    return BoundaryData(float(x), side, n, r, det)
 
 
 def resolvent_matrix(model: FiniteRankModel, bd: BoundaryData) -> np.ndarray:
@@ -729,29 +741,27 @@ def perturbation_determinant(model: FiniteRankModel, x: float | np.ndarray,
     return complex(D[0]) if np.ndim(x) == 0 else D
 
 
+def _cut_read(model: FiniteRankModel, x, n: int) -> np.ndarray:
+    """(r^(n)(x - i0), r^(n)(x + i0)), (2, N, N), at one energy x: the order-(n-1) band's row
+    (_Cut) up to k = 0 for the minus side (P+ - 1), from k = 0 for the plus side (P+), and
+    its line-kernel row."""
+    x, cut, N = _interior(model.grid, x, one=True), model._pair_data(n - 1)[4], model.rank
+    row, out = _plane_rows(model.grid, cut.plan, x), np.empty((2, N * N), dtype=complex)
+    np.negative(np.dot(row[:len(cut.lower)], cut.lower, out=out[0]), out=out[0])
+    np.dot(row[row.size - len(cut.upper):], cut.upper, out=out[1])
+    out *= 2j * math.pi
+    out += _line_row(model.grid, cut.pos, cut.x0, x).dot(cut.dens).view(complex)
+    return (out if n == 1 else out / math.factorial(n - 1)).reshape(2, N, N)
+
+
 def _cut_boundary(model: FiniteRankModel, x, n: int) -> np.ndarray:
-    """(r^(n)(x - i0), r^(n)(x + i0)), (2, Nx, N, N), at x, a number or a 1-D
-    array, read one energy at a time on the order-(n-1) pair densities' band
-    (_Cut), so an array's values are bitwise its single energies': one
-    plane-wave row, its part up to k = 0 read by the minus side (P+ - 1) and
-    from k = 0 by the plus side (P+), neither using the jump, and one
-    line-kernel row on the node band."""
-    xs, cut = _interior(model.grid, x), model._pair_data(n - 1)[4]
-    r = np.empty((2, xs.size, model.rank ** 2), dtype=complex)
-    for out, e in zip(r.swapaxes(0, 1), xs.tolist()):
-        row = evaluation_matrix(model.grid, e, cut.cols)[0]
-        np.negative(np.dot(row[:len(cut.lower)], cut.lower, out=out[0]), out=out[0])
-        np.dot(row[row.size - len(cut.upper):], cut.upper, out=out[1])
-        out *= 2j * math.pi
-        out += _line_row(model.grid, cut.pos, cut.x0, e).dot(cut.dens).view(complex)
-    r = r.reshape(2, xs.size, model.rank, model.rank)
-    return r if n == 1 else r / math.factorial(n - 1)
-
-
-def _cut_det(model: FiniteRankModel, xs, r1: np.ndarray) -> np.ndarray:
-    """det(I + r1 Lambda) for order-1 boundary values r1 at the energies xs."""
-    cut = model._pair_data(0)[4]
-    return _det(xs, cut.eye + r1 * cut.lam)
+    """(r^(n)(x - i0), r^(n)(x + i0)), (2, Nx, N, N), at x, a number or a 1-D array,
+    one _cut_read an energy, so an array's values are bitwise its single energies'."""
+    xs = _interior(model.grid, x)
+    r = np.empty((2, xs.size, model.rank, model.rank), dtype=complex)
+    for i, e in enumerate(xs.tolist()):
+        r[:, i] = _cut_read(model, e, n)
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import StateNotAdmissible, ToleranceError, ValidationError
-from .grid import GridFunction, Representation, evaluation_matrix, transform
+from .grid import GridFunction, Representation, _plane_rows, transform
 from .resolvent import (
     FiniteRankModel,
     PointSpectrum,
@@ -53,7 +53,7 @@ from .resolvent import (
     _ChirpProjection,
     _cut_boundary,
     _cut_det,
-    _det,
+    _cut_read,
     _interior,
     _node_boundary,
     _refuse_point_spectrum,
@@ -89,8 +89,8 @@ def _stationary_batch(model: FiniteRankModel, xs, r1, r2, vals, d1) -> dict:
     """
     lam = model.coupling_array()
     N = model.rank
+    _refuse_point_spectrum(xs, _cut_det(model, xs, r1))
     A = np.eye(N) + r1 * lam[None, None, :]            # I + r1 Lambda
-    _refuse_point_spectrum(xs, _det(xs, A))
     X = np.linalg.solve(A, r1)
     lamX = lam[None, :, None] * X
     Xp = np.linalg.solve(A, r2 @ (np.eye(N) - lamX))
@@ -118,13 +118,11 @@ def _stationary_at(model: FiniteRankModel, x) -> dict:
     """_stationary_batch at x, a number or a 1-D array, one energy at a time:
     r1, r2 by _cut_boundary, v, v' by one plane-wave row on the vectors' band,
     so an array is bitwise its single energies and memory O(M) at any length."""
-    xs, N = _interior(model.grid, x), model.rank
+    xs, N, (plan, coeffs) = _interior(model.grid, x), model.rank, model._vector_band
     r1, r2 = (_cut_boundary(model, xs, n)[1] for n in (1, 2))
-    vm, cols = model.vectors_momentum, _band(model.vectors_momentum.T)
-    coeffs = np.concatenate([vm, 1j * model.grid.momentum_nodes() * vm])[:, cols]
     v = np.empty((xs.size, 2 * N), dtype=complex)      # v_j(x), then v_j'(x)
     for out, e in zip(v, xs.tolist()):                  # one contiguous dot a column
-        np.dot(coeffs, evaluation_matrix(model.grid, e, cols)[0], out=out)
+        np.dot(coeffs, _plane_rows(model.grid, plan, e), out=out)
     return _stationary_batch(model, xs, r1, r2, v[:, :N], v[:, N:])
 
 
@@ -133,7 +131,7 @@ def _stationary_at(model: FiniteRankModel, x) -> dict:
 
 def s_matrix(model: FiniteRankModel, x: float) -> complex:
     """Scattering matrix component at energy x, stationary assembly."""
-    return complex(_stationary_at(model, [x])["s"][0])
+    return complex(_stationary_at(model, [_interior(model.grid, x, one=True)])["s"][0])
 
 
 def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
@@ -144,7 +142,7 @@ def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
     formula, so this shares no Plemelj sign with the stationary assembly and
     serves as its oracle.  It refuses point spectrum as s_matrix does.
     """
-    D = _cut_det(model, [x, x], _cut_boundary(model, x, 1)[:, 0])
+    D = _cut_det(model, [x, x], _cut_read(model, x, 1))
     _refuse_point_spectrum([x], D[1:])
     lower, upper = D.tolist()
     return lower / upper
@@ -152,7 +150,7 @@ def s_matrix_chain(model: FiniteRankModel, x: float) -> complex:
 
 def s_prime(model: FiniteRankModel, x: float) -> complex:
     """Analytic derivative of the scattering matrix at energy x."""
-    return complex(_stationary_at(model, [x])["s_prime"][0])
+    return complex(_stationary_at(model, [_interior(model.grid, x, one=True)])["s_prime"][0])
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,88 @@ def full_width_stationary(model, xs):
     return _stationary_batch(model, np.asarray(xs, dtype=float), r1, r2, v[:, :N], v[:, N:])
 
 
+def _band_row_reference(grid, x, cols):
+    """The plane-wave row on the momentum indices cols at the energy x, as
+    grid.evaluation_matrix formed it one energy at a time before the read
+    plans: every coarse block up to the band's last exponentiated, then the
+    blocks cols meets times the fine phases, the columns cut out last."""
+    J, nodes = grid._nodes[2:]
+    lo, hi, _ = cols.indices(grid.points)
+    first, last = lo - lo % J, -(-hi // J) * J
+    phases = np.exp(1j * np.reshape(float(x), (-1, 1)) * nodes[:J + last // J])
+    coarse = (grid.momentum_spacing / math.sqrt(2.0 * math.pi)) * phases[:, J + first // J:, None]
+    block = (coarse * phases[:, None, :J]).reshape(1, last - first)
+    return block[:, lo - first:hi - first][0]
+
+
+def _line_row_reference(grid, pos, x0, x):
+    """h c(k - x) at the nodes pos = x0 + j h, as resolvent._line_row forms it
+    (odd series on the window's run of nodes within 1e-2, numpy's power)."""
+    from bisect import bisect_left, bisect_right
+
+    a, h, u = math.pi / (2.0 * grid.half_width), grid.spacing, pos - x
+    lo = max(math.floor((x - 1e-2 - x0) / h), 0)
+    window = u[lo:max(math.floor((x + 1e-2 - x0) / h) + 2, 0)].tolist()
+    i, j = bisect_right(window, -1e-2), bisect_left(window, 1e-2)
+    z, near = [a * w for w in window[i:j]], slice(lo + i, lo + j)
+    u[near] = 1.0
+    c = np.divide(1.0, u)
+    u *= a
+    c -= np.divide(a, np.tan(u, out=u), out=u)
+    c[near] = [(a / 3.0) * t * (1.0 + t * t / 15.0 + (2.0 / 315.0) * q)
+               for t, q in zip(z, np.power(z, 4).tolist())]
+    c *= h
+    return c
+
+
+def band_reference(model, x, n):
+    """(r^(n)(x - i0), r^(n)(x + i0)), (2, N, N), at one energy by the
+    per-energy band read as it stood before the read plans, from the
+    order-(n-1) pair densities and their bands: _band_row_reference on the
+    momentum band, its part up to k = 0 read by the minus side (P+ - 1) and
+    from k = 0 by the plus side (P+, 1/2 at k = 0), and _line_row_reference
+    on the node band; the bitwise pins' reference."""
+    g, N = model.grid, model.rank
+    samples, coeffs, cols, nodes = model.pair_densities(n - 1)
+    k0 = g.points // 2 - cols.start
+    zero = slice(max(k0, 0), max(k0 + 1, 0))
+    band = coeffs[cols].copy()
+    band[zero] *= 0.5
+    lower, upper, pos = band[:zero.stop], band[zero.start:], g.position_nodes()[nodes]
+    row = _band_row_reference(g, x, cols)
+    out = np.empty((2, N * N), dtype=complex)
+    np.negative(np.dot(row[:len(lower)], lower, out=out[0]), out=out[0])
+    np.dot(row[row.size - len(upper):], upper, out=out[1])
+    out *= 2j * math.pi
+    line = _line_row_reference(g, pos, float(g.position_nodes()[nodes.start]), x)
+    out += line.dot(samples[nodes].view(float)).view(complex)
+    r = out.reshape(2, N, N)
+    return r if n == 1 else r / math.factorial(n - 1)
+
+
+def band_determinant_reference(model, r1):
+    """det(I + r1 Lambda) for a stack of order-1 boundary values r1."""
+    N = model.rank
+    return np.linalg.det(np.eye(N, dtype=complex) + r1 * (model.coupling_array() + 0j))
+
+
+def stationary_reference(model, xs):
+    """The stationary assembly at the energies xs from band_reference's plus
+    sides and, for v and v', _band_row_reference on the vectors' band."""
+    from friedrichs.resolvent import _band
+    from friedrichs.scattering import _stationary_batch
+
+    g, N, vm = model.grid, model.rank, model.vectors_momentum
+    r1, r2 = (np.array([band_reference(model, e, n)[1] for e in xs]).reshape(-1, N, N)
+              for n in (1, 2))
+    cols = _band(vm.T)
+    coeffs = np.concatenate([vm, 1j * g.momentum_nodes() * vm])[:, cols]
+    v = np.empty((len(xs), 2 * N), dtype=complex)
+    for out, e in zip(v, xs):
+        np.dot(coeffs, _band_row_reference(g, e, cols), out=out)
+    return _stationary_batch(model, np.asarray(xs, dtype=float), r1, r2, v[:, :N], v[:, N:])
+
+
 def _dense_blocks(grid, xs):
     """The 1-D array xs in blocks of 2^18 / M energies, one empty block for none."""
     xs, n = np.asarray(xs, dtype=float).reshape(-1), max(1, (1 << 18) // grid.points)

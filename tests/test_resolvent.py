@@ -29,8 +29,9 @@ from friedrichs import (
 from friedrichs import resolvent
 from friedrichs.resolvent import _apply_steps, _boundary_batch, _ChirpProjection, _cut_det
 
-from conftest import (_band_models, _masked_line_kernel, _traced_peak, full_width_boundary,
-                      full_width_stationary)
+from conftest import (_band_models, _masked_line_kernel, _traced_peak, band_determinant_reference,
+                      band_reference, full_width_boundary, full_width_stationary,
+                      stationary_reference)
 
 SQRT_PI = 1.7724538509055159
 
@@ -904,6 +905,49 @@ def test_a_number_and_an_array_read_the_band_bitwise_alike():
         for e in es.tolist():
             lower, upper = (fr.perturbation_determinant(model, e, side) for side in ("minus", "plus"))
             assert fr.s_matrix_chain(model, e) == lower / upper
+
+
+@pytest.mark.parametrize("points", [512, 2048, 8192])
+def test_single_energy_routes_are_bitwise_the_band_reference(points):
+    # every route on the one-energy read, against conftest's copy of the band
+    # read as it stood before the read plans: _cut_read, the array loop, both
+    # boundary matrices of orders 1-3 with their determinants, the
+    # determinant as a number and as an array, the chain, s_matrix, s_prime
+    # and the shift density, on Hermite ranks 1-3; energies at nodes, 1e-2
+    # either side of one and one ulp either side of that, +-5e-324, 0 and random
+    g = fr.make_grid(16.0, points)
+    x = g.position_nodes()
+    es = [0.0, 5e-324, -5e-324]
+    for e in (float(x[points // 2 + 3]), float(x[points // 3])):
+        es.append(e)
+        for d in (1e-2, -1e-2):
+            es += [e + d, float(np.nextafter(e + d, e)), float(np.nextafter(e + d, e + 2 * d))]
+    es += np.random.default_rng(43).uniform(-14.0, 14.0, 6).tolist()
+    for rank in (1, 2, 3):
+        model = _hermite_model(g, [0.8, -0.5, 0.3][:rank])
+        for n in (1, 2, 3):
+            want = np.array([band_reference(model, e, n) for e in es])
+            assert np.array_equal(resolvent._cut_boundary(model, es, n), want.swapaxes(0, 1))
+            for e, w in zip(es, want):
+                assert np.array_equal(resolvent._cut_read(model, e, n), w)
+                for side, r in zip(("minus", "plus"), w):
+                    bd = fr.boundary_matrix(model, e, side, n)
+                    assert np.array_equal(bd.matrix, r)
+                    if n == 1:
+                        D = complex(band_determinant_reference(model, r[None])[0])
+                        assert bd.determinant == D
+                        assert fr.perturbation_determinant(model, e, side) == D
+            if n == 1:
+                D = band_determinant_reference(model, want)          # (Nx, 2)
+                for s, side in enumerate(("minus", "plus")):
+                    assert np.array_equal(fr.perturbation_determinant(model, es, side), D[:, s])
+                assert [fr.s_matrix_chain(model, e) for e in es] == [a / b for a, b in D.tolist()]
+        for e in es:
+            ref = stationary_reference(model, [e])
+            assert fr.s_matrix(model, e) == complex(ref["s"][0])
+            assert fr.s_prime(model, e) == complex(ref["s_prime"][0])
+        assert np.array_equal(fr.spectral_shift_density_determinant(model, es),
+                              stationary_reference(model, es)["xi_det"])
 
 
 def test_probe_blocks_stay_within_the_entry_budget():

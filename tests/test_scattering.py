@@ -13,7 +13,9 @@ the PV part vanishes, so S(0) = (1 - i sqrt(pi))/(1 + i sqrt(pi)).
 """
 
 import math
+import re
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -456,11 +458,13 @@ def test_chain_route_transforms_each_pair_density_once(coarse_grid, monkeypatch)
 
 
 def test_chain_route_builds_one_evaluation_matrix(rank2_model, monkeypatch):
-    from friedrichs.grid import evaluation_matrix
+    # one plane-wave row for the one energy on the one band: evaluation_matrix's
+    # row builder, run once on the band's stored plan
+    from friedrichs.grid import _plane_rows
 
-    calls = _count_calls(monkeypatch, evaluation_matrix)
+    calls = _count_calls(monkeypatch, _plane_rows)
     fr.s_matrix_chain(rank2_model, 0.3)
-    assert calls == ["evaluation_matrix"]
+    assert calls == ["_plane_rows"]
 
 
 @pytest.mark.parametrize("points", [2048, 16384])
@@ -472,15 +476,74 @@ def test_chain_route_reads_a_column_band_that_does_not_grow_with_M(points, monke
 
     g = fr.make_grid(16.0, points)
     model = fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(3)], [0.8, -0.5, 0.3])
-    widths, build = [], resolvent.evaluation_matrix
+    widths, build = [], resolvent._plane_rows
 
-    def recorded(grid, taus, cols=slice(None)):
-        widths.append(len(range(*cols.indices(grid.points))))
-        return build(grid, taus, cols)
+    def recorded(grid, plan, taus):
+        row = build(grid, plan, taus)
+        widths.append(row.shape[-1])
+        return row
 
-    monkeypatch.setattr(resolvent, "evaluation_matrix", recorded)
+    monkeypatch.setattr(resolvent, "_plane_rows", recorded)
     fr.s_matrix_chain(model, 0.3)
     assert len(widths) == 1 and widths[0] <= 192
+
+
+def test_chain_route_exponentiates_only_the_blocks_its_band_meets(monkeypatch):
+    # numpy as the package sees it, with np.exp counted: one chain call takes
+    # one exp, over the J fine phases and the coarse blocks the order-0 band
+    # meets, at most J + ceil(band/J) + 1 (68 for Hermite 0-2 at M = 2048,
+    # J = 64), where a row over every coarse block up to the band's last took
+    # J + last/J (82)
+    from friedrichs import grid as grid_module
+
+    g = fr.make_grid(16.0, 2048)
+    model = fr.finite_rank_model(g, [fr.hermite_state(g, j) for j in range(3)], [0.8, -0.5, 0.3])
+    fr.s_matrix_chain(model, 0.3)                       # the band store, taken once
+    exps = []
+
+    def counted(x, *args, **kwargs):
+        exps.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
+
+    view = types.ModuleType("numpy")
+    view.__dict__.update(vars(np))
+    view.exp = counted
+    for module in (grid_module, resolvent, scattering):
+        monkeypatch.setattr(module, "np", view)
+    fr.s_matrix_chain(model, -1.1)
+    J, cols = g._nodes[2], model.pair_densities(0)[2]
+    band = cols.stop - cols.start
+    assert (J, band) == (64, 135)
+    assert len(exps) == 1 and exps[0] <= J + -(-band // J) + 1 < J + -(-cols.stop // J) == 82
+
+
+_SCALAR_ROUTES = {
+    "s_matrix": fr.s_matrix,
+    "s_prime": fr.s_prime,
+    "s_matrix_chain": fr.s_matrix_chain,
+    "boundary_matrix": lambda model, x: fr.boundary_matrix(model, x, "plus").matrix,
+    "pv_integral": lambda model, x: fr.pv_integral(model.vectors[0], x),
+}
+
+
+@pytest.mark.parametrize("route", list(_SCALAR_ROUTES))
+def test_single_energy_routes_refuse_an_array_by_name(gaussian_model, route):
+    # a float, a numpy scalar and a 0-d array are one energy, read alike; an
+    # array of any other shape, one entry long included, is refused as an
+    # array, and energies off the box keep their own refusals
+    read = _SCALAR_ROUTES[route]
+    want = read(gaussian_model, 0.1)
+    for x in (np.float64(0.1), np.array(0.1)):
+        assert np.array_equal(read(gaussian_model, x), want)
+    for x, shape in ((np.array([0.1, 0.2]), "(2,)"), ([0.1, 0.2], "(2,)"), ([0.1], "(1,)"),
+                     (np.array([[0.1]]), "(1, 1)")):
+        with pytest.raises(ValidationError, match=rf"^energy must be one number, got an array "
+                                                  rf"of shape {re.escape(shape)}$"):
+            read(gaussian_model, x)
+    with pytest.raises(ValidationError, match="^energy nan is not finite$"):
+        read(gaussian_model, math.nan)
+    with pytest.raises(ValidationError, match="^energy -15.9 is within 10 grid spacings"):
+        read(gaussian_model, -15.9)
 
 
 def test_chain_route_refuses_point_spectrum(grid):
@@ -516,16 +579,17 @@ def test_exclusions_only_drop_rows(gaussian_model):
 
 def test_s_prime_interpolates_each_pair_density_order_once(coarse_grid, monkeypatch):
     from friedrichs import resolvent
-    from friedrichs.grid import evaluation_matrix
+    from friedrichs.grid import _plane_rows
 
     rows = []
 
-    def recorded(grid, taus, cols=slice(None)):
-        rows.append((np.size(taus), len(range(*cols.indices(grid.points)))))
-        return evaluation_matrix(grid, taus, cols)
+    def recorded(grid, plan, taus):
+        row = _plane_rows(grid, plan, taus)
+        rows.append((np.size(taus), row.shape[-1]))
+        return row
 
     for module in (resolvent, scattering):
-        monkeypatch.setattr(module, "evaluation_matrix", recorded)
+        monkeypatch.setattr(module, "_plane_rows", recorded)
     vecs = [fr.hermite_state(coarse_grid, n) for n in range(2)]
     model = fr.finite_rank_model(coarse_grid, vecs, [0.8, -0.5])
     fr.s_prime(model, 0.3)
